@@ -5,17 +5,16 @@ The acting torus H is given by an injective lattice map phi: Z^d -> N
 group is a character shift per basis divisor; the canonical
 linearization is the zero shift.  Semistability of an orbit is decided
 chart by chart: the orbit of a face gamma is semistable iff some face
-tau >= gamma admits an invariant multi-monomial section whose
+tau >= gamma admits an invariant section, a single monomial, whose
 nonvanishing locus is exactly the affine chart of tau.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cones import Cone, dual as cone_dual, image as cone_image, intersect, \
-    relative_interior_point
+from .cones import Cone, image as cone_image, intersect, relative_interior_point
 from math import gcd
 
 from .fans import (
@@ -123,8 +122,8 @@ class SemistabilityCertificate:
     """Replayable witness for one certified chart.
 
     degree is (n,) for a single divisor (n > 0) and the coefficient
-    vector of D_0 in the group basis otherwise.  monomials maps each ray
-    of the chart (or None for the zero face) to its u in M.  cartier maps
+    vector of D_0 in the group basis otherwise.  monomial is the u in M of
+    the invariant section vanishing exactly on the chart's rays.  cartier maps
     each basis divisor index to its local equation m on the chart.  For
     the group case, invertibles lists (degree coefficients c, witness w)
     pairs spanning a finite-index subgroup of invertibly-realized degrees.
@@ -132,7 +131,7 @@ class SemistabilityCertificate:
 
     chart: FaceKey
     degree: Vec
-    monomials: tuple[tuple[Optional[int], Vec], ...]
+    monomial: Vec
     cartier: tuple[Vec, ...]
     invertibles: tuple[tuple[Vec, Vec], ...] = ()
     group_case: bool = False
@@ -227,10 +226,7 @@ def semistable_divisor(D: ToricDivisor, lin: Linearization,
         passing[key] = SemistabilityCertificate(
             chart=key,
             degree=(n0 * nw,),
-            monomials=tuple(sorted(
-                ((rho, tuple(n0 * x for x in u))
-                 for rho, u in wit["monomials"].items()),
-                key=lambda kv: (kv[0] is None, kv[0]))),
+            monomial=tuple(n0 * x for x in wit["monomial"]),
             cartier=(tuple(nw * x for x in m0),),
         )
     return _locus_with_certs(fan, passing)
@@ -300,8 +296,7 @@ def semistable_group(group: DivisorGroup, lin: Linearization,
         passing[key] = SemistabilityCertificate(
             chart=key,
             degree=wit["degree"],
-            monomials=tuple(sorted(wit["monomials"].items(),
-                                   key=lambda kv: (kv[0] is None, kv[0]))),
+            monomial=wit["monomial"],
             cartier=tuple(cartiers),
             invertibles=tuple(invertibles),
             group_case=True,

@@ -46,7 +46,7 @@ def _cert_payload(cert) -> dict:
     out = {
         "chart": sorted(cert.chart),
         "degree": list(cert.degree),
-        "monomials": [{"ray": rho, "u": list(u)} for rho, u in cert.monomials],
+        "monomial": list(cert.monomial),
         "cartier": [list(m) for m in cert.cartier],
     }
     if cert.group_case:

@@ -266,22 +266,37 @@ def image(c: Cone, f: LatticeMap) -> Cone:
 
 
 def faces(c: Cone) -> tuple[Cone, ...]:
-    """All faces of c (including c itself and its minimal face), each of
-    the form c intersected with the kernel of a supporting normal."""
-    seen = {c}
-    queue = [c]
+    """All faces of c (including c itself and its minimal face), sorted
+    by dimension.
+
+    A face is keyed by the set of facets of c containing it and is
+    generated by the generators of c lying on all of them (plus the
+    lineality).  Keys are walked from c by cutting with one more facet,
+    using the generator-facet incidence only; each face is then built
+    once from its generators."""
+    zero_sets = [frozenset(i for i, u in enumerate(c.facet_normals)
+                           if vdot(u, g) == 0) for g in c.generators]
+    every = frozenset(range(len(c.facet_normals)))
+
+    def gens_on(key):
+        return [j for j, z in enumerate(zero_sets) if key <= z]
+
+    top = every.intersection(*zero_sets)
+    seen = {top}
+    queue = [top]
     while queue:
-        f = queue.pop()
-        for u in c.facet_normals:
-            child = Cone.from_inequalities(
-                c.ambient_rank,
-                list(f.facet_normals),
-                list(f.span_equalities) + [u],
-            )
+        key = queue.pop()
+        below = gens_on(key)
+        for i in every - key:
+            child = every.intersection(
+                *(zero_sets[j] for j in below if i in zero_sets[j]))
             if child not in seen:
                 seen.add(child)
                 queue.append(child)
-    out = sorted(seen, key=lambda f: (f.dim, f.generators, f.lineality_basis))
+    out = [c if key == top else Cone._from_dd(
+        c.ambient_rank, [c.generators[j] for j in gens_on(key)],
+        c.lineality_basis) for key in seen]
+    out.sort(key=lambda f: (f.dim, f.generators, f.lineality_basis))
     return tuple(out)
 
 

@@ -15,8 +15,8 @@ from .cones import (
     Cone,
     FeasibilitySystem,
     faces as cone_faces,
+    feasible_strict,
     intersect,
-    product_feasible_strict,
 )
 from .intlinalg import (
     IntMatrix,
@@ -300,42 +300,29 @@ def chart_witness(fan: Fan, tau: FaceKey,
                   degree_rows: Sequence[Vec],
                   weight_rows: Sequence[tuple[Vec, Vec]] = (),
                   shared_strict: Sequence[Vec] = ()) -> Optional[dict]:
-    """Strict feasibility of the multi-monomial chart system for the face
-    tau: one monomial u_rho per ray of tau (a single monomial when tau is
-    the zero face), coupled through shared degree variables s in Z^k.
+    """Strict feasibility of the chart system for the face tau: one
+    monomial u in M and degree variables s in Z^k whose section vanishes
+    exactly on the rays of tau, so its nonvanishing locus is the affine
+    chart of tau.
 
     degree_rows[j] gives the divisor coefficient at ray j as a linear form
-    in s.  Each monomial must satisfy <u, v_j> + deg_j(s) >= 0 at every
-    fan ray, with equality at its own ray and strict inequality at rays
-    outside tau, plus the equalities weight_rows (m_row . u + s_row . s = 0).
-    Returns {"monomials": {rho: u}, "degree": s} or None.
+    in s.  The section needs <u, v_j> + deg_j(s) = 0 at the rays of tau
+    and > 0 at every other ray, plus the equalities weight_rows
+    (m_row . u + s_row . s = 0) and the strict forms shared_strict in s.
+    Returns {"monomial": u, "degree": s} or None.
     """
     n = fan.ambient_rank
-    k = len(degree_rows[0]) if degree_rows else 0
-    ray_indices = sorted(tau) if tau else [None]
-    blocks = []
-    for rho in ray_indices:
-        eqs, weak, strict = [], [], []
-        for j, v in enumerate(fan.rays):
-            form = tuple(v) + tuple(degree_rows[j])
-            if j == rho:
-                eqs.append(form)
-            elif j in tau:
-                weak.append(form)
-            else:
-                strict.append(form)
-        for m_row, s_row in weight_rows:
-            eqs.append(tuple(m_row) + tuple(s_row))
-        blocks.append(FeasibilitySystem(n + k, tuple(eqs), tuple(weak), tuple(strict)))
-    wit = product_feasible_strict(k, blocks, [n] * len(blocks),
-                                  shared_strict=tuple(shared_strict))
+    # a fan without rays has no degree rows; the shared forms still fix k
+    k = len((degree_rows or shared_strict or [()])[0])
+    eqs, strict = [], []
+    for j, v in enumerate(fan.rays):
+        (eqs if j in tau else strict).append(tuple(v) + tuple(degree_rows[j]))
+    eqs.extend(tuple(m_row) + tuple(s_row) for m_row, s_row in weight_rows)
+    strict.extend((0,) * n + tuple(f) for f in shared_strict)
+    wit = feasible_strict(FeasibilitySystem(n + k, tuple(eqs), (), tuple(strict)))
     if wit is None:
         return None
-    monomials = {}
-    for pos, rho in enumerate(ray_indices):
-        monomials[rho] = wit[pos * n:(pos + 1) * n]
-    degree = wit[len(ray_indices) * n:]
-    return {"monomials": monomials, "degree": degree}
+    return {"monomial": wit[:n], "degree": wit[n:]}
 
 
 def ample_locus(group: DivisorGroup, fan: Fan) -> SubfanLocus:

@@ -21,10 +21,6 @@ def vdot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def vadd(a: Sequence[int], b: Sequence[int]) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a: Sequence[int], b: Sequence[int]) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -273,31 +269,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     )
 
 
-def _unimodular_inverse(M: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular matrix (entries stay integral)."""
-    n = M.rows
-    aug = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, r in enumerate(M.entries)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [a / pv for a in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    inv = []
-    for r in aug:
-        row = []
-        for a in r[n:]:
-            if a.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(a))
-        inv.append(row)
-    return IntMatrix.from_rows(inv, n)
-
-
 @dataclass(frozen=True)
 class Sublattice:
     """A pure-data sublattice of Z^n given by a basis (rows)."""
@@ -383,9 +354,6 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
     for i in range(A.cols, A.rows):
         if c[i] != 0:
             return None
-    # also rows beyond cols handled above; rows within rank have d != 0
-    if A.cols < A.rows:
-        pass
     for i in range(min(A.rows, A.cols)):
         d = snf.D.entries[i][i]
         if d == 0 and c[i] != 0:

@@ -68,18 +68,13 @@ def _phi_star(phi_columns, u):
     return tuple(_dot(col, u) for col in phi_columns)
 
 
-def _chart_monomials_ok(rays, a_coeffs, key, candidates) -> bool:
-    """Does some tuple of candidate monomials witness the chart?  Each
-    candidate is a precomputed zero-pattern vector b (already known to be
-    nonnegative with zero weight); the chart needs, per ray of the key,
-    one b vanishing there, all of them positive outside the key."""
-    outside = [j for j in range(len(rays)) if j not in key]
-    usable = [b for b in candidates if all(b[j] > 0 for j in outside)]
-    if not usable:
-        return False
-    if not key:
-        return True
-    return all(any(b[i] == 0 for b in usable) for i in sorted(key))
+def _chart_monomial_ok(key, candidates) -> bool:
+    """Does one candidate monomial witness the chart?  Each candidate is
+    a precomputed zero-pattern vector b (already known to be nonnegative
+    with zero weight); the chart needs one b that is zero on the rays of
+    the key and positive off them."""
+    return any(all((x == 0) == (j in key) for j, x in enumerate(b))
+               for b in candidates)
 
 
 def enumerate_witnesses(rays: Sequence[tuple], face_keys: Sequence[frozenset],
@@ -126,7 +121,7 @@ def enumerate_witnesses(rays: Sequence[tuple], face_keys: Sequence[frozenset],
         found = False
         for m in degrees:
             a, pats = patterns_by_degree[m]
-            if not _chart_monomials_ok(rays, a, key, pats):
+            if not _chart_monomial_ok(key, pats):
                 continue
             if group_case:
                 if any(_cartier_witness(rays, row, key, bounds.box) is None

@@ -16,13 +16,13 @@ from .actions import SemistableLocus, SubtorusAction
 from .cones import Cone, faces as cone_faces, image as cone_image, intersect
 from .fans import Fan, FaceKey, FanError, validate_fan
 from .intlinalg import (
-    IntMatrix,
     LatticeMap,
     Sublattice,
     Vec,
     cokernel_projection,
     is_zero_vec,
     rank_of_rows,
+    vneg,
 )
 
 
@@ -32,6 +32,7 @@ class QuotientChart:
     source: Cone
     image: Cone
     projection: LatticeMap
+    faces: tuple[Cone, ...]  # faces of image, by dimension
 
 
 @dataclass(frozen=True)
@@ -67,15 +68,14 @@ def quotient_projection(action: SubtorusAction) -> tuple[LatticeMap, tuple[int, 
 
 def orbit_image(gamma: Cone, chart: QuotientChart) -> Cone:
     """Smallest face of the chart's image containing pi(gamma)."""
-    img = cone_image(gamma, chart.projection)
-    best = None
-    for f in cone_faces(chart.image):
-        if f.contains_cone(img):
-            if best is None or f.dim < best.dim:
-                best = f
-    if best is None:
-        raise ValueError("projected face escapes the chart image")
-    return best
+    pi = chart.projection
+    points = [pi.apply(g) for g in gamma.generators]
+    for l in gamma.lineality_basis:
+        points += [pi.apply(l), pi.apply(vneg(l))]
+    for f in chart.faces:
+        if all(f.contains_point(p) for p in points):
+            return f
+    raise ValueError("projected face escapes the chart image")
 
 
 def is_saturated(sublocus_keys, chart: QuotientChart, fan: Fan) -> bool:
@@ -102,7 +102,8 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
     charts = []
     for key in max_keys:
         src = fan.face_cone(key)
-        charts.append(QuotientChart(key, src, cone_image(src, pi), pi))
+        img = cone_image(src, pi)
+        charts.append(QuotientChart(key, src, img, pi, cone_faces(img)))
 
     orbit_map = []
     for i, ch in enumerate(charts):
@@ -166,7 +167,6 @@ def _chart_geometric(chart: QuotientChart, action: SubtorusAction,
     n = fan.ambient_rank
     L = action.sublattice
     source_keys = fan.all_keys_under(chart.source_key)
-    image_faces = list(cone_faces(chart.image))
     seen = []
     for k in source_keys:
         gamma = fan.face_cone(k)
@@ -181,13 +181,4 @@ def _chart_geometric(chart: QuotientChart, action: SubtorusAction,
         lr = (rank_of_rows(joint) if joint else 0) - base
         if lr != (n - gamma.dim) - (q - F.dim):
             return False
-    return len(seen) == len(image_faces)
-
-
-def is_separated(qt: GluedQuotient) -> bool:
-    if len(qt.charts) <= 1:
-        return True
-    for i, j, glue in qt.gluings:
-        if intersect(qt.charts[i].image, qt.charts[j].image) != glue:
-            return False
-    return _images_form_fan(qt.charts, qt.quotient_rank)
+    return len(seen) == len(chart.faces)

@@ -15,6 +15,7 @@ from toricgit.actions import (
     Linearization,
     SubtorusAction,
     git_chambers,
+    mumford_trivial_semistable,
     obstruction_report,
     semistable_divisor,
     semistable_group,
@@ -23,6 +24,7 @@ from toricgit.certcheck import check_locus
 from toricgit.cones import Cone, FeasibilitySystem, dual, feasible_strict
 from toricgit.fans import DivisorGroup, ToricDivisor, class_group, validate_fan
 from toricgit.hilbert_mumford import (
+    HilbertBasisTooLarge,
     LinearAction,
     PointPattern,
     cross_validate,
@@ -40,8 +42,10 @@ from toricgit.quotients import build_quotient, quotient_projection
 
 from genutil import (
     random_action,
+    random_affine_fan,
     random_divisor,
     random_fan,
+    random_linearization,
     random_unimodular,
 )
 
@@ -414,3 +418,63 @@ def test_criterion_7_cross_validation():
         ok &= cv.agrees
     elapsed = time.perf_counter() - t0
     _report(7, "ambient cross-validation", ok, elapsed)
+
+
+def test_criterion_8_king_and_hilbert_mumford():
+    t0 = time.perf_counter()
+    ok = True
+
+    # (a) King's criterion for the scalar action on C^n: the invariants of
+    # weight m*chi are the degree-m forms, so chi = 1 removes exactly the
+    # origin, chi = -1 has no invariants and chi = 0 keeps everything
+    for n in range(2, 5):
+        fan = validate_fan(n, [tuple(int(i == j) for j in range(n))
+                               for i in range(n)], [list(range(n))])
+        act = SubtorusAction.from_columns([(1,) * n], n)
+        every = frozenset(fan.face_keys())
+        top = frozenset(range(n))
+        ok &= mumford_trivial_semistable((1,), act, fan).locus.faces \
+            == every - {top}
+        ok &= mumford_trivial_semistable((-1,), act, fan).locus.faces \
+            == frozenset()
+        ok &= mumford_trivial_semistable((0,), act, fan).locus.faces == every
+    _emit(f"  8a King's criterion, scalar action on C^2..C^4: "
+          f"{'PASS' if ok else 'FAIL'}")
+
+    # (b) C^2 with the (1,1) action at chi = 1 is C^2 minus the origin
+    fan, act, _ = _fixture(dict(rank=2, rays=[(1, 0), (0, 1)], cones=[[0, 1]],
+                                phi=[(1, 1)], D=(0, 0)))
+    ss = mumford_trivial_semistable((1,), act, fan)
+    part = ss.locus.faces == _keys([], [0], [1])
+    cv = cross_validate(fan, act, ToricDivisor((0, 0)),
+                        Linearization(((-1,),)))
+    part &= cv.agrees
+    ok &= part
+    _emit(f"  8b punctured plane at chi = 1: {'PASS' if part else 'FAIL'}")
+
+    # (c) random Hilbert-Mumford cross-validation on full-dimensional
+    # affine charts
+    checked = disagreed = 0
+    for i in range(120):
+        rng = random.Random(12345 + i)
+        rank = rng.choice((2, 3))
+        fan = random_affine_fan(rng, rank)
+        act = random_action(rng, fan)
+        D = random_divisor(rng, fan, box=2)
+        lin = random_linearization(rng, act.d)
+        if fan.face_cone(fan.maximal_keys[0]).dim != rank or act.d == 0:
+            continue
+        try:
+            cv = cross_validate(fan, act, D, lin, max_points=400)
+        except HilbertBasisTooLarge:
+            continue
+        checked += 1
+        if not cv.agrees:
+            disagreed += 1
+            _emit(f"  Hilbert-Mumford disagreement at seed {12345 + i}")
+    ok &= checked > 0 and disagreed == 0
+    _emit(f"  8c random Hilbert-Mumford cross-validation: {checked} checked, "
+          f"{disagreed} disagreements")
+
+    elapsed = time.perf_counter() - t0
+    _report(8, "King's criterion and Hilbert-Mumford", ok, elapsed)

@@ -11,6 +11,7 @@ from toricgit.actions import (
     ActionError,
     Linearization,
     NotAffine,
+    SemistabilityCertificate,
     SubtorusAction,
     achievable_weight_cone,
     git_chambers,
@@ -20,9 +21,9 @@ from toricgit.actions import (
     semistable_group,
     weight_of,
 )
-from toricgit.certcheck import check_locus
+from toricgit.certcheck import check_certificate, check_locus
 from toricgit.cones import Cone
-from toricgit.fans import DivisorGroup, SubfanLocus, ToricDivisor
+from toricgit.fans import DivisorGroup, SubfanLocus, ToricDivisor, validate_fan
 from toricgit.intlinalg import vdot
 
 from genutil import (
@@ -117,6 +118,31 @@ def test_semistable_group_quadric(quadric_fan, quadric_action,
     res = check_locus(quadric_fan, [quadric_divisor.coefficients],
                       [(0, 0)], [(2, 1, 1), (0, 2, 1)], ssg)
     assert res.ok, res.failures
+
+
+def test_punctured_plane_certificates(plane_fan):
+    # C^2 under the scalar action at chi = 1: every invariant vanishes at
+    # the origin, so the chart {0, 1} is not certified
+    act = SubtorusAction.from_columns([(1, 1)], 2)
+    ss = mumford_trivial_semistable((1,), act, plane_fan)
+    assert ss.locus.faces == _keys([], [0], [1])
+    res = check_locus(plane_fan, [(0, 0)], [(-1,)], [(1, 1)], ss)
+    assert res.ok, res.failures
+    # z2 is invariant but vanishes on ray 0 only: it does not witness {0, 1}
+    forged = SemistabilityCertificate(chart=frozenset({0, 1}), degree=(1,),
+                                      monomial=(0, 1), cartier=((0, 0),))
+    res = check_certificate(list(plane_fan.rays), list(plane_fan.face_keys()),
+                            [(0, 0)], [(-1,)], [(1, 1)], forged)
+    assert res.failures == ("complement-is-chart",)
+
+
+def test_torus_without_rays_is_semistable():
+    # K* acting on itself with weight 1: z is invariant of weight chi = 1
+    fan = validate_fan(1, [], [])
+    act = SubtorusAction.from_columns([(1,)], 1)
+    ss = mumford_trivial_semistable((1,), act, fan)
+    assert ss.locus.faces == _keys([])
+    assert check_locus(fan, [()], [(-1,)], [(1,)], ss).ok
 
 
 def test_semistable_scale_invariance(quadric_fan, quadric_action,

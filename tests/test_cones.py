@@ -117,6 +117,30 @@ def test_faces_of_quadric_cone():
 
 
 @settings(max_examples=60, deadline=None)
+@given(_cone_strategy(3))
+def test_faces_match_facet_cuts(c):
+    # reference: close {c} under cutting with facet hyperplanes, building
+    # every cut from its inequalities
+    seen = {c}
+    queue = [c]
+    while queue:
+        f = queue.pop()
+        for u in c.facet_normals:
+            cut = Cone.from_inequalities(3, list(f.facet_normals),
+                                         list(f.span_equalities) + [u])
+            if cut not in seen:
+                seen.add(cut)
+                queue.append(cut)
+    got = faces(c)
+    assert set(got) == seen and len(got) == len(seen)
+    assert [f.dim for f in got] == sorted(f.dim for f in got)
+    for f in got:
+        ref = Cone.from_generators(3, f.generators, f.lineality_basis)
+        assert (f.facet_normals, f.span_equalities) == \
+            (ref.facet_normals, ref.span_equalities)
+
+
+@settings(max_examples=60, deadline=None)
 @given(_cone_strategy(2))
 def test_supporting_normal_characterizes_faces(c):
     for f in faces(c):

@@ -223,7 +223,7 @@ def test_chart_witness_quadric_ray0(quadric_fan, quadric_divisor):
                       shared_strict=((1,),))
     assert w is not None
     (n,) = w["degree"]
-    u = w["monomials"][0]
+    u = w["monomial"]
     assert n > 0
     pat = zero_pattern(quadric_fan, quadric_divisor, u, n)
     assert pat[0] == 0 and all(x > 0 for i, x in enumerate(pat) if i != 0)

@@ -1,5 +1,6 @@
 """Quotient charts, gluings, and the good/separated/geometric flags."""
 
+import itertools
 import random
 
 import pytest
@@ -9,15 +10,16 @@ from hypothesis import strategies as st
 from toricgit.actions import (
     Linearization,
     SubtorusAction,
+    mumford_trivial_semistable,
     semistable_divisor,
     semistable_group,
 )
 from toricgit.cones import Cone
-from toricgit.fans import DivisorGroup
+from toricgit.fans import DivisorGroup, validate_fan
+from toricgit.intlinalg import IntMatrix, kernel_basis
 from toricgit.quotients import (
     build_quotient,
     is_saturated,
-    is_separated,
     orbit_image,
     quotient_projection,
 )
@@ -94,7 +96,6 @@ def test_quotient_intro_group_is_doubled_line(plane_fan, hyperbolic_action,
     assert q.good
     assert q.geometric
     assert not q.separated
-    assert is_separated(q) == q.separated
 
 
 def test_is_saturated_examples(plane_fan, hyperbolic_action):
@@ -116,6 +117,41 @@ def test_single_chart_always_separated(quadric_fan, quadric_action):
     q = build_quotient(ss, quadric_action, quadric_fan)
     assert len(q.charts) == 1
     assert q.separated
+
+
+# complete simplicial fans: rays and maximal cones
+COX_FANS = {
+    "P2": ([(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [0, 2]]),
+    "P3": ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+           [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+    "P1xP1": ([(1, 0), (0, 1), (-1, 0), (0, -1)],
+              [[0, 1], [1, 2], [2, 3], [0, 3]]),
+    "F1": ([(1, 0), (0, 1), (-1, 1), (0, -1)],
+           [[0, 1], [1, 2], [2, 3], [0, 3]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COX_FANS))
+def test_cox_quotient_reproduces_fan(name):
+    # Cox (1995): C^r modulo H = ker(Z^r -> N, e_i -> v_i), at an ample
+    # class, is the toric variety of the fan
+    rays, cones = COX_FANS[name]
+    r, n = len(rays), len(rays[0])
+    ker = kernel_basis(IntMatrix.from_rows(
+        [tuple(v[j] for v in rays) for j in range(n)], r))
+    columns = ker.basis.entries
+    orthant = validate_fan(r, [tuple(int(i == j) for j in range(r))
+                               for i in range(r)], [list(range(r))])
+    act = SubtorusAction.from_columns(columns, r)
+    # the anticanonical class, sum of all D_rho, is ample on all four
+    chi = tuple(sum(col) for col in columns)
+    ss = mumford_trivial_semistable(chi, act, orthant)
+    assert ss.locus.faces == {frozenset(sub) for c in cones
+                              for k in range(len(c) + 1)
+                              for sub in itertools.combinations(c, k)}
+    q = build_quotient(ss, act, orthant)
+    assert sorted(sorted(c.source_key) for c in q.charts) == sorted(cones)
+    assert q.good and q.geometric and q.separated
 
 
 @settings(max_examples=30, deadline=None)
@@ -142,6 +178,5 @@ def test_quotient_structural_invariants(seed):
     for i, j, glue in q.gluings:
         assert q.charts[i].image.contains_cone(glue)
         assert q.charts[j].image.contains_cone(glue)
-    assert is_separated(q) == q.separated
     if q.geometric:
         assert q.good  # geometric is defined only on top of good
