@@ -2,10 +2,13 @@
 
 The workhorse is a double description conversion over the integers:
 given homogeneous inequalities and equalities we compute a minimal set
-of extreme rays plus a lineality basis, and by running the conversion
-twice every cone carries both a generator and a facet description in
-canonical form.  Cones are hashable and are used as dictionary keys by
-the fan and quotient layers.
+of extreme rays plus a lineality basis.  Each ray carries the set of
+constraints it is tight on, so adjacency and extremality are decided from
+those sets rather than by re-evaluating every constraint.  By running the
+conversion twice every cone carries both a generator and a facet
+description in canonical form; a strict-feasibility test needs only one
+conversion.  Cones are hashable and are used as dictionary keys by the
+fan and quotient layers.
 """
 
 from __future__ import annotations
@@ -34,31 +37,20 @@ from .intlinalg import (
 )
 
 
-def _dedupe(vecs: Sequence[Vec]) -> list[Vec]:
-    seen = set()
-    out = []
-    for v in vecs:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
-
-
 def _reduce_mod_rows(v: Sequence[int], hnf_rows: Sequence[Vec]) -> Vec:
     """Canonical representative of v modulo the Q-span of the given HNF
     rows: zero out the pivot coordinates, then clear denominators.
     Positive multiples of v map to positive multiples of the result."""
     if not hnf_rows:
         return tuple(v)
-    w = [Fraction(x) for x in v]
+    w = list(v)
     for row in hnf_rows:
         j = next(i for i, x in enumerate(row) if x != 0)
         if w[j] != 0:
-            f = w[j] / row[j]
-            w = [a - f * b for a, b in zip(w, row)]
-    den = math.lcm(*(a.denominator for a in w))
-    ints = tuple(int(a * den) for a in w)
-    return primitive(ints)
+            # the HNF pivot row[j] is positive, so this keeps orientation
+            p, c = row[j], w[j]
+            w = [p * a - c * b for a, b in zip(w, row)]
+    return primitive(w)
 
 
 def double_description(
@@ -80,67 +72,63 @@ def double_description(
         t = primitive(tuple(a))
         if not is_zero_vec(t):
             constraints.append(t)
-    constraints = _dedupe(constraints)
+    constraints = list(dict.fromkeys(constraints))
 
     lin: list[Vec] = [tuple(1 if i == j else 0 for j in range(ambient)) for i in range(ambient)]
-    rays: list[Vec] = []
+    # each ray with its zero set over the constraints handled so far (bitmask)
+    rays: dict[Vec, int] = {}
 
-    def extreme_only(rs: list[Vec], upto: int, lin_dim: int) -> list[Vec]:
-        # r is extreme mod the lineality space iff its active constraints
-        # cut out a space of dimension lin_dim + 1
-        out = []
-        for r in rs:
-            active = [constraints[i] for i in range(upto) if vdot(constraints[i], r) == 0]
-            dim = ambient - rank_of_rows(active) if active else ambient
-            if dim == lin_dim + 1:
-                out.append(r)
-        return out
+    def extreme(z: int, lin_dim: int) -> bool:
+        # a ray is extreme mod the lineality space iff its active
+        # constraints cut out a space of dimension lin_dim + 1
+        active = [c for i, c in enumerate(constraints) if z >> i & 1]
+        need = ambient - lin_dim - 1
+        return len(active) >= need and rank_of_rows(active) == need
 
     for k, a in enumerate(constraints):
+        bit = 1 << k
         l0 = next((l for l in lin if vdot(a, l) != 0), None)
         if l0 is not None:
+            # lineality drops by one (at most `ambient` times).  Every
+            # earlier constraint vanishes on l0, so projecting a ray along
+            # l0 keeps its zero set and adds k; l0 is tight on all but k.
             if vdot(a, l0) < 0:
                 l0 = vneg(l0)
             p = vdot(a, l0)
             lin = [primitive(vsub(vscale(p, l), vscale(vdot(a, l), l0)))
                    for l in lin if l is not l0]
             lin = [l for l in lin if not is_zero_vec(l)]
-            rays = [primitive(vsub(vscale(p, r), vscale(vdot(a, r), l0))) for r in rays]
-            rays = _dedupe(r for r in rays if not is_zero_vec(r))
-            rays.append(l0)
-            rays = extreme_only(rays, k + 1, len(lin))
+            projected = ((primitive(vsub(vscale(p, r), vscale(vdot(a, r), l0))), z)
+                         for r, z in rays.items())
+            rays = {r: z | bit for r, z in projected if not is_zero_vec(r)}
+            rays[l0] = bit - 1
+            rays = {r: z for r, z in rays.items() if extreme(z, len(lin))}
             continue
-        zsets = {r: frozenset(i for i in range(k) if vdot(constraints[i], r) == 0)
-                 for r in rays}
-        pos = [r for r in rays if vdot(a, r) > 0]
-        zero = [r for r in rays if vdot(a, r) == 0]
-        neg = [r for r in rays if vdot(a, r) < 0]
-        new = pos + zero
-        for rp in pos:
-            sp = vdot(a, rp)
+        vals = {r: vdot(a, r) for r in rays}
+        # rays kept from the larger cone stay extreme in the smaller one;
+        # only the new rays need the rank test
+        new = {r: z if vals[r] else z | bit for r, z in rays.items() if vals[r] >= 0}
+        neg = [r for r in rays if vals[r] < 0]
+        for rp in (r for r in rays if vals[r] > 0):
             for rn in neg:
-                common = zsets[rp] & zsets[rn]
-                if any(r3 is not rp and r3 is not rn and common <= zsets[r3]
-                       for r3 in rays):
+                common = rays[rp] & rays[rn]
+                if any(r3 is not rp and r3 is not rn and common & z3 == common
+                       for r3, z3 in rays.items()):
                     continue
-                w = primitive(vsub(vscale(sp, rn), vscale(vdot(a, rn), rp)))
-                if not is_zero_vec(w):
-                    new.append(w)
-        rays = extreme_only(_dedupe(new), k + 1, len(lin))
+                # a positive combination of rp and rn: tight exactly where both are
+                w = primitive(vsub(vscale(vals[rp], rn), vscale(vals[rn], rp)))
+                z = common | bit
+                if not is_zero_vec(w) and w not in new and extreme(z, len(lin)):
+                    new[w] = z
+        rays = new
 
     if lin:
         lin_rows = [tuple(r) for r in
                     saturate(Sublattice.from_rows(ambient, lin)).basis.entries]
     else:
         lin_rows = []
-    ray_vecs = []
-    for r in rays:
-        rv = _reduce_mod_rows(r, lin_rows)
-        if not is_zero_vec(rv):
-            ray_vecs.append(rv)
-    ray_vecs = _dedupe(ray_vecs)
-    ray_vecs.sort()
-    return ray_vecs, [tuple(r) for r in lin_rows]
+    reduced = (_reduce_mod_rows(r, lin_rows) for r in rays)
+    return sorted({r for r in reduced if not is_zero_vec(r)}), [tuple(r) for r in lin_rows]
 
 
 @dataclass(frozen=True)
@@ -301,7 +289,7 @@ def faces(c: Cone) -> tuple[Cone, ...]:
 
 
 def supporting_normal(c: Cone, face: Cone) -> Vec:
-    """A u in the dual of c with face = c âˆ© u^perp."""
+    """A u in the dual of c with face = c ∩ u^perp."""
     active = [u for u in c.facet_normals
               if all(vdot(u, g) == 0 for g in face.generators)
               and all(vdot(u, l) == 0 for l in face.lineality_basis)]
@@ -348,13 +336,14 @@ def feasible_strict(sys: FeasibilitySystem) -> Optional[Vec]:
     """Integer witness satisfying all equalities, weak forms, and strictly
     all strict forms, or None.
 
-    Weaken the strict forms, take a relative interior point p of the
-    resulting cone, and accept iff every strict form is positive at p: a
-    form that is nonnegative on a cone is either identically zero on it
-    or positive on its relative interior."""
-    cone = Cone.from_inequalities(
+    Weaken the strict forms, run one double description conversion, and
+    take p = the sum of the extreme rays of the resulting cone.  Accept
+    iff every strict form is positive at p: a form that is nonnegative on
+    the cone vanishes on its lineality space, so it is either zero on
+    every ray or positive on one of them, and then positive at p."""
+    rays, _ = double_description(
         sys.dim, list(sys.weak) + list(sys.strict), list(sys.equalities))
-    p = relative_interior_point(cone)
+    p = tuple(sum(x) for x in zip(*rays)) if rays else (0,) * sys.dim
     if sys.satisfied_by(p):
         return p
     return None

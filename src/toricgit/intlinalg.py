@@ -1,24 +1,24 @@
 """Exact integer linear algebra over free abelian groups of finite rank.
 
 Everything here is arbitrary-precision: matrices hold Python ints, ranks
-and kernels are computed over Q with fractions, and no floating point is
-used anywhere.  Smith normal form uses a fixed pivoting rule (smallest
-absolute nonzero entry, row-major tie break) so all outputs are
-deterministic.
+come from fraction-free (Bareiss) elimination on ints, kernels from one
+Smith normal form each, and no floating point is used anywhere.  Smith
+normal form uses a fixed pivoting rule (smallest absolute nonzero entry,
+row-major tie break) so all outputs are deterministic.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
 
 
 def vdot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def vsub(a: Sequence[int], b: Sequence[int]) -> Vec:
@@ -49,7 +49,7 @@ def primitive(a: Sequence[int]) -> Vec:
 
 
 def is_zero_vec(a: Sequence[int]) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 @dataclass(frozen=True)
@@ -105,24 +105,27 @@ class IntMatrix:
 
 
 def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q by fraction-free Gaussian elimination."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
+    """Rank over Q by fraction-free (Bareiss) elimination on ints: after
+    each pivot the remaining entries are minors of the input, so the
+    division by the previous pivot is exact."""
+    mat = [list(r) for r in rows]
     ncols = len(mat[0]) if mat else 0
-    col = 0
-    while rank < len(mat) and col < ncols:
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        if rank == len(mat):
+            break
         piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
-            col += 1
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
+        top = mat[rank]
+        p = top[col]
         for i in range(rank + 1, len(mat)):
-            if mat[i][col] != 0:
-                f = mat[i][col] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+            a = mat[i][col]
+            mat[i] = [(p * x - a * y) // prev for x, y in zip(mat[i], top)]
+        prev = p
         rank += 1
-        col += 1
     return rank
 
 
@@ -193,8 +196,8 @@ def _round_div(a: int, b: int) -> int:
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     m, n = A.rows, A.cols
     D = [list(r) for r in A.entries]
-    U = [list(r) for r in IntMatrix.identity(m).entries]
-    V = [list(r) for r in IntMatrix.identity(n).entries]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
@@ -264,34 +267,33 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             D[t] = [-a for a in D[t]]
             U[t] = [-a for a in U[t]]
         t += 1
-    return SmithDecomposition(
-        IntMatrix.from_rows(U, m), IntMatrix.from_rows(D, n), IntMatrix.from_rows(V, n)
-    )
+    return SmithDecomposition(IntMatrix(m, m, tuple(map(tuple, U))),
+                              IntMatrix(m, n, tuple(map(tuple, D))),
+                              IntMatrix(n, n, tuple(map(tuple, V))))
 
 
 @dataclass(frozen=True)
 class Sublattice:
-    """A pure-data sublattice of Z^n given by a basis (rows)."""
+    """A pure-data sublattice of Z^n given by its HNF basis (rows)."""
 
     ambient_rank: int
     basis: IntMatrix
-    saturated: bool
 
     @staticmethod
     def from_rows(ambient_rank: int, rows: Iterable[Sequence[int]]) -> "Sublattice":
+        """The span of the rows; its HNF rows are independent by
+        construction."""
         canon = hermite_normal_form(tuple(tuple(r) for r in rows))
-        basis = IntMatrix.from_rows(canon, ambient_rank)
-        if canon and basis.rows != rank_of_rows(canon):
-            raise ValueError("basis rows are linearly dependent")
-        sat = True
-        if canon:
-            snf = smith_normal_form(basis)
-            sat = all(d == 1 for d in snf.invariant_factors)
-        return Sublattice(ambient_rank, basis, sat)
+        return Sublattice(ambient_rank, IntMatrix.from_rows(canon, ambient_rank))
 
     @property
     def rank(self) -> int:
         return self.basis.rows
+
+    @property
+    def saturated(self) -> bool:
+        """True iff Z^n / S is torsion free (all invariant factors 1)."""
+        return all(d == 1 for d in smith_normal_form(self.basis).invariant_factors)
 
     def contains(self, v: Sequence[int]) -> bool:
         x = solve_integer(self.basis.transpose(), v)
@@ -316,22 +318,19 @@ class LatticeMap:
 
 
 def kernel_basis(A: IntMatrix) -> Sublattice:
-    """Saturated sublattice {x in Z^cols : A x = 0}."""
+    """Saturated sublattice {x in Z^cols : A x = 0}: the last columns of V
+    in one Smith decomposition U*A*V = D, put in HNF."""
     snf = smith_normal_form(A)
-    r = snf.rank
-    rows = [snf.V.col(j) for j in range(r, A.cols)]
+    rows = [snf.V.col(j) for j in range(snf.rank, A.cols)]
     return Sublattice.from_rows(A.cols, rows)
 
 
 def saturate(S: Sublattice) -> Sublattice:
-    """Smallest saturated sublattice containing S."""
+    """Smallest saturated sublattice containing S: the kernel of its
+    orthogonal complement {y : B y = 0}."""
     if S.rank == 0:
-        return Sublattice(S.ambient_rank, IntMatrix.from_rows((), S.ambient_rank), True)
-    # orthogonal complement of the row space: {y : B y = 0}
-    comp = kernel_basis(S.basis)
-    if comp.rank == 0:
-        return Sublattice.from_rows(S.ambient_rank, IntMatrix.identity(S.ambient_rank).entries)
-    return kernel_basis(comp.basis)
+        return S
+    return kernel_basis(kernel_basis(S.basis).basis)
 
 
 def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[Vec]:

@@ -14,11 +14,10 @@ from typing import Optional
 
 from .actions import SemistableLocus, SubtorusAction
 from .cones import Cone, faces as cone_faces, image as cone_image, intersect
-from .fans import Fan, FaceKey, FanError, validate_fan
+from .fans import Fan, FaceKey
 from .intlinalg import (
     LatticeMap,
     Sublattice,
-    Vec,
     cokernel_projection,
     is_zero_vec,
     rank_of_rows,
@@ -131,7 +130,11 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
                 separated = False
 
     if separated and len(charts) > 1:
-        separated = _images_form_fan(charts, q)
+        # each image intersection is its glue cone; pointed images form a
+        # fan iff every glue cone is a face of both of its charts
+        separated = all(ch.image.lineality_rank == 0 for ch in charts) and all(
+            glue in charts[i].faces and glue in charts[j].faces
+            for i, j, glue in gluings)
 
     geometric = good and all(
         _chart_geometric(ch, action, fan, q) for ch in charts)
@@ -139,25 +142,6 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
     return GluedQuotient(tuple(charts), tuple(gluings), good, geometric,
                          separated, torsion, tuple(orbit_map),
                          tuple(unsaturated), q)
-
-
-def _images_form_fan(charts, q: int) -> bool:
-    if any(ch.image.lineality_rank != 0 for ch in charts):
-        return False
-    rays: list[Vec] = []
-    cones = []
-    for ch in charts:
-        idx = []
-        for g in ch.image.generators:
-            if g not in rays:
-                rays.append(g)
-            idx.append(rays.index(g))
-        cones.append(idx)
-    try:
-        validate_fan(q, rays, cones)
-        return True
-    except FanError:
-        return False
 
 
 def _chart_geometric(chart: QuotientChart, action: SubtorusAction,

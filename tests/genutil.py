@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 from toricgit.actions import ActionError, Linearization, SubtorusAction
 from toricgit.cones import Cone
@@ -112,3 +113,19 @@ def random_unimodular(rng: random.Random, rank: int):
         rng.shuffle(rows)
         # keep determinant +-1 under permutation; sign does not matter
     return [tuple(r) for r in rows]
+
+
+def fraction_rank(rows) -> int:
+    """Reference rank over Q: Gaussian elimination with Fraction entries."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][col] / mat[rank][col]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank

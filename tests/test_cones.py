@@ -1,10 +1,12 @@
 """Convex cone engine: double description, duality, faces, strict
 feasibility."""
 
+import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricgit.cones import (
@@ -23,7 +25,7 @@ from toricgit.cones import (
 from toricgit.intlinalg import IntMatrix, LatticeMap, vdot
 from toricgit.oracle import feasible_strict_boxed
 
-from genutil import random_primitive_vector
+from genutil import fraction_rank, random_primitive_vector
 
 small_vecs = st.lists(st.integers(-4, 4), min_size=2, max_size=3)
 
@@ -335,3 +337,77 @@ def test_cone_with_lineality_equality():
     assert a == b
     assert a.lineality_rank == 1
     assert len(a.generators) == 1 and a.generators[0][0] == 1
+
+
+# -- double description against a brute-force enumeration ---------------
+
+def _ref_det(rows):
+    """Integer determinant by Laplace expansion (tiny matrices only)."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j] * _ref_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)) if rows[0][j])
+
+
+def _brute_force_rays(dim, constraints):
+    """Extreme rays of the pointed cone {x : c.x >= 0}: the primitive
+    generator of the line cut out by each rank-(dim - 1) subset of the
+    constraints, kept when it (or its negative) satisfies all of them."""
+    rays = set()
+    for sub in itertools.combinations(constraints, dim - 1):
+        if fraction_rank(list(sub)) != dim - 1:
+            continue
+        # generalized cross product: spans the kernel of the subset
+        v = tuple((-1) ** j * _ref_det([r[:j] + r[j + 1:] for r in sub])
+                  for j in range(dim))
+        g = math.gcd(*v)
+        v = tuple(x // g for x in v)
+        for s in (v, tuple(-x for x in v)):
+            if all(vdot(c, s) >= 0 for c in constraints):
+                rays.add(s)
+    return rays
+
+
+@st.composite
+def _pointed_systems(draw):
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(tuple),
+        min_size=dim, max_size=7))
+    assume(fraction_rank(rows) == dim)  # trivial lineality: the cone is pointed
+    return dim, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pointed_systems())
+def test_dd_matches_brute_force_enumeration(system):
+    dim, rows = system
+    rays, lin = double_description(dim, rows)
+    assert lin == []
+    assert set(rays) == _brute_force_rays(dim, rows)
+    assert len(set(rays)) == len(rays)
+    for r in rays:
+        active = [c for c in rows if vdot(c, r) == 0]
+        assert fraction_rank(active) == dim - 1  # extreme
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pointed_systems(), st.data())
+def test_dd_cone_round_trip_and_feasible_sum(system, data):
+    dim, rows = system
+    # move some constraints to equalities and some to strict forms
+    roles = data.draw(st.lists(st.sampled_from("wse"), min_size=len(rows),
+                               max_size=len(rows)))
+    eqs = tuple(r for r, k in zip(rows, roles) if k == "e")
+    weak = tuple(r for r, k in zip(rows, roles) if k == "w")
+    strict = tuple(r for r, k in zip(rows, roles) if k == "s")
+    c = Cone.from_inequalities(dim, weak + strict, eqs)
+    assert Cone.from_generators(dim, c.generators, c.lineality_basis) == c
+    sys_ = FeasibilitySystem(dim, eqs, weak, strict)
+    total = tuple(sum(x) for x in zip(*c.generators)) if c.generators \
+        else (0,) * dim
+    w = feasible_strict(sys_)
+    if sys_.satisfied_by(total):
+        assert w == total
+    else:
+        assert w is None

@@ -20,6 +20,8 @@ from toricgit.intlinalg import (
     solve_integer,
 )
 
+from genutil import fraction_rank
+
 small_matrices = st.integers(1, 4).flatmap(
     lambda rows: st.integers(1, 4).flatmap(
         lambda cols: st.lists(
@@ -216,3 +218,83 @@ def test_hermite_normal_form_canonical():
     for row in h1:
         piv = next(x for x in row if x != 0)
         assert piv > 0
+
+
+# -- fraction-free rank, one-SNF saturation ------------------------------
+
+def _matrix(rows, cols, entries=st.integers(-9, 9)):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+# B*C with B m x k and C k x n has rank at most k: many dependent rows
+low_rank_products = st.tuples(st.integers(1, 6), st.integers(1, 6),
+                              st.integers(0, 4)).flatmap(
+    lambda mnk: st.tuples(_matrix(mnk[0], mnk[2]), _matrix(mnk[2], mnk[1]),
+                          st.just(mnk[1])))
+
+sparse_matrices = st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
+    lambda mn: _matrix(mn[0], mn[1], st.one_of(
+        st.just(0), st.just(0), st.just(0), st.integers(-60, 60))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_rank_products)
+def test_rank_of_low_rank_products(factors):
+    B, C, n = factors
+    rows = [tuple(sum(b * C[t][j] for t, b in enumerate(row)) for j in range(n))
+            for row in B]
+    assert rank_of_rows(rows) == fraction_rank(rows)
+    assert rank_of_rows(rows) <= len(C)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices)
+def test_rank_of_sparse_matrices(rows):
+    assert rank_of_rows(rows) == fraction_rank(rows)
+    assert rank_of_rows(list(zip(*rows))) == fraction_rank(rows)
+
+
+def _invariant_factors(basis):
+    return smith_normal_form(basis).invariant_factors if basis.rows else ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices)
+def test_saturate_properties(rows):
+    cols = len(rows[0])
+    S = Sublattice.from_rows(cols, rows)
+    T = saturate(S)
+    assert all(T.contains(b) for b in S.basis.entries)
+    assert T.rank == S.rank == fraction_rank(rows)
+    assert all(d == 1 for d in _invariant_factors(T.basis))
+    assert saturate(T).basis.entries == T.basis.entries
+    assert T.saturated
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices)
+def test_saturated_flag_agrees_with_snf(rows):
+    S = Sublattice.from_rows(len(rows[0]), rows)
+    by_snf = all(d == 1 for d in _invariant_factors(S.basis))
+    assert S.saturated == by_snf
+    assert S.saturated == (saturate(S).basis.entries == S.basis.entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices, st.lists(st.lists(st.integers(-3, 3), min_size=4,
+                                         max_size=4), max_size=3))
+def test_from_rows_of_dependent_rows_is_hnf_of_span(rows, coeffs):
+    # append integer combinations of the rows: the span does not change
+    extra = [tuple(sum(c * r[j] for c, r in zip(cs, rows))
+                   for j in range(len(rows[0]))) for cs in coeffs]
+    S = Sublattice.from_rows(len(rows[0]), [tuple(r) for r in rows] + extra)
+    assert S.basis.entries == hermite_normal_form(rows)
+    assert S.rank == fraction_rank(rows)
+
+
+def test_from_rows_drops_dependent_rows():
+    S = Sublattice.from_rows(3, [(1, 2, 3), (2, 4, 6), (0, 0, 0)])
+    assert S.basis.entries == ((1, 2, 3),)
+    assert S.saturated
+    assert not Sublattice.from_rows(2, [(2, 4)]).saturated

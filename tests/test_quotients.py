@@ -14,8 +14,8 @@ from toricgit.actions import (
     semistable_divisor,
     semistable_group,
 )
-from toricgit.cones import Cone
-from toricgit.fans import DivisorGroup, validate_fan
+from toricgit.cones import Cone, intersect
+from toricgit.fans import DivisorGroup, FanError, validate_fan
 from toricgit.intlinalg import IntMatrix, kernel_basis
 from toricgit.quotients import (
     build_quotient,
@@ -24,7 +24,13 @@ from toricgit.quotients import (
     quotient_projection,
 )
 
-from genutil import random_action, random_divisor, random_fan
+from genutil import (
+    random_action,
+    random_complete_fan2,
+    random_divisor,
+    random_fan,
+    random_linearization,
+)
 
 
 def _lin0(d):
@@ -180,3 +186,45 @@ def test_quotient_structural_invariants(seed):
         assert q.charts[j].image.contains_cone(glue)
     if q.geometric:
         assert q.good  # geometric is defined only on top of good
+
+
+def _images_form_fan_by_validation(q):
+    """Reference for the separated flag: every pair of images meets in its
+    glue cone, and the pointed images pass validate_fan as a fan."""
+    if any(intersect(q.charts[i].image, q.charts[j].image) != glue
+           for i, j, glue in q.gluings):
+        return False
+    if len(q.charts) == 1:
+        return True
+    if any(ch.image.lineality_rank for ch in q.charts):
+        return False
+    rays = sorted({g for ch in q.charts for g in ch.image.generators})
+    cones = [[rays.index(g) for g in ch.image.generators] for ch in q.charts]
+    try:
+        validate_fan(q.quotient_rank, rays, cones)
+    except FanError:
+        return False
+    return True
+
+
+def test_separated_flag_matches_validate_fan():
+    multi = not_separated = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        fan = random_complete_fan2(rng)
+        act = random_action(rng, fan)
+        divisors = [random_divisor(rng, fan) for _ in range(1 + seed % 2)]
+        try:
+            group = DivisorGroup(tuple(divisors))
+        except ValueError:  # dependent divisors
+            continue
+        lin = random_linearization(rng, act.d, group.rank)
+        ss = semistable_group(group, lin, act, fan) if seed % 3 \
+            else semistable_divisor(divisors[0], _lin0(act.d), act, fan)
+        if not ss.certificates:
+            continue
+        q = build_quotient(ss, act, fan)
+        assert q.separated == _images_form_fan_by_validation(q)
+        multi += len(q.charts) > 1
+        not_separated += not q.separated
+    assert multi >= 20 and not_separated >= 3
