@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cones import Cone, image as cone_image, intersect, relative_interior_point
+from .cones import (
+    Cone,
+    faces as cone_faces,
+    image as cone_image,
+    intersect,
+    relative_interior_point,
+)
 from math import gcd
 
 from .fans import (
@@ -77,11 +83,7 @@ class SubtorusAction:
     @property
     def sublattice(self) -> Sublattice:
         """L = saturation of phi(Z^d) in N."""
-        cols = [tuple(self.phi.matrix.entries[j][i] for j in range(self.ambient_rank))
-                for i in range(self.d)]
-        if not cols:
-            return Sublattice.from_rows(self.ambient_rank, [])
-        return saturate(Sublattice.from_rows(self.ambient_rank, cols))
+        return saturate(Sublattice.from_rows(self.ambient_rank, self.phi_star_rows()))
 
     def phi_star(self, u: Sequence[int]) -> Vec:
         """Dual weight map M -> Z^d."""
@@ -90,6 +92,7 @@ class SubtorusAction:
                      for i in range(self.d))
 
     def phi_star_rows(self) -> list[Vec]:
+        """The columns of phi: one weight row per factor of H."""
         return [tuple(self.phi.matrix.entries[j][i] for j in range(self.ambient_rank))
                 for i in range(self.d)]
 
@@ -375,7 +378,6 @@ def git_chambers(action: SubtorusAction, fan: Fan):
                 nxt.append(cell)
         cells = nxt
 
-    from .cones import faces as cone_faces
     chambers = []
     for cell in cells:
         for f in cone_faces(cell):

@@ -84,12 +84,20 @@ def _divisor_data(problem, name):
     return D, lin
 
 
+def _semistable_locus(problem, args, act):
+    """Semistable locus of --divisor or --group, with the divisor rows and
+    shifts its certificates are replayed against."""
+    if args.divisor:
+        D, lin = _divisor_data(problem, args.divisor)
+        ss = semistable_divisor(D, lin, act, problem.fan)
+        return ss, [D.coefficients], list(lin.shifts)
+    grp, lin = problem.group(args.group)
+    ss = semistable_group(grp, lin, act, problem.fan)
+    return ss, [d.coefficients for d in grp.basis], list(lin.shifts)
+
+
 def _check_payload(problem, divisor_rows, shifts, ss) -> dict:
-    cols = []
-    if problem.action:
-        n = problem.fan.ambient_rank
-        cols = [tuple(problem.action.phi.matrix.entries[j][i] for j in range(n))
-                for i in range(problem.action.d)]
+    cols = problem.action.phi_star_rows() if problem.action else []
     res = check_locus(problem.fan, divisor_rows, shifts, cols, ss)
     return {"ok": res.ok, "failures": list(res.failures)}
 
@@ -255,14 +263,7 @@ def run(argv) -> int:
 
         elif args.command == "semistable":
             act = _require_action(problem)
-            if args.divisor:
-                D, lin = _divisor_data(problem, args.divisor)
-                ss = semistable_divisor(D, lin, act, problem.fan)
-                rows, shifts = [D.coefficients], list(lin.shifts)
-            else:
-                grp, lin = problem.group(args.group)
-                ss = semistable_group(grp, lin, act, problem.fan)
-                rows, shifts = [d.coefficients for d in grp.basis], list(lin.shifts)
+            ss, rows, shifts = _semistable_locus(problem, args, act)
             report["result"] = _locus_payload(ss)
             if args.check:
                 report["result"]["check"] = _check_payload(problem, rows, shifts, ss)
@@ -296,12 +297,7 @@ def run(argv) -> int:
 
         elif args.command == "quotient":
             act = _require_action(problem)
-            if args.divisor:
-                D, lin = _divisor_data(problem, args.divisor)
-                ss = semistable_divisor(D, lin, act, problem.fan)
-            else:
-                grp, lin = problem.group(args.group)
-                ss = semistable_group(grp, lin, act, problem.fan)
+            ss, _, _ = _semistable_locus(problem, args, act)
             if not ss.locus.faces:
                 report["result"] = {"faces": [], "error": "empty semistable locus"}
                 exit_code = 1
@@ -342,12 +338,7 @@ def run(argv) -> int:
 
         elif args.command == "obstruction":
             act = _require_action(problem)
-            if args.divisor:
-                D, lin = _divisor_data(problem, args.divisor)
-                ss = semistable_divisor(D, lin, act, problem.fan)
-            else:
-                grp, lin = problem.group(args.group)
-                ss = semistable_group(grp, lin, act, problem.fan)
+            ss, _, _ = _semistable_locus(problem, args, act)
             rep = obstruction_report(ss.locus, act, problem.fan)
             report["result"] = {
                 "required": _keys_payload(rep.required),
@@ -369,9 +360,7 @@ def run(argv) -> int:
         elif args.command == "oracle":
             from .oracle import SearchBounds, enumerate_witnesses
             act = _require_action(problem)
-            n = problem.fan.ambient_rank
-            cols = [tuple(act.phi.matrix.entries[j][i] for j in range(n))
-                    for i in range(act.d)]
+            cols = act.phi_star_rows()
             bounds = SearchBounds(args.n_max, args.box, args.degree_box)
             if args.divisor:
                 D, lin = _divisor_data(problem, args.divisor)

@@ -4,17 +4,20 @@ The workhorse is a double description conversion over the integers:
 given homogeneous inequalities and equalities we compute a minimal set
 of extreme rays plus a lineality basis.  Each ray carries the set of
 constraints it is tight on, so adjacency and extremality are decided from
-those sets rather than by re-evaluating every constraint.  By running the
-conversion twice every cone carries both a generator and a facet
-description in canonical form; a strict-feasibility test needs only one
-conversion.  Cones are hashable and are used as dictionary keys by the
-fan and quotient layers.
+those sets rather than by re-evaluating every constraint.  A cone is its
+canonical generators and lineality basis; its facet description is one
+more conversion, run on first read (or kept from the conversion that
+built the cone).  Faces are cut from the generators by ray-facet
+incidence, with no conversion, and a strict-feasibility test needs only
+one conversion.  Cones are hashable by their generators and are used as
+dictionary keys by the fan and quotient layers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -133,48 +136,48 @@ def double_description(
 
 @dataclass(frozen=True)
 class Cone:
-    """Rational polyhedral cone with both descriptions in canonical form.
+    """Rational polyhedral cone, identified by its canonical generators.
 
-    generators/lineality_basis span the cone; facet_normals together with
+    generators/lineality_basis span the cone.  facet_normals together with
     span_equalities cut it out:
     cone = {x : u.x >= 0 for facet normals u, e.x = 0 for span equalities e}.
+    Both come from one conversion, kept from the constructor's or run on
+    first read, and are then plain instance attributes.
     """
 
     ambient_rank: int
     generators: tuple[Vec, ...]
     lineality_basis: tuple[Vec, ...]
-    facet_normals: tuple[Vec, ...]
-    span_equalities: tuple[Vec, ...]
+
+    @cached_property
+    def facet_normals(self) -> tuple[Vec, ...]:
+        return self._convert()[0]
+
+    @cached_property
+    def span_equalities(self) -> tuple[Vec, ...]:
+        return self._convert()[1]
+
+    def _convert(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+        return self._set_facets(*double_description(
+            self.ambient_rank, self.generators, self.lineality_basis))
+
+    def _set_facets(self, normals: Sequence[Vec], dual_lin: Sequence[Vec]):
+        """Store both halves of the facet description of one conversion."""
+        # the dual's lineality is the orthogonal complement of our span
+        facets = tuple(normals), tuple(hermite_normal_form(dual_lin))
+        object.__setattr__(self, "facet_normals", facets[0])
+        object.__setattr__(self, "span_equalities", facets[1])
+        return facets
 
     @property
     def lineality_rank(self) -> int:
         return len(self.lineality_basis)
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        return self.ambient_rank - len(self.span_equalities)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cone):
-            return NotImplemented
-        return (self.ambient_rank, self.generators, self.lineality_basis) == (
-            other.ambient_rank, other.generators, other.lineality_basis)
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_rank, self.generators, self.lineality_basis))
+        return rank_of_rows(self.generators + self.lineality_basis)
 
     # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def _from_dd(ambient: int, rays: Sequence[Vec], lin: Sequence[Vec]) -> "Cone":
-        normals, dual_lin = double_description(
-            ambient,
-            inequalities=list(rays),
-            equalities=list(lin),
-        )
-        # the dual's lineality is the orthogonal complement of our span
-        span_eqs = hermite_normal_form(dual_lin)
-        return Cone(ambient, tuple(rays), tuple(lin), tuple(normals), tuple(span_eqs))
 
     @staticmethod
     def from_generators(ambient: int, generators: Sequence[Sequence[int]],
@@ -182,22 +185,23 @@ class Cone:
         gens = [primitive(tuple(g)) for g in generators if not is_zero_vec(g)]
         lins = [tuple(l) for l in lineality if not is_zero_vec(l)]
         # V-to-H: the dual cone of span(lins)+cone(gens) is cut out by the
-        # generators; compute it, then its rays/lineality give our H-form.
+        # generators; its rays/lineality are our facet description.
         dual_rays, dual_lin = double_description(ambient, gens, lins)
         # H-to-V on our own H-form for canonical generators
         rays, lin = double_description(ambient, dual_rays, dual_lin)
-        span_eqs = hermite_normal_form(dual_lin)
-        return Cone(ambient, tuple(rays), tuple(lin), tuple(dual_rays), tuple(span_eqs))
+        cone = Cone(ambient, tuple(rays), tuple(lin))
+        cone._set_facets(dual_rays, dual_lin)
+        return cone
 
     @staticmethod
     def from_inequalities(ambient: int, inequalities: Sequence[Sequence[int]],
                           equalities: Sequence[Sequence[int]] = ()) -> "Cone":
         rays, lin = double_description(ambient, inequalities, equalities)
-        return Cone._from_dd(ambient, rays, lin)
+        return Cone(ambient, tuple(rays), tuple(lin))
 
     @staticmethod
     def zero(ambient: int) -> "Cone":
-        return Cone.from_generators(ambient, ())
+        return Cone(ambient, (), ())
 
     @staticmethod
     def full_space(ambient: int) -> "Cone":
@@ -227,10 +231,8 @@ class Cone:
 
 
 def dual(c: Cone) -> Cone:
-    """{u : u.x >= 0 for all x in c}."""
-    ineqs = list(c.generators)
-    eqs = list(c.lineality_basis)
-    return Cone.from_inequalities(c.ambient_rank, ineqs, eqs)
+    """{u : u.x >= 0 for all x in c}: generated by c's facet description."""
+    return Cone(c.ambient_rank, c.facet_normals, c.span_equalities)
 
 
 def intersect(c1: Cone, c2: Cone) -> Cone:
@@ -260,8 +262,8 @@ def faces(c: Cone) -> tuple[Cone, ...]:
     A face is keyed by the set of facets of c containing it and is
     generated by the generators of c lying on all of them (plus the
     lineality).  Keys are walked from c by cutting with one more facet,
-    using the generator-facet incidence only; each face is then built
-    once from its generators."""
+    using the generator-facet incidence only; each face is then the cone
+    on those generators, with no conversion."""
     zero_sets = [frozenset(i for i, u in enumerate(c.facet_normals)
                            if vdot(u, g) == 0) for g in c.generators]
     every = frozenset(range(len(c.facet_normals)))
@@ -281,8 +283,8 @@ def faces(c: Cone) -> tuple[Cone, ...]:
             if child not in seen:
                 seen.add(child)
                 queue.append(child)
-    out = [c if key == top else Cone._from_dd(
-        c.ambient_rank, [c.generators[j] for j in gens_on(key)],
+    out = [c if key == top else Cone(
+        c.ambient_rank, tuple(c.generators[j] for j in gens_on(key)),
         c.lineality_basis) for key in seen]
     out.sort(key=lambda f: (f.dim, f.generators, f.lineality_basis))
     return tuple(out)

@@ -1,9 +1,12 @@
 """Fans, invariant Weil divisors, and torus-invariant open loci.
 
 A fan is stored as primitive ray generators plus maximal cones given by
-ray indices.  Faces are keyed by the frozenset of incident ray indices;
-for a valid pointed fan this keying is faithful and subset order on keys
-is exactly the face order, which the locus bookkeeping relies on.
+ray indices.  Every listed ray of a maximal cone is extreme in it and no
+other fan ray lies in it, so each face is keyed by the frozenset of the
+indices of its generators, which are also exactly the fan rays it
+contains.  For a valid pointed fan this keying is faithful and subset
+order on keys is exactly the face order, which the locus bookkeeping
+relies on.
 """
 
 from __future__ import annotations
@@ -34,7 +37,11 @@ FaceKey = frozenset
 
 class FanError(Exception):
     """Structured fan rejection; kind is one of NonPrimitiveRay,
-    DuplicateRay, IntersectionNotFace, NotPointed, BadIndex."""
+    DuplicateRay, IntersectionNotFace, NotPointed, BadIndex.
+
+    IntersectionNotFace covers a maximal cone whose listed rays are not
+    all extreme in it, a fan ray lying in a maximal cone that does not
+    list it, and two maximal cones that do not meet in a common face."""
 
     def __init__(self, kind: str, message: str):
         super().__init__(f"{kind}: {message}")
@@ -46,26 +53,26 @@ class Fan:
     ambient_rank: int
     rays: tuple[Vec, ...]
     maximal_cones: tuple[tuple[int, ...], ...]
-    _faces: tuple[tuple[FaceKey, Cone], ...]
+    _faces: dict[FaceKey, Cone]  # in (size, sorted indices) order
 
     def face_keys(self) -> tuple[FaceKey, ...]:
-        return tuple(k for k, _ in self._faces)
+        return tuple(self._faces)
 
     def face_cone(self, key: FaceKey) -> Cone:
-        for k, c in self._faces:
-            if k == key:
-                return c
-        raise KeyError(f"not a face of the fan: {sorted(key)}")
+        try:
+            return self._faces[key]
+        except KeyError:
+            raise KeyError(f"not a face of the fan: {sorted(key)}") from None
 
     def has_face(self, key: FaceKey) -> bool:
-        return any(k == key for k, _ in self._faces)
+        return key in self._faces
 
     @property
     def maximal_keys(self) -> tuple[FaceKey, ...]:
         return tuple(frozenset(c) for c in self.maximal_cones)
 
     def all_keys_under(self, key: FaceKey) -> tuple[FaceKey, ...]:
-        return tuple(k for k, _ in self._faces if k <= key)
+        return tuple(k for k in self._faces if k <= key)
 
 
 def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
@@ -99,32 +106,31 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
                            f"cone on rays {sorted(key)} contains a line")
         cones[key] = c
 
-    # faces, keyed by incident fan rays
-    face_map: dict[frozenset[int], Cone] = {}
+    # the fan rays in each maximal cone are exactly its rays, all extreme;
+    # then a face is keyed by its generators, which determine it
     for key, c in cones.items():
+        if len(c.generators) != len(key):
+            raise FanError("IntersectionNotFace",
+                           f"cone on rays {sorted(key)} has a ray that is not extreme")
+        inside = frozenset(i for i, rv in enumerate(ray_tuples) if c.contains_point(rv))
+        if inside != key:
+            raise FanError("IntersectionNotFace",
+                           f"cone on rays {sorted(key)} contains rays {sorted(inside - key)}")
+    index = {rv: i for i, rv in enumerate(ray_tuples)}
+    face_map: dict[frozenset[int], Cone] = {}
+    for c in cones.values():
         for f in cone_faces(c):
-            fkey = frozenset(i for i, rv in enumerate(ray_tuples)
-                             if f.contains_point(rv))
-            prev = face_map.get(fkey)
-            if prev is not None and prev != f:
-                raise FanError("IntersectionNotFace",
-                               f"rays {sorted(fkey)} span two different faces")
-            face_map[fkey] = f
+            face_map[frozenset(index[g] for g in f.generators)] = f
 
-    keys = list(face_map)
     for i, k1 in enumerate(max_keys):
         for k2 in max_keys[i + 1:]:
-            inter = intersect(cones[k1], cones[k2])
-            ikey = frozenset(i for i, rv in enumerate(ray_tuples)
-                             if inter.contains_point(rv))
-            if ikey not in face_map or face_map[ikey] != inter or not (
-                    ikey <= k1 and ikey <= k2):
+            if intersect(cones[k1], cones[k2]) != face_map.get(k1 & k2):
                 raise FanError(
                     "IntersectionNotFace",
                     f"cones {sorted(k1)} and {sorted(k2)} do not meet in a common face")
 
-    ordered = tuple(sorted(face_map.items(),
-                           key=lambda kv: (len(kv[0]), sorted(kv[0]))))
+    ordered = dict(sorted(face_map.items(),
+                          key=lambda kv: (len(kv[0]), sorted(kv[0]))))
     return Fan(ambient_rank, tuple(ray_tuples),
                tuple(tuple(sorted(k)) for k in max_keys), ordered)
 

@@ -19,7 +19,6 @@ from .intlinalg import (
     LatticeMap,
     Sublattice,
     cokernel_projection,
-    is_zero_vec,
     rank_of_rows,
     vneg,
 )
@@ -57,11 +56,7 @@ class GluedQuotient:
 def quotient_projection(action: SubtorusAction) -> tuple[LatticeMap, tuple[int, ...]]:
     """pi: N -> N/L onto the free part, plus the torsion of N/im(phi)
     (finite isotropy inside the big torus)."""
-    n = action.ambient_rank
-    cols = [tuple(action.phi.matrix.entries[j][i] for j in range(n))
-            for i in range(action.d)]
-    cols = [c for c in cols if not is_zero_vec(c)]
-    S = Sublattice.from_rows(n, cols)
+    S = Sublattice.from_rows(action.ambient_rank, action.phi_star_rows())
     return cokernel_projection(S)
 
 
@@ -159,10 +154,7 @@ def _chart_geometric(chart: QuotientChart, action: SubtorusAction,
             return False
         seen.append(F)
         # rank of L modulo span(gamma) must match the orbit dim drop
-        gamma_span = [g for g in gamma.generators]
-        base = rank_of_rows(gamma_span) if gamma_span else 0
-        joint = list(gamma_span) + [r for r in L.basis.entries]
-        lr = (rank_of_rows(joint) if joint else 0) - base
+        lr = rank_of_rows(list(gamma.generators) + list(L.basis.entries)) - gamma.dim
         if lr != (n - gamma.dim) - (q - F.dim):
             return False
     return len(seen) == len(chart.faces)

@@ -22,7 +22,7 @@ from toricgit.cones import (
     relative_interior_point,
     supporting_normal,
 )
-from toricgit.intlinalg import IntMatrix, LatticeMap, vdot
+from toricgit.intlinalg import IntMatrix, LatticeMap, hermite_normal_form, vdot
 from toricgit.oracle import feasible_strict_boxed
 
 from genutil import fraction_rank, random_primitive_vector
@@ -337,6 +337,64 @@ def test_cone_with_lineality_equality():
     assert a == b
     assert a.lineality_rank == 1
     assert len(a.generators) == 1 and a.generators[0][0] == 1
+
+
+# -- the facet description: kept from construction or computed on read ---
+
+def _cones_from_every_path(rng):
+    """One cone from each constructor and each cone operation, in a random
+    ambient rank: some keep their facets, the rest convert on first read."""
+    n = rng.randint(1, 4)
+
+    def vecs(k, box=3):
+        return [tuple(rng.randint(-box, box) for _ in range(n)) for _ in range(k)]
+
+    a = Cone.from_generators(n, vecs(rng.randint(0, 5)), vecs(rng.choice([0, 0, 1, 2])))
+    b = Cone.from_inequalities(n, vecs(rng.randint(0, 5)), vecs(rng.choice([0, 0, 1])))
+    m = rng.randint(1, 4)
+    f = LatticeMap(IntMatrix.from_rows(vecs(m, 2), n), n, m)
+    return [a, b, *faces(a), *faces(b), intersect(a, b), image(b, f), dual(a), dual(b)]
+
+
+def _one_conversion(c):
+    """Reference facet description: one conversion of c's generators."""
+    normals, dual_lin = double_description(
+        c.ambient_rank, list(c.generators), list(c.lineality_basis))
+    return tuple(normals), tuple(hermite_normal_form(dual_lin))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_facets_match_one_conversion(seed):
+    for c in _cones_from_every_path(random.Random(seed)):
+        normals, eqs = _one_conversion(c)
+        assert (c.facet_normals, c.span_equalities) == (normals, eqs)
+        assert c.dim == c.ambient_rank - len(eqs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_cone_is_its_generators(seed):
+    for c in _cones_from_every_path(random.Random(seed)):
+        again = Cone(c.ambient_rank, c.generators, c.lineality_basis)
+        assert again == c and hash(again) == hash(c)
+        assert (again.facet_normals, again.span_equalities) == \
+            (c.facet_normals, c.span_equalities)
+        d = dual(c)
+        ref = Cone.from_inequalities(c.ambient_rank, c.generators, c.lineality_basis)
+        assert d == ref
+        assert (d.facet_normals, d.span_equalities) == \
+            (ref.facet_normals, ref.span_equalities)
+
+
+def test_facets_are_plain_attributes_once_known():
+    c = Cone.from_generators(2, [(1, 0), (1, 2)])
+    assert vars(c)["facet_normals"] == ((0, 1), (2, -1))  # kept from construction
+    d = Cone.from_inequalities(2, [(0, 1), (2, -1)])
+    assert "facet_normals" not in vars(d)
+    assert d.contains_point((1, 1)) and not d.contains_point((0, 1))
+    assert vars(d)["facet_normals"] == c.facet_normals
+    assert vars(d)["span_equalities"] == ()
 
 
 # -- double description against a brute-force enumeration ---------------

@@ -73,6 +73,31 @@ def test_validate_rejects_overlapping_cones():
     assert e.value.kind == "IntersectionNotFace"
 
 
+def test_validate_rejects_unlisted_ray_inside_cone():
+    # ray 1 = (1, 1) lies in the cone on rays 0 and 2, which does not list it
+    with pytest.raises(FanError) as e:
+        validate_fan(2, [(1, 0), (1, 1), (0, 1), (-1, 0)], [(0, 2), (2, 3)])
+    assert e.value.kind == "IntersectionNotFace"
+
+
+def test_validate_rejects_listed_ray_that_is_not_extreme():
+    # ray 1 = (1, 1) is listed but is not an extreme ray of the cone
+    with pytest.raises(FanError) as e:
+        validate_fan(2, [(1, 0), (1, 1), (0, 1)], [(0, 1, 2)])
+    assert e.value.kind == "IntersectionNotFace"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_face_keys_are_the_fan_rays_in_each_face(seed):
+    fan = random_fan(random.Random(seed))
+    for k in fan.face_keys():
+        cone = fan.face_cone(k)
+        assert k == frozenset(i for i, v in enumerate(fan.rays) if cone.contains_point(v))
+        assert len(cone.generators) == len(k)
+    assert all(fan.has_face(k) for k in fan.maximal_keys)
+
+
 def test_validate_quadric(quadric_fan):
     assert len(quadric_fan.rays) == 4
     # apex, 4 rays, 4 two-dim walls, the cone: 10 faces
@@ -80,6 +105,11 @@ def test_validate_quadric(quadric_fan):
     assert quadric_fan.has_face(frozenset())
     assert quadric_fan.has_face(frozenset({0, 3}))
     assert not quadric_fan.has_face(frozenset({0, 2}))  # not a face: diagonal
+
+
+def test_face_cone_of_a_non_face(quadric_fan):
+    with pytest.raises(KeyError, match=r"not a face of the fan: \[0, 2\]"):
+        quadric_fan.face_cone(frozenset({0, 2}))
 
 
 def test_empty_fan_is_torus():
