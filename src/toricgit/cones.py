@@ -15,21 +15,16 @@ dictionary keys by the fan and quotient layers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .intlinalg import (
-    IntMatrix,
     LatticeMap,
     Sublattice,
     Vec,
-    gcdv,
     hermite_normal_form,
     is_zero_vec,
-    kernel_basis,
     primitive,
     rank_of_rows,
     saturate,
@@ -209,9 +204,6 @@ class Cone:
 
     # -- predicates ------------------------------------------------------
 
-    def is_pointed(self) -> bool:
-        return self.lineality_rank == 0
-
     def is_zero(self) -> bool:
         return not self.generators and not self.lineality_basis
 
@@ -366,70 +358,21 @@ def product_feasible_strict(
     variables only.  Returns a full integer witness
     (block_0 vars, block_1 vars, ..., shared vars) or None.
 
-    Works by projecting each block cone to the shared coordinates,
-    intersecting, picking a relative interior point there, and lifting it
-    through each block fiber; the assembled point lies in the relative
-    interior of the product cone, so the strict-form sign test is exact.
-    """
-    if not blocks:
-        sysm = FeasibilitySystem(shared_dim, (), tuple(shared_weak), tuple(shared_strict))
-        return feasible_strict(sysm)
-    cones_ = []
-    projs = []
-    for sysb, bd in zip(blocks, block_dims):
-        cb = Cone.from_inequalities(
-            sysb.dim, list(sysb.weak) + list(sysb.strict), list(sysb.equalities))
-        cones_.append(cb)
-        proj = LatticeMap(
-            IntMatrix.from_rows(
-                [tuple(1 if j == bd + i else 0 for j in range(bd + shared_dim))
-                 for i in range(shared_dim)],
-                bd + shared_dim),
-            bd + shared_dim, shared_dim)
-        projs.append(image(cb, proj))
-    shared_cone = Cone.from_inequalities(shared_dim, list(shared_weak) + list(shared_strict), ())
-    inter = shared_cone
-    for p in projs:
-        inter = intersect(inter, p)
-    m_hat = relative_interior_point(inter)
-    if not all(vdot(w, m_hat) >= 0 for w in shared_weak):
-        return None
-    if not all(vdot(s, m_hat) > 0 for s in shared_strict):
-        return None
-    # lift through each block: substitute shared vars = t * m_hat, t >= 0
-    parts: list[Fraction] = []
-    block_points: list[tuple[Fraction, ...]] = []
-    for sysb, bd in zip(blocks, block_dims):
-        def subst(form: Vec) -> Vec:
-            u_part = form[:bd]
-            m_part = form[bd:]
-            return tuple(u_part) + (vdot(m_part, m_hat),)
-        ineqs = [subst(f) for f in list(sysb.weak) + list(sysb.strict)]
-        ineqs.append(tuple(0 for _ in range(bd)) + (1,))  # t >= 0
-        eqs = [subst(f) for f in sysb.equalities]
-        fib = Cone.from_inequalities(bd + 1, ineqs, eqs)
-        q = relative_interior_point(fib)
-        t = q[-1]
-        if t <= 0:
-            return None
-        block_points.append(tuple(Fraction(x, t) for x in q[:bd]))
-    # assemble and clear denominators (positive scaling, homogeneous system)
-    den = math.lcm(*(a.denominator for bp in block_points for a in bp)) if block_points else 1
-    full: list[int] = []
-    for bp in block_points:
-        full.extend(int(a * den) for a in bp)
-    full.extend(x * den for x in m_hat)
-    witness = tuple(full)
-    # verify every clause by substitution before returning
+    Lifts every form into all the variables and solves once."""
+    own = sum(block_dims)
+
+    def lift(form: Vec, off: int, bd: int) -> Vec:
+        return ((0,) * off + tuple(form[:bd]) + (0,) * (own - off - bd)
+                + tuple(form[bd:]))
+
+    eqs, weak, strict = [], [], []
     off = 0
     for sysb, bd in zip(blocks, block_dims):
-        xb = witness[off:off + bd] + witness[-shared_dim:] if shared_dim else witness[off:off + bd]
-        if not sysb.satisfied_by(xb):
-            return None
+        eqs += [lift(f, off, bd) for f in sysb.equalities]
+        weak += [lift(f, off, bd) for f in sysb.weak]
+        strict += [lift(f, off, bd) for f in sysb.strict]
         off += bd
-    mvec = witness[-shared_dim:] if shared_dim else ()
-    if not all(vdot(w, mvec) >= 0 for w in shared_weak):
-        return None
-    if not all(vdot(s, mvec) > 0 for s in shared_strict):
-        return None
-    return witness
+    weak += [lift(f, own, 0) for f in shared_weak]
+    strict += [lift(f, own, 0) for f in shared_strict]
+    return feasible_strict(FeasibilitySystem(
+        own + shared_dim, tuple(eqs), tuple(weak), tuple(strict)))

@@ -117,14 +117,16 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
             raise FanError("IntersectionNotFace",
                            f"cone on rays {sorted(key)} contains rays {sorted(inside - key)}")
     index = {rv: i for i, rv in enumerate(ray_tuples)}
-    face_map: dict[frozenset[int], Cone] = {}
-    for c in cones.values():
-        for f in cone_faces(c):
-            face_map[frozenset(index[g] for g in f.generators)] = f
+    own_faces = {key: {frozenset(index[g] for g in f.generators): f
+                       for f in cone_faces(c)} for key, c in cones.items()}
+    face_map = {k: f for fs in own_faces.values() for k, f in fs.items()}
 
+    # two cones must meet in the face on their shared rays, of both
     for i, k1 in enumerate(max_keys):
         for k2 in max_keys[i + 1:]:
-            if intersect(cones[k1], cones[k2]) != face_map.get(k1 & k2):
+            common = k1 & k2
+            if (common not in own_faces[k1] or common not in own_faces[k2]
+                    or intersect(cones[k1], cones[k2]) != own_faces[k1][common]):
                 raise FanError(
                     "IntersectionNotFace",
                     f"cones {sorted(k1)} and {sorted(k2)} do not meet in a common face")

@@ -3,8 +3,11 @@
 Each maximal certified cone sigma of a semistable locus gives a chart
 pi(sigma) in the quotient lattice N/L, where pi is the cokernel
 projection of the acting sublattice.  Charts are glued along images of
-intersections; the good / separated / geometric flags are computed from
-the orbit-image combinatorics of the charts.
+intersections.  Everything else is read off one orbit map per chart:
+each fan face gamma under sigma goes to its orbit image, the smallest
+face of the chart image holding pi(gamma), found by ray-facet incidence
+on the image with no conversion.  The good / separated / geometric flags
+compare orbit images, and no face lattice is built.
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .actions import SemistableLocus, SubtorusAction
-from .cones import Cone, faces as cone_faces, image as cone_image, intersect
+from .cones import Cone, image as cone_image, intersect
 from .fans import Fan, FaceKey
 from .intlinalg import (
     LatticeMap,
     Sublattice,
     cokernel_projection,
     rank_of_rows,
+    vdot,
     vneg,
 )
 
@@ -30,7 +34,6 @@ class QuotientChart:
     source: Cone
     image: Cone
     projection: LatticeMap
-    faces: tuple[Cone, ...]  # faces of image, by dimension
 
 
 @dataclass(frozen=True)
@@ -61,29 +64,35 @@ def quotient_projection(action: SubtorusAction) -> tuple[LatticeMap, tuple[int, 
 
 
 def orbit_image(gamma: Cone, chart: QuotientChart) -> Cone:
-    """Smallest face of the chart's image containing pi(gamma)."""
+    """Smallest face of the chart's image containing pi(gamma).
+
+    It is cut out by the image facets that vanish on pi(gamma), and
+    generated by the image generators on all of them plus the image's
+    lineality: the same cone `cones.faces` builds for that face."""
+    img = chart.image
     pi = chart.projection
     points = [pi.apply(g) for g in gamma.generators]
     for l in gamma.lineality_basis:
         points += [pi.apply(l), pi.apply(vneg(l))]
-    for f in chart.faces:
-        if all(f.contains_point(p) for p in points):
-            return f
-    raise ValueError("projected face escapes the chart image")
+    if not all(img.contains_point(p) for p in points):
+        raise ValueError("projected face escapes the chart image")
+    tight = [u for u in img.facet_normals
+             if all(vdot(u, p) == 0 for p in points)]
+    return Cone(img.ambient_rank,
+                tuple(g for g in img.generators
+                      if all(vdot(u, g) == 0 for u in tight)),
+                img.lineality_basis)
 
 
-def is_saturated(sublocus_keys, chart: QuotientChart, fan: Fan) -> bool:
+def is_saturated(sublocus_keys, images: dict[FaceKey, Cone]) -> bool:
     """True iff the union of orbits over sublocus_keys is a full preimage
-    of its image in the chart: no face outside the set shares an orbit
-    image with a face inside it."""
+    of its image in one chart, given that chart's orbit map (face key to
+    orbit image): no face outside the set shares an orbit image with a
+    face inside it."""
     keys = set(sublocus_keys)
-    inside_images = {orbit_image(fan.face_cone(k), chart) for k in keys}
-    for k in fan.all_keys_under(chart.source_key):
-        if k in keys:
-            continue
-        if orbit_image(fan.face_cone(k), chart) in inside_images:
-            return False
-    return True
+    inside_images = {images[k] for k in keys}
+    return not any(F in inside_images
+                   for k, F in images.items() if k not in keys)
 
 
 def build_quotient(ss: SemistableLocus, action: SubtorusAction,
@@ -96,13 +105,11 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
     charts = []
     for key in max_keys:
         src = fan.face_cone(key)
-        img = cone_image(src, pi)
-        charts.append(QuotientChart(key, src, img, pi, cone_faces(img)))
+        charts.append(QuotientChart(key, src, cone_image(src, pi), pi))
 
-    orbit_map = []
-    for i, ch in enumerate(charts):
-        for k in fan.all_keys_under(ch.source_key):
-            orbit_map.append((k, i, orbit_image(fan.face_cone(k), ch)))
+    images = [{k: orbit_image(fan.face_cone(k), ch)
+               for k in fan.all_keys_under(ch.source_key)} for ch in charts]
+    orbit_map = [(k, i, F) for i, m in enumerate(images) for k, F in m.items()]
 
     gluings = []
     good = True
@@ -110,51 +117,38 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
     unsaturated = []
     for i in range(len(charts)):
         for j in range(i + 1, len(charts)):
+            # two fan faces meet in the face on their common rays
             common = charts[i].source_key & charts[j].source_key
-            inter_keys = [k for k in fan.all_keys_under(charts[i].source_key)
-                          if k <= common]
-            inter_cone = fan.face_cone(max(inter_keys, key=len)) if inter_keys \
-                else Cone.zero(fan.ambient_rank)
-            glue = cone_image(inter_cone, pi)
+            glue = cone_image(fan.face_cone(common), pi)
             gluings.append((i, j, glue))
-            if not (is_saturated(inter_keys, charts[i], fan)
-                    and is_saturated(inter_keys, charts[j], fan)):
+            inter_keys = [k for k in images[i] if k <= common]
+            if not (is_saturated(inter_keys, images[i])
+                    and is_saturated(inter_keys, images[j])):
                 good = False
                 unsaturated.append((i, j))
-            if intersect(charts[i].image, charts[j].image) != glue:
-                separated = False
+            # the images meet in the glue cone, and it is a face of both:
+            # a cone is a face of an image iff it is its own orbit image
+            separated &= (intersect(charts[i].image, charts[j].image) == glue
+                          == images[i][common] == images[j][common])
 
-    if separated and len(charts) > 1:
-        # each image intersection is its glue cone; pointed images form a
-        # fan iff every glue cone is a face of both of its charts
-        separated = all(ch.image.lineality_rank == 0 for ch in charts) and all(
-            glue in charts[i].faces and glue in charts[j].faces
-            for i, j, glue in gluings)
+    # pointed images meeting so form a fan; one chart is always separated
+    separated &= len(charts) < 2 or all(
+        ch.image.lineality_rank == 0 for ch in charts)
 
+    # Geometric: fibers are single orbits iff each chart's orbit map is a
+    # bijection onto the faces of its image and each pi(gamma) spans its
+    # orbit image F (phi's columns span L over Q, so dim pi(gamma) is
+    # rank(gamma, phi) - (n - q)).  The map is always onto: a face
+    # F = image ∩ u^perp is the image of the face sigma ∩ (pi* u)^perp of
+    # sigma.  So injective suffices.
+    n = fan.ambient_rank
+    phi_rows = action.phi_star_rows()
     geometric = good and all(
-        _chart_geometric(ch, action, fan, q) for ch in charts)
+        len(set(m.values())) == len(m)
+        and all(rank_of_rows(list(fan.face_cone(k).generators) + phi_rows)
+                == n - q + F.dim for k, F in m.items())
+        for m in images)
 
     return GluedQuotient(tuple(charts), tuple(gluings), good, geometric,
                          separated, torsion, tuple(orbit_map),
                          tuple(unsaturated), q)
-
-
-def _chart_geometric(chart: QuotientChart, action: SubtorusAction,
-                     fan: Fan, q: int) -> bool:
-    """Fibers of the chart map are single orbits: face -> image-face is a
-    bijection and each orbit maps with full relative dimension."""
-    n = fan.ambient_rank
-    L = action.sublattice
-    source_keys = fan.all_keys_under(chart.source_key)
-    seen = []
-    for k in source_keys:
-        gamma = fan.face_cone(k)
-        F = orbit_image(gamma, chart)
-        if F in seen:
-            return False
-        seen.append(F)
-        # rank of L modulo span(gamma) must match the orbit dim drop
-        lr = rank_of_rows(list(gamma.generators) + list(L.basis.entries)) - gamma.dim
-        if lr != (n - gamma.dim) - (q - F.dim):
-            return False
-    return len(seen) == len(chart.faces)

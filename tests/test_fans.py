@@ -87,6 +87,15 @@ def test_validate_rejects_listed_ray_that_is_not_extreme():
     assert e.value.kind == "IntersectionNotFace"
 
 
+def test_validate_rejects_cone_inside_another_as_a_non_face():
+    # a square cone plus its diagonal: the two meet in the diagonal, which
+    # is a whole cone of the fan but not a face of the square
+    with pytest.raises(FanError) as e:
+        validate_fan(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
+                     [(0, 1, 2, 3), (0, 2)])
+    assert e.value.kind == "IntersectionNotFace"
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10_000))
 def test_face_keys_are_the_fan_rays_in_each_face(seed):

@@ -14,9 +14,9 @@ from toricgit.actions import (
     semistable_divisor,
     semistable_group,
 )
-from toricgit.cones import Cone, intersect
+from toricgit.cones import Cone, faces as cone_faces, intersect
 from toricgit.fans import DivisorGroup, FanError, validate_fan
-from toricgit.intlinalg import IntMatrix, kernel_basis
+from toricgit.intlinalg import IntMatrix, kernel_basis, rank_of_rows, vneg
 from toricgit.quotients import (
     build_quotient,
     is_saturated,
@@ -110,10 +110,11 @@ def test_is_saturated_examples(plane_fan, hyperbolic_action):
     q = build_quotient(ss, hyperbolic_action, plane_fan)
     (chart,) = q.charts  # the whole quadrant; both axes project to one ray
     assert chart.source_key == frozenset({0, 1})
-    assert not is_saturated([frozenset(), frozenset({0})], chart, plane_fan)
+    assert not is_saturated([frozenset(), frozenset({0})],
+                            {k: F for k, _, F in q.orbit_map})
     # the whole chart trivially is
     assert is_saturated(list(plane_fan.all_keys_under(chart.source_key)),
-                        chart, plane_fan)
+                        {k: F for k, _, F in q.orbit_map})
 
 
 def test_single_chart_always_separated(quadric_fan, quadric_action):
@@ -228,3 +229,91 @@ def test_separated_flag_matches_validate_fan():
         multi += len(q.charts) > 1
         not_separated += not q.separated
     assert multi >= 20 and not_separated >= 3
+
+
+def _random_quotient(seed):
+    """A seeded random quotient with its action and fan, or None when the
+    locus is empty or the drawn divisors are dependent."""
+    rng = random.Random(seed)
+    fan = random_complete_fan2(rng) if seed % 2 else random_fan(rng)
+    act = random_action(rng, fan)
+    divisors = [random_divisor(rng, fan) for _ in range(1 + seed % 2)]
+    try:
+        group = DivisorGroup(tuple(divisors))
+    except ValueError:  # dependent divisors
+        return None
+    lin = random_linearization(rng, act.d, group.rank)
+    ss = semistable_group(group, lin, act, fan) if seed % 3 \
+        else semistable_divisor(divisors[0], _lin0(act.d), act, fan)
+    if not ss.certificates:
+        return None
+    return build_quotient(ss, act, fan), act, fan
+
+
+def _smallest_face_holding(gamma, chart):
+    """Reference orbit image: the first face of the image, in dimension
+    order, that holds pi(gamma); None if pi(gamma) leaves the image."""
+    pi = chart.projection
+    points = [pi.apply(g) for g in gamma.generators]
+    for l in gamma.lineality_basis:
+        points += [pi.apply(l), pi.apply(vneg(l))]
+    return next((f for f in cone_faces(chart.image)
+                 if all(f.contains_point(p) for p in points)), None)
+
+
+def test_orbit_image_is_smallest_face_holding_the_projection():
+    escaped = pairs = 0
+    for seed in range(120):
+        drawn = _random_quotient(seed)
+        if drawn is None:
+            continue
+        q, _, fan = drawn
+        for chart in q.charts:
+            for k in fan.face_keys():
+                gamma = fan.face_cone(k)
+                want = _smallest_face_holding(gamma, chart)
+                if want is None:
+                    escaped += 1
+                    with pytest.raises(ValueError):
+                        orbit_image(gamma, chart)
+                else:
+                    pairs += 1
+                    assert orbit_image(gamma, chart) == want
+    assert pairs >= 400 and escaped >= 200
+
+
+def _geometric_by_face_bijection(q, act, fan):
+    """Reference for the geometric flag: good, and in every chart the
+    orbit map is a bijection onto the faces of the image under which each
+    orbit keeps its dimension modulo the saturated acting lattice."""
+    n, L = fan.ambient_rank, act.sublattice
+    if not q.good:
+        return False
+    for chart in q.charts:
+        seen = []
+        for k in fan.all_keys_under(chart.source_key):
+            gamma = fan.face_cone(k)
+            F = _smallest_face_holding(gamma, chart)
+            if F in seen:
+                return False
+            seen.append(F)
+            lr = rank_of_rows(list(gamma.generators) + list(L.basis.entries)) \
+                - gamma.dim
+            if lr != (n - gamma.dim) - (q.quotient_rank - F.dim):
+                return False
+        if len(seen) != len(cone_faces(chart.image)):
+            return False
+    return True
+
+
+def test_geometric_flag_matches_face_bijection():
+    geometric = not_geometric = 0
+    for seed in range(400):
+        drawn = _random_quotient(seed)
+        if drawn is None:
+            continue
+        q, act, fan = drawn
+        assert q.geometric == _geometric_by_face_bijection(q, act, fan)
+        geometric += q.geometric
+        not_geometric += not q.geometric
+    assert geometric >= 100 and not_geometric >= 8
