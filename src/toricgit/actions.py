@@ -12,7 +12,7 @@ nonvanishing locus is exactly the affine chart of tau.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cones import (
     Cone,
@@ -21,8 +21,6 @@ from .cones import (
     intersect,
     relative_interior_point,
 )
-from math import gcd
-
 from .fans import (
     DivisorGroup,
     Fan,
@@ -110,26 +108,18 @@ class Linearization:
                                    for _ in range(num_divisors)))
 
 
-def weight_of(action: SubtorusAction, u: Sequence[int],
-              degree: Sequence[int], lin: Linearization) -> Vec:
-    """phi_star(u) + sum_i degree_i * shift_i."""
-    w = list(action.phi_star(u))
-    for c, s in zip(degree, lin.shifts):
-        for t in range(action.d):
-            w[t] += c * s[t]
-    return tuple(w)
-
-
 @dataclass(frozen=True)
 class SemistabilityCertificate:
     """Replayable witness for one certified chart.
 
     degree is (n,) for a single divisor (n > 0) and the coefficient
     vector of D_0 in the group basis otherwise.  monomial is the u in M of
-    the invariant section vanishing exactly on the chart's rays.  cartier maps
-    each basis divisor index to its local equation m on the chart.  For
-    the group case, invertibles lists (degree coefficients c, witness w)
-    pairs spanning a finite-index subgroup of invertibly-realized degrees.
+    the invariant section vanishing exactly on the chart's rays.  cartier
+    holds local equations m on the chart: for a single divisor, the one
+    equation of nD, which is the monomial itself; for the group case, one
+    per basis divisor.  For the group case, invertibles lists (degree
+    coefficients c, witness w) pairs spanning a finite-index subgroup of
+    invertibly-realized degrees.
     """
 
     chart: FaceKey
@@ -145,12 +135,6 @@ class SemistableLocus:
     locus: SubfanLocus
     certificates: tuple[tuple[FaceKey, SemistabilityCertificate], ...]
 
-    def certificate_for(self, key: FaceKey) -> Optional[SemistabilityCertificate]:
-        for k, c in self.certificates:
-            if k == key:
-                return c
-        return None
-
 
 def _single_shift(lin: Linearization, d: int) -> Vec:
     if not lin.shifts:
@@ -165,72 +149,30 @@ def _locus_with_certs(fan: Fan, passing: dict) -> SemistableLocus:
     return SemistableLocus(locus, certs)
 
 
-def _q_cartier_witness(fan: Fan, D: ToricDivisor,
-                       key: FaceKey) -> Optional[tuple[int, Vec]]:
-    """Smallest n > 0 such that n*D is principal on the chart of key,
-    with a witness m (so <m, v_rho> = -n*a_rho on the chart's rays), or
-    None when no positive multiple works.
-
-    The pairs (m, n) solving the homogeneous system form a lattice; the
-    n-components of its basis generate g*Z, and an element with n = g is
-    assembled by running the extended gcd over the basis."""
-    idx = sorted(key)
-    rank = fan.ambient_rank
-    if not idx:
-        return 1, tuple(0 for _ in range(rank))
-    rows = [tuple(fan.rays[i]) + (D.coefficients[i],) for i in idx]
-    ker = kernel_basis(IntMatrix.from_rows(rows, rank + 1))
-    acc = None
-    for v in ker.basis.entries:
-        if v[-1] == 0:
-            continue
-        if acc is None:
-            acc = list(v)
-            continue
-        # extended gcd: x*acc[-1] + y*v[-1] = g
-        g = gcd(acc[-1], v[-1])
-        a, b = acc[-1], v[-1]
-        x0, x1 = 1, 0
-        while b:
-            q, a, b = a // b, b, a % b
-            x0, x1 = x1, x0 - q * x1
-        y = (g - x0 * acc[-1]) // v[-1]
-        acc = [x0 * p + y * q for p, q in zip(acc, v)]
-    if acc is None:
-        return None
-    if acc[-1] < 0:
-        acc = [-x for x in acc]
-    return acc[-1], tuple(acc[:-1])
-
-
 def semistable_divisor(D: ToricDivisor, lin: Linearization,
                        action: SubtorusAction, fan: Fan) -> SemistableLocus:
     """Semistable locus of the single linearized divisor D: charts tau
-    realized by an invariant section of some positive multiple nD that is
-    itself principal on tau (the same multiple for both conditions; a
-    common n always exists when each holds separately, since feasible
-    section degrees form a ray and principal multiples a subgroup)."""
+    realized by an invariant section of some positive multiple nD.
+
+    The chart witness (u, n) has <u, v_rho> + n*a_rho = 0 on the rays of
+    tau, so u is itself a local equation of nD there: nD is principal on
+    the chart, and no separate Cartier test is needed.  The certificate
+    records u both as the section's monomial and as that equation."""
     shift = _single_shift(lin, action.d)
     degree_rows = [(a,) for a in D.coefficients]
     weight_rows = [(m_row, (s,)) for m_row, s in
                    zip(action.phi_star_rows(), shift)]
     passing = {}
     for key in fan.face_keys():
-        qc = _q_cartier_witness(fan, D, key)
-        if qc is None:
-            continue
-        n0, m0 = qc
         wit = chart_witness(fan, key, degree_rows, weight_rows,
                             shared_strict=((1,),))
         if wit is None:
             continue
-        nw = wit["degree"][0]
-        # align the two witnesses on the common degree n0*nw
         passing[key] = SemistabilityCertificate(
             chart=key,
-            degree=(n0 * nw,),
-            monomial=tuple(n0 * x for x in wit["monomial"]),
-            cartier=(tuple(nw * x for x in m0),),
+            degree=wit["degree"],
+            monomial=wit["monomial"],
+            cartier=(wit["monomial"],),
         )
     return _locus_with_certs(fan, passing)
 
@@ -397,7 +339,6 @@ def git_chambers(action: SubtorusAction, fan: Fan):
 class ObstructionReport:
     required: SubfanLocus
     weight_cones: tuple[tuple[FaceKey, Cone], ...]
-    pairwise: tuple[tuple[FaceKey, FaceKey, Cone], ...]
     common: Cone
     locus_at_zero: SemistableLocus
     verdict: str  # "obstructed" | "not-obstructed" | "inconclusive"
@@ -412,12 +353,9 @@ def obstruction_report(required: SubfanLocus, action: SubtorusAction,
     _require_affine(fan)
     maxes = required.maximal_keys()
     kcones = [(key, achievable_weight_cone(key, action, fan)) for key in maxes]
-    pairwise = []
     common = None
-    for i, (k1, c1) in enumerate(kcones):
-        common = c1 if common is None else intersect(common, c1)
-        for k2, c2 in kcones[i + 1:]:
-            pairwise.append((k1, k2, intersect(c1, c2)))
+    for _, c in kcones:
+        common = c if common is None else intersect(common, c)
     if common is None:
         common = Cone.full_space(action.d)
     locus0 = mumford_trivial_semistable(tuple(0 for _ in range(action.d)),
@@ -429,5 +367,5 @@ def obstruction_report(required: SubfanLocus, action: SubtorusAction,
         verdict = "obstructed"
     else:
         verdict = "inconclusive"
-    return ObstructionReport(required, tuple(kcones), tuple(pairwise),
-                             common, locus0, verdict)
+    return ObstructionReport(required, tuple(kcones), common, locus0,
+                             verdict)

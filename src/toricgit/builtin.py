@@ -12,14 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import (
-    Linearization,
-    SubtorusAction,
     git_chambers,
     obstruction_report,
     semistable_divisor,
     semistable_group,
 )
-from .fans import DivisorGroup, SubfanLocus, ToricDivisor, class_group, validate_fan
+from .fans import SubfanLocus, class_group
 from .hilbert_mumford import cross_validate
 from .intlinalg import primitive
 from .problemfile import Problem, parse_problem

@@ -20,14 +20,14 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .intlinalg import (
+    IntMatrix,
     LatticeMap,
-    Sublattice,
     Vec,
     hermite_normal_form,
     is_zero_vec,
+    kernel_basis,
     primitive,
     rank_of_rows,
-    saturate,
     vdot,
     vneg,
     vscale,
@@ -59,7 +59,8 @@ def double_description(
     """Extreme rays and lineality basis of
     {x : a.x >= 0 for all inequalities, b.x = 0 for all equalities}.
 
-    Rays are primitive and minimal modulo the lineality space."""
+    Rays are primitive and minimal modulo the lineality space.  The
+    lineality basis is the HNF of the saturated lattice of that space."""
     constraints: list[Vec] = []
     for b in equalities:
         t = primitive(tuple(b))
@@ -120,13 +121,12 @@ def double_description(
                     new[w] = z
         rays = new
 
-    if lin:
-        lin_rows = [tuple(r) for r in
-                    saturate(Sublattice.from_rows(ambient, lin)).basis.entries]
-    else:
-        lin_rows = []
+    # the lineality space is the kernel of the constraints; one
+    # kernel_basis gives its saturated lattice in HNF
+    lin_rows = (kernel_basis(IntMatrix.from_rows(constraints, ambient)).basis.entries
+                if lin else ())
     reduced = (_reduce_mod_rows(r, lin_rows) for r in rays)
-    return sorted({r for r in reduced if not is_zero_vec(r)}), [tuple(r) for r in lin_rows]
+    return sorted({r for r in reduced if not is_zero_vec(r)}), list(lin_rows)
 
 
 @dataclass(frozen=True)

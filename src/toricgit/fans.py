@@ -162,14 +162,6 @@ class DivisorGroup:
     def rank(self) -> int:
         return len(self.basis)
 
-    def combine(self, coeffs: Sequence[int]) -> ToricDivisor:
-        r = len(self.basis[0].coefficients) if self.basis else 0
-        out = [0] * r
-        for c, d in zip(coeffs, self.basis):
-            for j, a in enumerate(d.coefficients):
-                out[j] += c * a
-        return ToricDivisor(tuple(out))
-
 
 @dataclass(frozen=True)
 class SubfanLocus:

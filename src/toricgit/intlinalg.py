@@ -75,10 +75,6 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def zeros(r: int, c: int) -> "IntMatrix":
-        return IntMatrix(r, c, tuple(tuple(0 for _ in range(c)) for _ in range(r)))
-
     def row(self, i: int) -> Vec:
         return self.entries[i]
 

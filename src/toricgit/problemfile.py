@@ -6,7 +6,7 @@ messages naming the offending entry."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .actions import Linearization, SubtorusAction

@@ -13,7 +13,6 @@ compare orbit images, and no face lattice is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .actions import SemistableLocus, SubtorusAction
 from .cones import Cone, image as cone_image, intersect
@@ -22,7 +21,6 @@ from .intlinalg import (
     LatticeMap,
     Sublattice,
     cokernel_projection,
-    rank_of_rows,
     vdot,
     vneg,
 )
@@ -47,13 +45,6 @@ class GluedQuotient:
     orbit_map: tuple[tuple[FaceKey, int, Cone], ...]
     unsaturated_pairs: tuple[tuple[int, int], ...]
     quotient_rank: int
-
-    def gluing(self, i: int, j: int) -> Optional[Cone]:
-        a, b = min(i, j), max(i, j)
-        for x, y, c in self.gluings:
-            if (x, y) == (a, b):
-                return c
-        return None
 
 
 def quotient_projection(action: SubtorusAction) -> tuple[LatticeMap, tuple[int, ...]]:
@@ -137,17 +128,11 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
 
     # Geometric: fibers are single orbits iff each chart's orbit map is a
     # bijection onto the faces of its image and each pi(gamma) spans its
-    # orbit image F (phi's columns span L over Q, so dim pi(gamma) is
-    # rank(gamma, phi) - (n - q)).  The map is always onto: a face
-    # F = image ∩ u^perp is the image of the face sigma ∩ (pi* u)^perp of
-    # sigma.  So injective suffices.
-    n = fan.ambient_rank
-    phi_rows = action.phi_star_rows()
-    geometric = good and all(
-        len(set(m.values())) == len(m)
-        and all(rank_of_rows(list(fan.face_cone(k).generators) + phi_rows)
-                == n - q + F.dim for k, F in m.items())
-        for m in images)
+    # orbit image.  The map is always onto: a face F = image ∩ u^perp is
+    # the image of the face sigma ∩ (pi* u)^perp of sigma.  If it is also
+    # injective, the face gamma over F is that face, so pi(gamma) = F and
+    # the dimensions agree.  So injective suffices.
+    geometric = good and all(len(set(m.values())) == len(m) for m in images)
 
     return GluedQuotient(tuple(charts), tuple(gluings), good, geometric,
                          separated, torsion, tuple(orbit_map),

@@ -22,7 +22,13 @@ from toricgit.cones import (
     relative_interior_point,
     supporting_normal,
 )
-from toricgit.intlinalg import IntMatrix, LatticeMap, hermite_normal_form, vdot
+from toricgit.intlinalg import (
+    IntMatrix,
+    LatticeMap,
+    Sublattice,
+    hermite_normal_form,
+    vdot,
+)
 from toricgit.oracle import feasible_strict_boxed
 
 from genutil import fraction_rank, random_primitive_vector
@@ -469,3 +475,37 @@ def test_dd_cone_round_trip_and_feasible_sum(system, data):
         assert w == total
     else:
         assert w is None
+
+
+@st.composite
+def _systems_with_lineality(draw):
+    """Inequalities and equalities whose constraint rows are rank
+    deficient: each row is an integer combination of fewer than dim base
+    rows, or some rows are equalities (possibly several of them)."""
+    dim = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(tuple)
+    base = draw(st.lists(vec, min_size=1, max_size=dim))
+    combo = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+    deficient = draw(st.booleans())
+
+    def row(c):
+        if not deficient:
+            return draw(vec)
+        return tuple(sum(x * b[t] for x, b in zip(c, base)) for t in range(dim))
+
+    ineqs = [row(c) for c in draw(st.lists(combo, max_size=5))]
+    eqs = [row(c) for c in draw(st.lists(combo, min_size=0 if deficient else 1,
+                                         max_size=2))]
+    return dim, ineqs, eqs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems_with_lineality())
+def test_dd_lineality_is_saturated_kernel(system):
+    dim, ineqs, eqs = system
+    rays, lin = double_description(dim, ineqs, eqs)
+    constraints = [tuple(r) for r in ineqs + eqs]
+    assert len(lin) == dim - fraction_rank(constraints)
+    assert all(vdot(c, l) == 0 for c in constraints for l in lin)
+    assert Sublattice.from_rows(dim, lin).saturated
+    assert tuple(lin) == hermite_normal_form(lin)  # canonical basis

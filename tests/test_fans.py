@@ -313,8 +313,3 @@ def test_ample_subset_of_cartier(seed):
 def test_divisor_group_rejects_dependent_basis():
     with pytest.raises(ValueError):
         DivisorGroup((ToricDivisor((1, 2)), ToricDivisor((2, 4))))
-
-
-def test_divisor_group_combine():
-    g = DivisorGroup((ToricDivisor((1, 0)), ToricDivisor((0, 1))))
-    assert g.combine((2, -3)).coefficients == (2, -3)

@@ -57,7 +57,7 @@ def test_snf_phi_matrix():
 
 
 def test_snf_zero_matrix():
-    A = IntMatrix.zeros(2, 3)
+    A = IntMatrix.from_rows([(0, 0, 0), (0, 0, 0)], 3)
     s = smith_normal_form(A)
     assert s.D.is_zero()
     assert s.U.entries == IntMatrix.identity(2).entries
