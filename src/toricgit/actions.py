@@ -33,13 +33,12 @@ from .fans import (
 from .intlinalg import (
     IntMatrix,
     LatticeMap,
-    Sublattice,
     Vec,
     is_zero_vec,
     kernel_basis,
     primitive,
     rank_of_rows,
-    saturate,
+    vdot,
     vneg,
 )
 
@@ -77,11 +76,6 @@ class SubtorusAction:
     @property
     def ambient_rank(self) -> int:
         return self.phi.target_rank
-
-    @property
-    def sublattice(self) -> Sublattice:
-        """L = saturation of phi(Z^d) in N."""
-        return saturate(Sublattice.from_rows(self.ambient_rank, self.phi_star_rows()))
 
     def phi_star(self, u: Sequence[int]) -> Vec:
         """Dual weight map M -> Z^d."""
@@ -289,7 +283,7 @@ def git_chambers(action: SubtorusAction, fan: Fan):
     """Chamber decomposition of character space: on each returned cone
     the trivial-bundle semistable locus is constant; sampled at a
     relative interior character.  Covers phi_star(sigma_dual)."""
-    top = _require_affine(fan)
+    _require_affine(fan)
     d = action.d
     kcones = {key: achievable_weight_cone(key, action, fan)
               for key in fan.face_keys()}
@@ -309,14 +303,17 @@ def git_chambers(action: SubtorusAction, fan: Fan):
     for h in sorted(hyperplanes):
         nxt = []
         for cell in cells:
-            plus = Cone.from_inequalities(
-                d, list(cell.facet_normals) + [h], list(cell.span_equalities))
-            minus = Cone.from_inequalities(
-                d, list(cell.facet_normals) + [vneg(h)], list(cell.span_equalities))
-            for piece in (plus, minus):
-                if piece.dim == cell.dim and piece not in nxt:
-                    nxt.append(piece)
-            if not any(p.dim == cell.dim for p in (plus, minus)):
+            # h crosses the cell iff it takes both signs on it; then both
+            # halves have the cell's dimension.  Otherwise one half is the
+            # cell and the other a proper face of it (or the cell again).
+            vals = [vdot(h, g) for g in cell.generators]
+            if (any(vdot(h, l) for l in cell.lineality_basis)
+                    or (any(v > 0 for v in vals) and any(v < 0 for v in vals))):
+                for side in (h, vneg(h)):
+                    nxt.append(Cone.from_inequalities(
+                        d, list(cell.facet_normals) + [side],
+                        list(cell.span_equalities)))
+            else:
                 nxt.append(cell)
         cells = nxt
 

@@ -9,6 +9,7 @@ nonexistent limit, failed verification), 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -147,7 +148,9 @@ def _parse_ints(text: str) -> tuple:
         raise ParseError(f"expected comma-separated integers, got {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every run."""
     ap = argparse.ArgumentParser(
         prog="toricgit",
         description="Exact GIT of subtorus actions on toric varieties")

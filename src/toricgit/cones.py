@@ -3,14 +3,14 @@
 The workhorse is a double description conversion over the integers:
 given homogeneous inequalities and equalities we compute a minimal set
 of extreme rays plus a lineality basis.  Each ray carries the set of
-constraints it is tight on, so adjacency and extremality are decided from
-those sets rather than by re-evaluating every constraint.  A cone is its
-canonical generators and lineality basis; its facet description is one
-more conversion, run on first read (or kept from the conversion that
-built the cone).  Faces are cut from the generators by ray-facet
-incidence, with no conversion, and a strict-feasibility test needs only
-one conversion.  Cones are hashable by their generators and are used as
-dictionary keys by the fan and quotient layers.
+constraints it is tight on, so adjacency, and with it extremality, is
+decided from those sets rather than by re-evaluating every constraint.
+A cone is its canonical generators and lineality basis; its facet
+description is one more conversion, run on first read (or kept from the
+conversion that built the cone).  Faces are cut from the generators by
+ray-facet incidence, with no conversion, and a strict-feasibility test
+needs only one conversion.  Cones are hashable by their generators and
+are used as dictionary keys by the fan and quotient layers.
 """
 
 from __future__ import annotations
@@ -77,20 +77,18 @@ def double_description(
     # each ray with its zero set over the constraints handled so far (bitmask)
     rays: dict[Vec, int] = {}
 
-    def extreme(z: int, lin_dim: int) -> bool:
-        # a ray is extreme mod the lineality space iff its active
-        # constraints cut out a space of dimension lin_dim + 1
-        active = [c for i, c in enumerate(constraints) if z >> i & 1]
-        need = ambient - lin_dim - 1
-        return len(active) >= need and rank_of_rows(active) == need
-
     for k, a in enumerate(constraints):
         bit = 1 << k
         l0 = next((l for l in lin if vdot(a, l) != 0), None)
         if l0 is not None:
-            # lineality drops by one (at most `ambient` times).  Every
-            # earlier constraint vanishes on l0, so projecting a ray along
-            # l0 keeps its zero set and adds k; l0 is tight on all but k.
+            # lineality drops by one (at most `ambient` times).  With
+            # a.l0 > 0 the new cone is (C ∩ a^perp) ⊕ cone(l0), and
+            # projecting along l0 maps C ∩ a^perp isomorphically onto
+            # C / R.l0, which has the faces of C.  So every projected ray
+            # is extreme, and so is l0: the earlier constraints vanish on
+            # it and cut out the face lineality + cone(l0).  Projection
+            # keeps each ray's zero set and adds k; l0 is tight on all
+            # but k.
             if vdot(a, l0) < 0:
                 l0 = vneg(l0)
             p = vdot(a, l0)
@@ -101,11 +99,14 @@ def double_description(
                          for r, z in rays.items())
             rays = {r: z | bit for r, z in projected if not is_zero_vec(r)}
             rays[l0] = bit - 1
-            rays = {r: z for r, z in rays.items() if extreme(z, len(lin))}
             continue
         vals = {r: vdot(a, r) for r in rays}
-        # rays kept from the larger cone stay extreme in the smaller one;
-        # only the new rays need the rank test
+        # Rays kept from the larger cone stay extreme in the smaller one.
+        # The rays are exactly the extreme rays modulo the lineality, one
+        # each, with exact zero sets, so two of them are adjacent iff no
+        # third ray is tight on every constraint both are tight on
+        # (Fukuda-Prodon 1996), and a new ray is extreme iff it comes
+        # from an adjacent pair.
         new = {r: z if vals[r] else z | bit for r, z in rays.items() if vals[r] >= 0}
         neg = [r for r in rays if vals[r] < 0]
         for rp in (r for r in rays if vals[r] > 0):
@@ -116,9 +117,8 @@ def double_description(
                     continue
                 # a positive combination of rp and rn: tight exactly where both are
                 w = primitive(vsub(vscale(vals[rp], rn), vscale(vals[rn], rp)))
-                z = common | bit
-                if not is_zero_vec(w) and w not in new and extreme(z, len(lin)):
-                    new[w] = z
+                if not is_zero_vec(w) and w not in new:
+                    new[w] = common | bit
         rays = new
 
     # the lineality space is the kernel of the constraints; one
@@ -211,16 +211,6 @@ class Cone:
         return (all(vdot(u, x) >= 0 for u in self.facet_normals)
                 and all(vdot(e, x) == 0 for e in self.span_equalities))
 
-    def interior_contains(self, x: Sequence[int]) -> bool:
-        """Relative-interior membership."""
-        return (all(vdot(u, x) > 0 for u in self.facet_normals)
-                and all(vdot(e, x) == 0 for e in self.span_equalities))
-
-    def contains_cone(self, other: "Cone") -> bool:
-        return (all(self.contains_point(g) for g in other.generators)
-                and all(self.contains_point(l) for l in other.lineality_basis)
-                and all(self.contains_point(vneg(l)) for l in other.lineality_basis))
-
 
 def dual(c: Cone) -> Cone:
     """{u : u.x >= 0 for all x in c}: generated by c's facet description."""
@@ -280,19 +270,6 @@ def faces(c: Cone) -> tuple[Cone, ...]:
         c.lineality_basis) for key in seen]
     out.sort(key=lambda f: (f.dim, f.generators, f.lineality_basis))
     return tuple(out)
-
-
-def supporting_normal(c: Cone, face: Cone) -> Vec:
-    """A u in the dual of c with face = c ∩ u^perp."""
-    active = [u for u in c.facet_normals
-              if all(vdot(u, g) == 0 for g in face.generators)
-              and all(vdot(u, l) == 0 for l in face.lineality_basis)]
-    if not active:
-        return tuple(0 for _ in range(c.ambient_rank))
-    s = active[0]
-    for u in active[1:]:
-        s = tuple(a + b for a, b in zip(s, u))
-    return s
 
 
 def relative_interior_point(c: Cone) -> Vec:

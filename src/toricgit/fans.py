@@ -29,7 +29,6 @@ from .intlinalg import (
     primitive,
     rank_of_rows,
     solve_integer,
-    vdot,
 )
 
 FaceKey = frozenset
@@ -194,14 +193,6 @@ class SubfanLocus:
             out.update(fan.all_keys_under(k))
         return SubfanLocus(frozenset(out))
 
-    @staticmethod
-    def whole(fan: Fan) -> "SubfanLocus":
-        return SubfanLocus(frozenset(fan.face_keys()))
-
-    @staticmethod
-    def empty() -> "SubfanLocus":
-        return SubfanLocus(frozenset())
-
 
 def is_cartier_on(fan: Fan, D: ToricDivisor, key: FaceKey) -> Optional[Vec]:
     """m in M with <m, v_rho> = -a_rho for every ray of the face, if any."""
@@ -265,35 +256,6 @@ def class_group(fan: Fan) -> ClassGroupInfo:
     cdiv_rank = rank_of_rows([p for p in a_parts if not is_zero_vec(p)]) \
         if any(not is_zero_vec(p) for p in a_parts) else 0
     return ClassGroupInfo(cl_rank, torsion, cdiv_rank - ray_rank, n - ray_rank)
-
-
-def section_system(fan: Fan, D: ToricDivisor) -> FeasibilitySystem:
-    """Homogenized weak system over (u, n): <u, v_rho> + n*a_rho >= 0; its
-    degree-n slices are the monomial global sections of nD."""
-    forms = [tuple(v) + (a,) for v, a in zip(fan.rays, D.coefficients)]
-    return FeasibilitySystem(fan.ambient_rank + 1, weak=tuple(forms))
-
-
-def zero_pattern(fan: Fan, D: ToricDivisor, u: Sequence[int], n: int) -> tuple[int, ...]:
-    return tuple(vdot(u, v) + n * a for v, a in zip(fan.rays, D.coefficients))
-
-
-def open_complement(fan: Fan, b: Sequence[int]) -> SubfanLocus:
-    """Faces all of whose rays have coefficient zero: the invariant open
-    set where the section is nonvanishing."""
-    zero_rays = frozenset(i for i, x in enumerate(b) if x == 0)
-    return SubfanLocus(frozenset(k for k in fan.face_keys() if k <= zero_rays))
-
-
-def is_affine(fan: Fan, locus: SubfanLocus) -> Optional[FaceKey]:
-    """The single cone whose face poset the locus is, if it is one."""
-    maxes = locus.maximal_keys()
-    if len(maxes) != 1:
-        return None
-    top = maxes[0]
-    if set(locus.faces) == set(fan.all_keys_under(top)):
-        return top
-    return None
 
 
 def chart_witness(fan: Fan, tau: FaceKey,

@@ -84,13 +84,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols)))
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        ot = other.transpose()
-        return IntMatrix(self.rows, other.cols,
-                         tuple(tuple(vdot(r, c) for c in ot.entries) for r in self.entries))
-
     def mulvec(self, v: Sequence[int]) -> Vec:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
@@ -285,15 +278,6 @@ class Sublattice:
     @property
     def rank(self) -> int:
         return self.basis.rows
-
-    @property
-    def saturated(self) -> bool:
-        """True iff Z^n / S is torsion free (all invariant factors 1)."""
-        return all(d == 1 for d in smith_normal_form(self.basis).invariant_factors)
-
-    def contains(self, v: Sequence[int]) -> bool:
-        x = solve_integer(self.basis.transpose(), v)
-        return x is not None
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,7 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
     orbit_map = [(k, i, F) for i, m in enumerate(images) for k, F in m.items()]
 
     gluings = []
+    glues: dict[FaceKey, Cone] = {}  # one image per shared face
     good = True
     separated = True
     unsaturated = []
@@ -110,7 +111,9 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
         for j in range(i + 1, len(charts)):
             # two fan faces meet in the face on their common rays
             common = charts[i].source_key & charts[j].source_key
-            glue = cone_image(fan.face_cone(common), pi)
+            if common not in glues:
+                glues[common] = cone_image(fan.face_cone(common), pi)
+            glue = glues[common]
             gluings.append((i, j, glue))
             inter_keys = [k for k in images[i] if k <= common]
             if not (is_saturated(inter_keys, images[i])

@@ -1,6 +1,6 @@
-"""Seeded random instance generators shared by the unit and acceptance
-suites.  Everything takes an explicit random.Random so runs are
-reproducible."""
+"""Seeded random instance generators and plain reference helpers shared
+by the unit and acceptance suites.  Everything random takes an explicit
+random.Random so runs are reproducible."""
 
 from __future__ import annotations
 
@@ -8,10 +8,26 @@ import math
 import random
 from fractions import Fraction
 
-from toricgit.actions import ActionError, Linearization, SubtorusAction
-from toricgit.cones import Cone
-from toricgit.fans import Fan, ToricDivisor, validate_fan
-from toricgit.intlinalg import is_zero_vec, primitive, rank_of_rows
+from toricgit.actions import (
+    ActionError,
+    Linearization,
+    SubtorusAction,
+    achievable_weight_cone,
+)
+from toricgit.cones import Cone, faces
+from toricgit.fans import Fan, SubfanLocus, ToricDivisor, validate_fan
+from toricgit.intlinalg import (
+    IntMatrix,
+    Sublattice,
+    is_zero_vec,
+    primitive,
+    rank_of_rows,
+    saturate,
+    smith_normal_form,
+    solve_integer,
+    vdot,
+    vneg,
+)
 
 
 def random_primitive_vector(rng: random.Random, dim: int, box: int = 2):
@@ -129,3 +145,86 @@ def fraction_rank(rows) -> int:
             mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+# --- references for properties the engine does not expose ---------------
+
+def mat_product(*mats: IntMatrix):
+    """Entries of the product of the given integer matrices."""
+    out = mats[0].entries
+    for m in mats[1:]:
+        cols = list(zip(*m.entries))
+        out = tuple(tuple(vdot(r, c) for c in cols) for r in out)
+    return out
+
+
+def lattice_saturated(S: Sublattice) -> bool:
+    """Z^n / S is torsion free: all invariant factors of the basis are 1."""
+    return all(d == 1 for d in smith_normal_form(S.basis).invariant_factors)
+
+
+def lattice_contains(S: Sublattice, v) -> bool:
+    return solve_integer(S.basis.transpose(), v) is not None
+
+
+def action_sublattice(action: SubtorusAction) -> Sublattice:
+    """Saturation of phi(Z^d) in N."""
+    return saturate(Sublattice.from_rows(action.ambient_rank,
+                                         action.phi_star_rows()))
+
+
+def contains_cone(outer: Cone, inner: Cone) -> bool:
+    return (all(outer.contains_point(g) for g in inner.generators)
+            and all(outer.contains_point(l) and outer.contains_point(vneg(l))
+                    for l in inner.lineality_basis))
+
+
+def interior_contains(c: Cone, x) -> bool:
+    """Relative-interior membership."""
+    return (all(vdot(u, x) > 0 for u in c.facet_normals)
+            and all(vdot(e, x) == 0 for e in c.span_equalities))
+
+
+def supporting_normal(c: Cone, face: Cone):
+    """A u in the dual of c with face = c ∩ u^perp: the sum of the facet
+    normals of c that vanish on the face."""
+    active = [u for u in c.facet_normals
+              if all(vdot(u, g) == 0 for g in face.generators + face.lineality_basis)]
+    return tuple(sum(x) for x in zip(*active)) if active else (0,) * c.ambient_rank
+
+
+def whole_locus(fan: Fan) -> SubfanLocus:
+    return SubfanLocus(frozenset(fan.face_keys()))
+
+
+def zero_pattern(fan: Fan, D: ToricDivisor, u, n: int):
+    """Order of vanishing of the section u of nD along each ray."""
+    return tuple(vdot(u, v) + n * a for v, a in zip(fan.rays, D.coefficients))
+
+
+def open_complement(fan: Fan, b) -> SubfanLocus:
+    """Faces all of whose rays have coefficient zero: the invariant open
+    set where a section with zero pattern b does not vanish."""
+    zero_rays = frozenset(i for i, x in enumerate(b) if x == 0)
+    return SubfanLocus(frozenset(k for k in fan.face_keys() if k <= zero_rays))
+
+
+def chambers_by_full_refinement(action: SubtorusAction, fan: Fan) -> list:
+    """Reference for the cones of `git_chambers`: cut the support K_0 by
+    every facet hyperplane of every weight cone K_gamma, converting both
+    halves of every cell for every hyperplane and keeping the halves of
+    full dimension, then take all faces of the cells."""
+    kcones = [achievable_weight_cone(k, action, fan) for k in fan.face_keys()]
+    hyperplanes = set()
+    for c in kcones:
+        for h in c.facet_normals + c.span_equalities:
+            h = primitive(h)
+            hyperplanes.add(vneg(h) if next(x for x in h if x) < 0 else h)
+    cells = [achievable_weight_cone(frozenset(), action, fan)]
+    for h in sorted(hyperplanes):
+        halves = [Cone.from_inequalities(action.d, cell.facet_normals + (side,),
+                                         cell.span_equalities)
+                  for cell in cells for side in (h, vneg(h))]
+        cells = [p for p in dict.fromkeys(halves) if p.dim == cells[0].dim]
+    return sorted({f for cell in cells for f in faces(cell)},
+                  key=lambda c: (-c.dim, c.generators, c.lineality_basis))

@@ -41,6 +41,7 @@ from toricgit.oracle import (
 from toricgit.quotients import build_quotient, quotient_projection
 
 from genutil import (
+    mat_product,
     random_action,
     random_affine_fan,
     random_divisor,
@@ -292,7 +293,7 @@ def test_criterion_6_property_suites():
             [tuple(rng.randint(-6, 6) for _ in range(cols))
              for _ in range(rows)], cols)
         s = smith_normal_form(A)
-        ok &= s.U.mul(A).mul(s.V).entries == s.D.entries
+        ok &= mat_product(s.U, A, s.V) == s.D.entries
         ok &= abs(_det(s.U.entries)) == 1 and abs(_det(s.V.entries)) == 1
         f = s.invariant_factors
         ok &= all(b % a == 0 for a, b in zip(f, f[1:]))

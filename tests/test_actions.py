@@ -21,10 +21,9 @@ from toricgit.actions import (
     semistable_group,
 )
 from toricgit.certcheck import check_certificate, check_locus
-from toricgit.cones import Cone
+from toricgit.cones import Cone, relative_interior_point
 from toricgit.fans import (
     DivisorGroup,
-    SubfanLocus,
     ToricDivisor,
     is_cartier_on,
     validate_fan,
@@ -32,11 +31,17 @@ from toricgit.fans import (
 from toricgit.intlinalg import vdot
 
 from genutil import (
+    action_sublattice,
+    chambers_by_full_refinement,
+    contains_cone,
     random_action,
+    random_affine_fan,
     random_divisor,
     random_fan,
     random_linearization,
+    random_primitive_vector,
     random_unimodular,
+    whole_locus,
 )
 
 
@@ -60,7 +65,7 @@ def test_action_basics(quadric_action):
     assert quadric_action.ambient_rank == 3
     assert quadric_action.phi_star((1, 0, 0)) == (2, 0)
     assert quadric_action.phi_star((1, 2, -4)) == (0, 0)
-    assert quadric_action.sublattice.rank == 2
+    assert action_sublattice(quadric_action).rank == 2
 
 
 # --- semistable loci: worked fixtures ----------------------------------
@@ -163,7 +168,7 @@ def test_mumford_intro_characters(plane_fan, hyperbolic_action):
     neg = mumford_trivial_semistable((-1,), hyperbolic_action, plane_fan)
     assert neg.locus.faces == _keys([], [0])
     zero = mumford_trivial_semistable((0,), hyperbolic_action, plane_fan)
-    assert zero.locus == SubfanLocus.whole(plane_fan)
+    assert zero.locus == whole_locus(plane_fan)
 
 
 def test_mumford_character_scale_invariance(plane_fan, hyperbolic_action):
@@ -204,7 +209,7 @@ def test_weight_cone_monotone(quadric_fan, quadric_action):
     for k1, c1 in cones.items():
         for k2, c2 in cones.items():
             if k1 <= k2:
-                assert c1.contains_cone(c2)
+                assert contains_cone(c1, c2)
 
 
 def test_git_chambers_intro(plane_fan, hyperbolic_action):
@@ -222,7 +227,7 @@ def test_git_chambers_quadric(quadric_fan, quadric_action):
     assert len(chams) == 8
     support = achievable_weight_cone(frozenset(), quadric_action, quadric_fan)
     for cone, chi, loc in chams:
-        assert support.contains_cone(cone)
+        assert contains_cone(support, cone)
         assert cone.contains_point(chi)
         # sampled character reproduces the stored locus
         again = mumford_trivial_semistable(chi, quadric_action, quadric_fan)
@@ -235,6 +240,25 @@ def test_chamber_loci_constant_on_relint(quadric_fan, quadric_action):
         chi2 = tuple(3 * x for x in chi)
         again = mumford_trivial_semistable(chi2, quadric_action, quadric_fan)
         assert again.locus == loc.locus
+
+
+def test_chambers_match_full_refinement():
+    # 200 seeded affine cones of rank 2 or 3 under subtori of dimension 1-2;
+    # a cell a hyperplane does not cross must be kept as it is
+    split = 0
+    for seed in range(200):
+        rng = random.Random(7000 + seed)
+        fan = random_affine_fan(rng, rng.randint(2, 3))
+        act = random_action(rng, fan)
+        if act.d == 0:
+            act = SubtorusAction.from_columns([random_primitive_vector(
+                rng, fan.ambient_rank)], fan.ambient_rank)
+        got = git_chambers(act, fan)
+        assert [c for c, _, _ in got] == chambers_by_full_refinement(act, fan)
+        for cone, chi, _ in got:
+            assert chi == relative_interior_point(cone)
+        split += sum(c.dim == act.d for c, _, _ in got) > 1
+    assert split > 50  # instances whose character space is really cut
 
 
 # --- obstruction reports -------------------------------------------------

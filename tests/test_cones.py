@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricgit.cones import (
@@ -20,7 +20,6 @@ from toricgit.cones import (
     intersect,
     product_feasible_strict,
     relative_interior_point,
-    supporting_normal,
 )
 from toricgit.intlinalg import (
     IntMatrix,
@@ -31,7 +30,14 @@ from toricgit.intlinalg import (
 )
 from toricgit.oracle import feasible_strict_boxed
 
-from genutil import fraction_rank, random_primitive_vector
+from genutil import (
+    contains_cone,
+    fraction_rank,
+    interior_contains,
+    lattice_saturated,
+    random_primitive_vector,
+    supporting_normal,
+)
 
 small_vecs = st.lists(st.integers(-4, 4), min_size=2, max_size=3)
 
@@ -101,9 +107,9 @@ def test_membership():
     assert c.contains_point((2, 2))
     assert c.contains_point((1, 0))
     assert not c.contains_point((0, 1))
-    assert c.interior_contains((2, 2))
-    assert not c.interior_contains((1, 0))
-    assert not c.interior_contains((0, 0))
+    assert interior_contains(c, (2, 2))
+    assert not interior_contains(c, (1, 0))
+    assert not interior_contains(c, (0, 0))
 
 
 def test_faces_of_quadrant():
@@ -112,7 +118,7 @@ def test_faces_of_quadrant():
     dims = sorted(f.dim for f in fs)
     assert dims == [0, 1, 1, 2]
     for f in fs:
-        assert c.contains_cone(f)
+        assert contains_cone(c, f)
 
 
 def test_faces_of_quadric_cone():
@@ -191,7 +197,7 @@ def test_intersect_examples():
 @given(_cone_strategy(2), _cone_strategy(2))
 def test_intersect_is_glb(c1, c2):
     m = intersect(c1, c2)
-    assert c1.contains_cone(m) and c2.contains_cone(m)
+    assert contains_cone(c1, m) and contains_cone(c2, m)
     for g in m.generators:
         assert c1.contains_point(g) and c2.contains_point(g)
 
@@ -501,11 +507,24 @@ def _systems_with_lineality(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_systems_with_lineality())
+# the cone over a square times a line, cut between two opposite corners:
+# two pairs of rays with opposite signs are not adjacent
+@example((4, [(1, 0, 1, 0), (-1, 0, 1, 0), (0, 1, 1, 0), (0, -1, 1, 0),
+              (1, 1, 0, 0)], []))
 def test_dd_lineality_is_saturated_kernel(system):
     dim, ineqs, eqs = system
     rays, lin = double_description(dim, ineqs, eqs)
     constraints = [tuple(r) for r in ineqs + eqs]
     assert len(lin) == dim - fraction_rank(constraints)
     assert all(vdot(c, l) == 0 for c in constraints for l in lin)
-    assert Sublattice.from_rows(dim, lin).saturated
+    assert lattice_saturated(Sublattice.from_rows(dim, lin))
     assert tuple(lin) == hermite_normal_form(lin)  # canonical basis
+    # every ray is extreme modulo the lineality, and no two rays span the
+    # same ray modulo it
+    for r in rays:
+        active = [c for c in constraints if vdot(c, r) == 0]
+        assert fraction_rank(active) == dim - len(lin) - 1
+    for r1, r2 in itertools.combinations(rays, 2):
+        assert fraction_rank(list(lin) + [r1, r2]) == len(lin) + 2
+    assert Cone.from_generators(dim, rays, lin) == \
+        Cone.from_inequalities(dim, ineqs, eqs)

@@ -9,22 +9,24 @@ from hypothesis import strategies as st
 from toricgit.fans import (
     DivisorGroup,
     FanError,
-    SubfanLocus,
     ToricDivisor,
     ample_locus,
     cartier_locus,
     chart_witness,
     class_group,
-    is_affine,
     is_cartier_on,
-    open_complement,
-    section_system,
     validate_fan,
-    zero_pattern,
 )
 from toricgit.intlinalg import vdot
 
-from genutil import random_divisor, random_fan, random_unimodular
+from genutil import (
+    open_complement,
+    random_divisor,
+    random_fan,
+    random_unimodular,
+    whole_locus,
+    zero_pattern,
+)
 
 
 def _nonzero_divisor(rng, fan):
@@ -149,7 +151,7 @@ def test_cartier_locus_principal_divisor_is_everything(quadric_fan):
     # divisor of the character m=(1,1,0): coefficients <m, v_rho>
     coeffs = tuple(vdot((1, 1, 0), v) for v in quadric_fan.rays)
     loc = cartier_locus(DivisorGroup((ToricDivisor(coeffs),)), quadric_fan)
-    assert loc == SubfanLocus.whole(quadric_fan)
+    assert loc == whole_locus(quadric_fan)
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,10 +216,10 @@ def test_class_group_torus_factor():
 # --- sections / patterns ----------------------------------------------
 
 def test_section_system_quadric(quadric_fan, quadric_divisor):
-    sys = section_system(quadric_fan, quadric_divisor)
-    # (u, n) = ((1, 2, -4), 1) is the degree-1 section used throughout
-    assert sys.satisfied_by((1, 2, -4, 1))
-    assert not sys.satisfied_by((0, 0, 1, 1))
+    # (u, n) = ((1, 2, -4), 1) is the degree-1 section used throughout: a
+    # monomial is a section of nD iff it vanishes to order >= 0 on each ray
+    assert min(zero_pattern(quadric_fan, quadric_divisor, (1, 2, -4), 1)) >= 0
+    assert min(zero_pattern(quadric_fan, quadric_divisor, (0, 0, 1), 1)) < 0
 
 
 def test_zero_pattern_and_complement(quadric_fan, quadric_divisor):
@@ -226,17 +228,6 @@ def test_zero_pattern_and_complement(quadric_fan, quadric_divisor):
     loc = open_complement(quadric_fan, b)
     assert loc.maximal_keys() == [frozenset({0})]
     assert frozenset() in loc
-
-
-def test_is_affine(quadric_fan):
-    loc = SubfanLocus.closure(quadric_fan, [frozenset({0, 3})])
-    assert is_affine(quadric_fan, loc) == frozenset({0, 3})
-    two = SubfanLocus.closure(quadric_fan, [frozenset({0}), frozenset({1})])
-    assert is_affine(quadric_fan, two) is None
-    # face-closed but with a missing middle layer cannot arise from closure;
-    # build one by hand
-    holey = SubfanLocus(frozenset([frozenset(), frozenset({0, 1})]))
-    assert is_affine(quadric_fan, holey) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,7 +284,7 @@ def test_ample_locus_quadric(quadric_fan, quadric_divisor):
 def test_ample_locus_empty_group_is_affine_charts(plane_fan):
     # rank-0 group: a chart witness is just a monomial chart function
     loc = ample_locus(DivisorGroup(()), plane_fan)
-    assert loc == SubfanLocus.whole(plane_fan)
+    assert loc == whole_locus(plane_fan)
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,7 +20,12 @@ from toricgit.intlinalg import (
     solve_integer,
 )
 
-from genutil import fraction_rank
+from genutil import (
+    fraction_rank,
+    lattice_contains,
+    lattice_saturated,
+    mat_product,
+)
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda rows: st.integers(1, 4).flatmap(
@@ -53,7 +58,7 @@ def test_snf_phi_matrix():
     A = IntMatrix.from_rows([(2, 0), (1, 2), (1, 1)], 2)
     s = smith_normal_form(A)
     assert s.invariant_factors == (1, 1)
-    assert s.U.mul(A).mul(s.V).entries == s.D.entries
+    assert mat_product(s.U, A, s.V) == s.D.entries
 
 
 def test_snf_zero_matrix():
@@ -75,7 +80,7 @@ def test_snf_certificate_identity(rows):
     cols = len(rows[0])
     A = IntMatrix.from_rows([tuple(r) for r in rows], cols)
     s = smith_normal_form(A)
-    assert s.U.mul(A).mul(s.V).entries == s.D.entries
+    assert mat_product(s.U, A, s.V) == s.D.entries
     assert abs(_det(s.U.entries)) == 1
     assert abs(_det(s.V.entries)) == 1
     factors = s.invariant_factors
@@ -91,7 +96,7 @@ def test_kernel_of_weight_map():
     K = kernel_basis(IntMatrix.from_rows([(2, 1, 1), (0, 2, 1)], 3))
     assert K.rank == 1
     assert K.basis.entries in (((1, 2, -4),), ((-1, -2, 4),))
-    assert K.saturated
+    assert lattice_saturated(K)
 
 
 def test_kernel_identity_and_rank1():
@@ -141,7 +146,7 @@ def test_saturate_idempotent_extensive(rows):
     assert saturate(T).basis.entries == T.basis.entries
     assert T.rank == S.rank
     for b in S.basis.entries:
-        assert T.contains(b)
+        assert lattice_contains(T, b)
 
 
 def test_solve_cartier_infeasible():
@@ -265,20 +270,20 @@ def test_saturate_properties(rows):
     cols = len(rows[0])
     S = Sublattice.from_rows(cols, rows)
     T = saturate(S)
-    assert all(T.contains(b) for b in S.basis.entries)
+    assert all(lattice_contains(T, b) for b in S.basis.entries)
     assert T.rank == S.rank == fraction_rank(rows)
     assert all(d == 1 for d in _invariant_factors(T.basis))
     assert saturate(T).basis.entries == T.basis.entries
-    assert T.saturated
+    assert lattice_saturated(T)
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
 def test_saturated_flag_agrees_with_snf(rows):
+    # saturate fixes exactly the lattices whose invariant factors are all 1
     S = Sublattice.from_rows(len(rows[0]), rows)
     by_snf = all(d == 1 for d in _invariant_factors(S.basis))
-    assert S.saturated == by_snf
-    assert S.saturated == (saturate(S).basis.entries == S.basis.entries)
+    assert by_snf == (saturate(S).basis.entries == S.basis.entries)
 
 
 @settings(max_examples=150, deadline=None)
@@ -296,5 +301,5 @@ def test_from_rows_of_dependent_rows_is_hnf_of_span(rows, coeffs):
 def test_from_rows_drops_dependent_rows():
     S = Sublattice.from_rows(3, [(1, 2, 3), (2, 4, 6), (0, 0, 0)])
     assert S.basis.entries == ((1, 2, 3),)
-    assert S.saturated
-    assert not Sublattice.from_rows(2, [(2, 4)]).saturated
+    assert lattice_saturated(S)
+    assert not lattice_saturated(Sublattice.from_rows(2, [(2, 4)]))

@@ -21,7 +21,7 @@ from toricgit.oracle import (
     trivial_bundle_locus,
 )
 
-from genutil import random_action, random_divisor, random_fan
+from genutil import interior_contains, random_action, random_divisor, random_fan
 
 # bounds that provably saturate the fixtures (checked once, below)
 QUADRIC_BOUNDS = SearchBounds(n_max=4, box=16, degree_box=3)
@@ -112,7 +112,7 @@ def test_sample_chambers_consistent_with_chamber_decomposition(
                                             plane_fan).locus.faces
         assert oracle_locus == engine, chi
         for idx, (cone, _, _) in enumerate(chams):
-            if cone.interior_contains(chi) or (cone.is_zero()
+            if interior_contains(cone, chi) or (cone.is_zero()
                                                and all(x == 0 for x in chi)):
                 by_chamber.setdefault(idx, set()).add(oracle_locus)
     for idx, loci in by_chamber.items():
