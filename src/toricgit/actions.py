@@ -131,9 +131,7 @@ class SemistableLocus:
 
 
 def _single_shift(lin: Linearization, d: int) -> Vec:
-    if not lin.shifts:
-        return tuple(0 for _ in range(d))
-    return lin.shifts[0]
+    return lin.shifts[0] if lin.shifts else (0,) * d
 
 
 def _locus_with_certs(fan: Fan, passing: dict) -> SemistableLocus:
@@ -143,32 +141,37 @@ def _locus_with_certs(fan: Fan, passing: dict) -> SemistableLocus:
     return SemistableLocus(locus, certs)
 
 
+def _chart_rows(fan: Fan, basis, shifts, action: SubtorusAction):
+    """Degree rows (one per ray) and weight rows of the chart system of
+    the divisors in basis, linearized by shifts (one per divisor)."""
+    return ([tuple(d.coefficients[j] for d in basis) for j in range(len(fan.rays))],
+            [(m_row, tuple(s[t] for s in shifts))
+             for t, m_row in enumerate(action.phi_star_rows())])
+
+
+def _divisor_certificate(fan: Fan, key: FaceKey, rows):
+    """Certificate of the chart of key from one divisor's rows, or None.
+
+    The chart witness (u, n) has <u, v_rho> + n*a_rho = 0 on the rays of
+    the chart, so u is itself a local equation of nD there and no separate
+    Cartier test is needed: the certificate records u both as the
+    section's monomial and as that equation."""
+    wit = chart_witness(fan, key, *rows, shared_strict=((1,),))
+    if wit is None:
+        return None
+    return SemistabilityCertificate(chart=key, degree=wit["degree"],
+                                    monomial=wit["monomial"],
+                                    cartier=(wit["monomial"],))
+
+
 def semistable_divisor(D: ToricDivisor, lin: Linearization,
                        action: SubtorusAction, fan: Fan) -> SemistableLocus:
     """Semistable locus of the single linearized divisor D: charts tau
-    realized by an invariant section of some positive multiple nD.
-
-    The chart witness (u, n) has <u, v_rho> + n*a_rho = 0 on the rays of
-    tau, so u is itself a local equation of nD there: nD is principal on
-    the chart, and no separate Cartier test is needed.  The certificate
-    records u both as the section's monomial and as that equation."""
-    shift = _single_shift(lin, action.d)
-    degree_rows = [(a,) for a in D.coefficients]
-    weight_rows = [(m_row, (s,)) for m_row, s in
-                   zip(action.phi_star_rows(), shift)]
-    passing = {}
-    for key in fan.face_keys():
-        wit = chart_witness(fan, key, degree_rows, weight_rows,
-                            shared_strict=((1,),))
-        if wit is None:
-            continue
-        passing[key] = SemistabilityCertificate(
-            chart=key,
-            degree=wit["degree"],
-            monomial=wit["monomial"],
-            cartier=(wit["monomial"],),
-        )
-    return _locus_with_certs(fan, passing)
+    realized by an invariant section of some positive multiple nD."""
+    rows = _chart_rows(fan, (D,), (_single_shift(lin, action.d),), action)
+    certs = ((key, _divisor_certificate(fan, key, rows))
+             for key in fan.face_keys())
+    return _locus_with_certs(fan, {k: c for k, c in certs if c is not None})
 
 
 def _invertible_degrees(fan: Fan, group: DivisorGroup, lin: Linearization,
@@ -210,10 +213,7 @@ def semistable_group(group: DivisorGroup, lin: Linearization,
     on the chart, and the invertibly-realized degrees must have finite
     index in the group."""
     k = group.rank
-    degree_rows = [tuple(d.coefficients[j] for d in group.basis)
-                   for j in range(len(fan.rays))]
-    weight_rows = [(m_row, tuple(s[t] for s in lin.shifts))
-                   for t, m_row in enumerate(action.phi_star_rows())]
+    rows = _chart_rows(fan, group.basis, lin.shifts, action)
     passing = {}
     for key in fan.face_keys():
         cartiers = []
@@ -229,7 +229,7 @@ def semistable_group(group: DivisorGroup, lin: Linearization,
         inv_rank, invertibles = _invertible_degrees(fan, group, lin, action, key)
         if inv_rank != k:
             continue
-        wit = chart_witness(fan, key, degree_rows, weight_rows)
+        wit = chart_witness(fan, key, *rows)
         if wit is None:
             continue
         passing[key] = SemistabilityCertificate(
@@ -258,48 +258,50 @@ def mumford_trivial_semistable(chi: Sequence[int], action: SubtorusAction,
     chi = tuple(chi)
     if len(chi) != action.d:
         raise ActionError(f"character has length {len(chi)}, expected {action.d}")
-    D0 = ToricDivisor.zero(fan)
-    lin = Linearization((vneg(chi),))
-    return semistable_divisor(D0, lin, action, fan)
+    return semistable_divisor(ToricDivisor.zero(fan),
+                              Linearization((vneg(chi),)), action, fan)
 
 
 def achievable_weight_cone(gamma: FaceKey, action: SubtorusAction,
                            fan: Fan) -> Cone:
     """K_gamma = phi_star(sigma_dual intersect gamma^perp): weights of
-    regular monomials nonvanishing on the orbit of gamma."""
+    regular monomials nonvanishing on the orbit of gamma, so the trivial
+    bundle at chi is semistable on that orbit iff chi lies in K_gamma.
+    The slab is the face of sigma_dual on the facet normals of sigma that
+    vanish on gamma, plus sigma^perp: read by incidence, no conversion."""
     top = _require_affine(fan)
-    slab = Cone.from_inequalities(
-        fan.ambient_rank,
-        [fan.rays[i] for i in sorted(top)],
-        [fan.rays[i] for i in sorted(gamma)],
-    )
-    rows = action.phi_star_rows()
-    f = LatticeMap(IntMatrix.from_rows(rows, fan.ambient_rank),
-                   fan.ambient_rank, action.d)
-    return cone_image(slab, f)
+    sigma = fan.face_cone(top)
+    rays = [fan.rays[i] for i in gamma]
+    slab = Cone(fan.ambient_rank,
+                tuple(u for u in sigma.facet_normals
+                      if not any(vdot(u, r) for r in rays)),
+                sigma.span_equalities)
+    phi_star = LatticeMap(action.phi.matrix.transpose(), fan.ambient_rank, action.d)
+    return cone_image(slab, phi_star)
 
 
 def git_chambers(action: SubtorusAction, fan: Fan):
     """Chamber decomposition of character space: on each returned cone
     the trivial-bundle semistable locus is constant; sampled at a
-    relative interior character.  Covers phi_star(sigma_dual)."""
+    relative interior character.  Covers phi_star(sigma_dual).
+
+    The locus at chi is decided by membership, {gamma : chi in K_gamma},
+    which is face-closed because K_gamma shrinks as gamma grows.  Only
+    its maximal faces are solved, for their certificates: if chi lies in
+    K_gamma, some tau >= gamma passes the chart test, and tau is itself a
+    member, so a maximal member face gamma is that tau and passes."""
     _require_affine(fan)
-    d = action.d
     kcones = {key: achievable_weight_cone(key, action, fan)
               for key in fan.face_keys()}
-    support = kcones[frozenset()]
 
     hyperplanes = set()
     for c in kcones.values():
-        for h in list(c.facet_normals) + list(c.span_equalities):
+        for h in c.facet_normals + c.span_equalities:
             p = primitive(h)
-            if is_zero_vec(p):
-                continue
-            if next(x for x in p if x != 0) < 0:
-                p = vneg(p)
-            hyperplanes.add(p)
+            if not is_zero_vec(p):
+                hyperplanes.add(vneg(p) if next(x for x in p if x) < 0 else p)
 
-    cells = [support]
+    cells = [kcones[frozenset()]]
     for h in sorted(hyperplanes):
         nxt = []
         for cell in cells:
@@ -311,24 +313,26 @@ def git_chambers(action: SubtorusAction, fan: Fan):
                     or (any(v > 0 for v in vals) and any(v < 0 for v in vals))):
                 for side in (h, vneg(h)):
                     nxt.append(Cone.from_inequalities(
-                        d, list(cell.facet_normals) + [side],
+                        action.d, list(cell.facet_normals) + [side],
                         list(cell.span_equalities)))
             else:
                 nxt.append(cell)
         cells = nxt
 
-    chambers = []
-    for cell in cells:
-        for f in cone_faces(cell):
-            if f not in chambers:
-                chambers.append(f)
+    chambers = list(dict.fromkeys(f for cell in cells for f in cone_faces(cell)))
     chambers.sort(key=lambda c: (-c.dim, c.generators, c.lineality_basis))
 
     out = []
     for ch in chambers:
         chi = relative_interior_point(ch)
-        locus = mumford_trivial_semistable(chi, action, fan)
-        out.append((ch, chi, locus))
+        locus = SubfanLocus(frozenset(
+            key for key, c in kcones.items() if c.contains_point(chi)))
+        rows = _chart_rows(fan, (ToricDivisor.zero(fan),), (vneg(chi),), action)
+        certs = tuple((key, _divisor_certificate(fan, key, rows))
+                      for key in locus.maximal_keys())
+        if any(cert is None for _, cert in certs):
+            raise RuntimeError(f"weight-cone locus at {chi}: a maximal face fails")
+        out.append((ch, chi, SemistableLocus(locus, certs)))
     return out
 
 

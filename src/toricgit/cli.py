@@ -79,17 +79,12 @@ def _quotient_payload(q) -> dict:
     }
 
 
-def _divisor_data(problem, name):
-    D = problem.divisor(name)
-    lin = problem.linearization_for(name)
-    return D, lin
-
-
 def _semistable_locus(problem, args, act):
     """Semistable locus of --divisor or --group, with the divisor rows and
     shifts its certificates are replayed against."""
     if args.divisor:
-        D, lin = _divisor_data(problem, args.divisor)
+        D = problem.divisor(args.divisor)
+        lin = problem.linearization_for(args.divisor)
         ss = semistable_divisor(D, lin, act, problem.fan)
         return ss, [D.coefficients], list(lin.shifts)
     grp, lin = problem.group(args.group)
@@ -366,7 +361,8 @@ def run(argv) -> int:
             cols = act.phi_star_rows()
             bounds = SearchBounds(args.n_max, args.box, args.degree_box)
             if args.divisor:
-                D, lin = _divisor_data(problem, args.divisor)
+                D = problem.divisor(args.divisor)
+                lin = problem.linearization_for(args.divisor)
                 rows, shifts, group_case = [D.coefficients], list(lin.shifts), False
             else:
                 grp, lin = problem.group(args.group)

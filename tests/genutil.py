@@ -8,18 +8,15 @@ import math
 import random
 from fractions import Fraction
 
-from toricgit.actions import (
-    ActionError,
-    Linearization,
-    SubtorusAction,
-    achievable_weight_cone,
-)
-from toricgit.cones import Cone, faces
+from toricgit.actions import ActionError, Linearization, SubtorusAction
+from toricgit.cones import Cone, faces, image
 from toricgit.fans import Fan, SubfanLocus, ToricDivisor, validate_fan
 from toricgit.intlinalg import (
     IntMatrix,
+    LatticeMap,
     Sublattice,
     is_zero_vec,
+    kernel_basis,
     primitive,
     rank_of_rows,
     saturate,
@@ -28,6 +25,29 @@ from toricgit.intlinalg import (
     vdot,
     vneg,
 )
+
+
+# complete simplicial fans: rays and maximal cones
+COX_FANS = {
+    "P2": ([(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [0, 2]]),
+    "P3": ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+           [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+    "P1xP1": ([(1, 0), (0, 1), (-1, 0), (0, -1)],
+              [[0, 1], [1, 2], [2, 3], [0, 3]]),
+    "F1": ([(1, 0), (0, 1), (-1, 1), (0, -1)],
+           [[0, 1], [1, 2], [2, 3], [0, 3]]),
+}
+
+
+def cox_data(rays):
+    """The orthant C^r and the Cox action on it of the fan with these
+    rays: H = ker(Z^r -> N, e_i -> v_i)."""
+    r, n = len(rays), len(rays[0])
+    ker = kernel_basis(IntMatrix.from_rows(
+        [tuple(v[j] for v in rays) for j in range(n)], r))
+    orthant = validate_fan(r, [tuple(int(i == j) for j in range(r))
+                               for i in range(r)], [list(range(r))])
+    return orthant, SubtorusAction.from_columns(ker.basis.entries, r)
 
 
 def random_primitive_vector(rng: random.Random, dim: int, box: int = 2):
@@ -209,18 +229,31 @@ def open_complement(fan: Fan, b) -> SubfanLocus:
     return SubfanLocus(frozenset(k for k in fan.face_keys() if k <= zero_rays))
 
 
+def weight_cone_by_conversion(gamma, action: SubtorusAction, fan: Fan) -> Cone:
+    """Reference for `achievable_weight_cone`: convert the slab
+    sigma_dual ∩ gamma^perp from its inequalities, then take its image
+    under phi_star."""
+    (top,) = fan.maximal_keys
+    slab = Cone.from_inequalities(fan.ambient_rank,
+                                  [fan.rays[i] for i in sorted(top)],
+                                  [fan.rays[i] for i in sorted(gamma)])
+    f = LatticeMap(IntMatrix.from_rows(action.phi_star_rows(), fan.ambient_rank),
+                   fan.ambient_rank, action.d)
+    return image(slab, f)
+
+
 def chambers_by_full_refinement(action: SubtorusAction, fan: Fan) -> list:
     """Reference for the cones of `git_chambers`: cut the support K_0 by
     every facet hyperplane of every weight cone K_gamma, converting both
     halves of every cell for every hyperplane and keeping the halves of
     full dimension, then take all faces of the cells."""
-    kcones = [achievable_weight_cone(k, action, fan) for k in fan.face_keys()]
+    kcones = [weight_cone_by_conversion(k, action, fan) for k in fan.face_keys()]
     hyperplanes = set()
     for c in kcones:
         for h in c.facet_normals + c.span_equalities:
             h = primitive(h)
             hyperplanes.add(vneg(h) if next(x for x in h if x) < 0 else h)
-    cells = [achievable_weight_cone(frozenset(), action, fan)]
+    cells = [weight_cone_by_conversion(frozenset(), action, fan)]
     for h in sorted(hyperplanes):
         halves = [Cone.from_inequalities(action.d, cell.facet_normals + (side,),
                                          cell.span_equalities)

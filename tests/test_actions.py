@@ -28,12 +28,14 @@ from toricgit.fans import (
     is_cartier_on,
     validate_fan,
 )
-from toricgit.intlinalg import vdot
+from toricgit.intlinalg import rank_of_rows, vdot
 
 from genutil import (
+    COX_FANS,
     action_sublattice,
     chambers_by_full_refinement,
     contains_cone,
+    cox_data,
     random_action,
     random_affine_fan,
     random_divisor,
@@ -41,6 +43,7 @@ from genutil import (
     random_linearization,
     random_primitive_vector,
     random_unimodular,
+    weight_cone_by_conversion,
     whole_locus,
 )
 
@@ -259,6 +262,57 @@ def test_chambers_match_full_refinement():
             assert chi == relative_interior_point(cone)
         split += sum(c.dim == act.d for c, _, _ in got) > 1
     assert split > 50  # instances whose character space is really cut
+
+
+def _affine_instances(count: int):
+    """Seeded affine cones of rank 2-4 (some not full-dimensional) under
+    subtori of dimension 1-2."""
+    for seed in range(count):
+        rng = random.Random(f"affine-instance/{seed}")
+        fan = random_affine_fan(rng, rng.randint(2, 4), max_rays=5)
+        act = random_action(rng, fan)
+        if act.d == 0:
+            act = SubtorusAction.from_columns([random_primitive_vector(
+                rng, fan.ambient_rank)], fan.ambient_rank)
+        yield fan, act
+
+
+def _check_chambers_by_solving(act, fan):
+    """Every chamber's locus, certificates included, is the one the chart
+    system gives at its sample, and replays through the checker."""
+    zero = tuple(0 for _ in fan.rays)
+    chams = git_chambers(act, fan)
+    for _, chi, loc in chams:
+        assert loc == mumford_trivial_semistable(chi, act, fan)
+        res = check_locus(fan, [zero], [tuple(-x for x in chi)],
+                          act.phi_star_rows(), loc)
+        assert res.ok, res.failures
+    return chams
+
+
+def test_chamber_loci_match_chart_solves():
+    # membership in the weight cones decides each locus; only its maximal
+    # faces are solved, and they must give the chart-by-chart answer
+    nonfull = rank4 = chambers = 0
+    for fan, act in _affine_instances(200):
+        chambers += len(_check_chambers_by_solving(act, fan))
+        nonfull += rank_of_rows(list(fan.rays)) < fan.ambient_rank
+        rank4 += fan.ambient_rank == 4
+    assert nonfull > 30 and rank4 > 30 and chambers > 500
+
+
+@pytest.mark.parametrize("name", ["P2", "P1xP1", "F1"])
+def test_cox_chamber_loci_match_chart_solves(name):
+    orthant, act = cox_data(COX_FANS[name][0])
+    assert len(_check_chambers_by_solving(act, orthant)) > 1
+
+
+def test_weight_cones_match_conversion():
+    # the slab read off sigma's facets by incidence is the converted one
+    for fan, act in _affine_instances(200):
+        for key in fan.face_keys():
+            assert achievable_weight_cone(key, act, fan) == \
+                weight_cone_by_conversion(key, act, fan)
 
 
 # --- obstruction reports -------------------------------------------------

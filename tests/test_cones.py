@@ -450,6 +450,12 @@ def _pointed_systems(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_pointed_systems())
+# a cut through two non-adjacent rays of opposite sign, which random
+# small systems rarely draw: the cone over a square cut through two
+# opposite corners, and the cone over a cube cut off at one corner
+@example((3, [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1), (1, 0, 0)]))
+@example((4, [(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1),
+              (0, 0, 1, 1), (0, 0, -1, 1), (1, 1, 1, 0)]))
 def test_dd_matches_brute_force_enumeration(system):
     dim, rows = system
     rays, lin = double_description(dim, rows)

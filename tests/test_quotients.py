@@ -16,7 +16,7 @@ from toricgit.actions import (
 )
 from toricgit.cones import Cone, faces as cone_faces, intersect
 from toricgit.fans import DivisorGroup, FanError, validate_fan
-from toricgit.intlinalg import IntMatrix, kernel_basis, rank_of_rows, vneg
+from toricgit.intlinalg import rank_of_rows, vneg
 from toricgit.quotients import (
     build_quotient,
     is_saturated,
@@ -25,8 +25,10 @@ from toricgit.quotients import (
 )
 
 from genutil import (
+    COX_FANS,
     action_sublattice,
     contains_cone,
+    cox_data,
     random_action,
     random_complete_fan2,
     random_divisor,
@@ -128,32 +130,14 @@ def test_single_chart_always_separated(quadric_fan, quadric_action):
     assert q.separated
 
 
-# complete simplicial fans: rays and maximal cones
-COX_FANS = {
-    "P2": ([(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [0, 2]]),
-    "P3": ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
-           [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
-    "P1xP1": ([(1, 0), (0, 1), (-1, 0), (0, -1)],
-              [[0, 1], [1, 2], [2, 3], [0, 3]]),
-    "F1": ([(1, 0), (0, 1), (-1, 1), (0, -1)],
-           [[0, 1], [1, 2], [2, 3], [0, 3]]),
-}
-
-
 @pytest.mark.parametrize("name", sorted(COX_FANS))
 def test_cox_quotient_reproduces_fan(name):
     # Cox (1995): C^r modulo H = ker(Z^r -> N, e_i -> v_i), at an ample
     # class, is the toric variety of the fan
     rays, cones = COX_FANS[name]
-    r, n = len(rays), len(rays[0])
-    ker = kernel_basis(IntMatrix.from_rows(
-        [tuple(v[j] for v in rays) for j in range(n)], r))
-    columns = ker.basis.entries
-    orthant = validate_fan(r, [tuple(int(i == j) for j in range(r))
-                               for i in range(r)], [list(range(r))])
-    act = SubtorusAction.from_columns(columns, r)
+    orthant, act = cox_data(rays)
     # the anticanonical class, sum of all D_rho, is ample on all four
-    chi = tuple(sum(col) for col in columns)
+    chi = tuple(sum(col) for col in act.phi_star_rows())
     ss = mumford_trivial_semistable(chi, act, orthant)
     assert ss.locus.faces == {frozenset(sub) for c in cones
                               for k in range(len(c) + 1)
