@@ -3,10 +3,12 @@
 The acting torus H is given by an injective lattice map phi: Z^d -> N
 (columns are one-parameter subgroups).  A linearization of a divisor
 group is a character shift per basis divisor; the canonical
-linearization is the zero shift.  Semistability of an orbit is decided
-chart by chart: the orbit of a face gamma is semistable iff some face
-tau >= gamma admits an invariant section, a single monomial, whose
-nonvanishing locus is exactly the affine chart of tau.
+linearization is the zero shift.  The orbit of a face gamma is
+semistable iff some face tau >= gamma admits an invariant section, a
+single monomial, whose nonvanishing locus is exactly the affine chart of
+tau.  A locus converts one section cone and reads each chart's witness
+off its faces by incidence, walking the faces largest first and
+skipping those under a chart that already passed.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .fans import (
     ToricDivisor,
     chart_witness,
     is_cartier_on,
+    largest_first,
+    section_cone,
 )
 from .intlinalg import (
     IntMatrix,
@@ -135,28 +139,27 @@ def _single_shift(lin: Linearization, d: int) -> Vec:
 
 
 def _locus_with_certs(fan: Fan, passing: dict) -> SemistableLocus:
-    locus = SubfanLocus.closure(fan, passing.keys())
-    maxes = locus.maximal_keys()
-    certs = tuple((k, passing[k]) for k in maxes)
-    return SemistableLocus(locus, certs)
+    """The locus of the maximal faces in passing, certified by its values."""
+    certs = sorted(passing.items(), key=lambda kc: (len(kc[0]), sorted(kc[0])))
+    return SemistableLocus(SubfanLocus.closure(fan, passing), tuple(certs))
 
 
 def _chart_rows(fan: Fan, basis, shifts, action: SubtorusAction):
-    """Degree rows (one per ray) and weight rows of the chart system of
+    """Degree rows (one per ray) and weight rows of the section cone of
     the divisors in basis, linearized by shifts (one per divisor)."""
     return ([tuple(d.coefficients[j] for d in basis) for j in range(len(fan.rays))],
             [(m_row, tuple(s[t] for s in shifts))
              for t, m_row in enumerate(action.phi_star_rows())])
 
 
-def _divisor_certificate(fan: Fan, key: FaceKey, rows):
-    """Certificate of the chart of key from one divisor's rows, or None.
+def _divisor_certificate(fan: Fan, key: FaceKey, section):
+    """Certificate of the chart of key from one divisor's section cone.
 
     The chart witness (u, n) has <u, v_rho> + n*a_rho = 0 on the rays of
     the chart, so u is itself a local equation of nD there and no separate
     Cartier test is needed: the certificate records u both as the
     section's monomial and as that equation."""
-    wit = chart_witness(fan, key, *rows, shared_strict=((1,),))
+    wit = chart_witness(fan, section, key)
     if wit is None:
         return None
     return SemistabilityCertificate(chart=key, degree=wit["degree"],
@@ -169,9 +172,9 @@ def semistable_divisor(D: ToricDivisor, lin: Linearization,
     """Semistable locus of the single linearized divisor D: charts tau
     realized by an invariant section of some positive multiple nD."""
     rows = _chart_rows(fan, (D,), (_single_shift(lin, action.d),), action)
-    certs = ((key, _divisor_certificate(fan, key, rows))
-             for key in fan.face_keys())
-    return _locus_with_certs(fan, {k: c for k, c in certs if c is not None})
+    section = section_cone(fan, *rows, shared_strict=((1,),))
+    return _locus_with_certs(fan, largest_first(
+        fan, lambda key: _divisor_certificate(fan, key, section)))
 
 
 def _invertible_degrees(fan: Fan, group: DivisorGroup, lin: Linearization,
@@ -213,34 +216,25 @@ def semistable_group(group: DivisorGroup, lin: Linearization,
     on the chart, and the invertibly-realized degrees must have finite
     index in the group."""
     k = group.rank
-    rows = _chart_rows(fan, group.basis, lin.shifts, action)
-    passing = {}
-    for key in fan.face_keys():
+    section = section_cone(fan, *_chart_rows(fan, group.basis, lin.shifts, action))
+
+    def certify(key):
+        # the witness is incidence only, so it goes before the SNF tests
+        wit = chart_witness(fan, section, key)
+        if wit is None:
+            return None
         cartiers = []
-        ok = True
         for d in group.basis:
-            m = is_cartier_on(fan, d, key)
-            if m is None:
-                ok = False
-                break
-            cartiers.append(m)
-        if not ok:
-            continue
+            cartiers.append(is_cartier_on(fan, d, key))
+            if cartiers[-1] is None:
+                return None
         inv_rank, invertibles = _invertible_degrees(fan, group, lin, action, key)
         if inv_rank != k:
-            continue
-        wit = chart_witness(fan, key, *rows)
-        if wit is None:
-            continue
-        passing[key] = SemistabilityCertificate(
-            chart=key,
-            degree=wit["degree"],
-            monomial=wit["monomial"],
-            cartier=tuple(cartiers),
-            invertibles=tuple(invertibles),
-            group_case=True,
-        )
-    return _locus_with_certs(fan, passing)
+            return None
+        return SemistabilityCertificate(
+            key, wit["degree"], wit["monomial"], tuple(cartiers),
+            invertibles=tuple(invertibles), group_case=True)
+    return _locus_with_certs(fan, largest_first(fan, certify))
 
 
 def _require_affine(fan: Fan) -> FaceKey:
@@ -287,9 +281,10 @@ def git_chambers(action: SubtorusAction, fan: Fan):
 
     The locus at chi is decided by membership, {gamma : chi in K_gamma},
     which is face-closed because K_gamma shrinks as gamma grows.  Only
-    its maximal faces are solved, for their certificates: if chi lies in
-    K_gamma, some tau >= gamma passes the chart test, and tau is itself a
-    member, so a maximal member face gamma is that tau and passes."""
+    its maximal faces are certified, from one section cone per chamber:
+    if chi lies in K_gamma, some tau >= gamma passes the chart test, and
+    tau is itself a member, so a maximal member face gamma is that tau
+    and passes."""
     _require_affine(fan)
     kcones = {key: achievable_weight_cone(key, action, fan)
               for key in fan.face_keys()}
@@ -328,7 +323,8 @@ def git_chambers(action: SubtorusAction, fan: Fan):
         locus = SubfanLocus(frozenset(
             key for key, c in kcones.items() if c.contains_point(chi)))
         rows = _chart_rows(fan, (ToricDivisor.zero(fan),), (vneg(chi),), action)
-        certs = tuple((key, _divisor_certificate(fan, key, rows))
+        section = section_cone(fan, *rows, shared_strict=((1,),))
+        certs = tuple((key, _divisor_certificate(fan, key, section))
                       for key in locus.maximal_keys())
         if any(cert is None for _, cert in certs):
             raise RuntimeError(f"weight-cone locus at {chi}: a maximal face fails")

@@ -3,7 +3,7 @@
 Commands operate on a JSON problem file (see problemfile) and emit a
 deterministic report, as JSON with --json or as plain text otherwise.
 Exit codes: 0 success, 1 negative verdict (empty locus, obstruction,
-nonexistent limit, failed verification), 2 input error.
+nonexistent limit, failed verification), 2 input error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -376,10 +376,11 @@ def run(argv) -> int:
             exit_code = 0 if loc else 1
 
     except (ParseError, FileNotFoundError, NotAffine, FanError,
-            ActionError, ValueError) as e:
+            ActionError, ValueError, RuntimeError) as e:
         report["result"] = {"error": str(e)}
         _emit(report, getattr(args, "json", False))
-        return 2
+        # a RuntimeError is a failed engine invariant, not bad input
+        return 3 if isinstance(e, RuntimeError) else 2
 
     _emit(report, args.json)
     return exit_code

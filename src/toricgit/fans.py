@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cones import (
-    Cone,
-    FeasibilitySystem,
-    faces as cone_faces,
-    feasible_strict,
-    intersect,
-)
+from .cones import Cone, faces as cone_faces, intersect
 from .intlinalg import (
     IntMatrix,
     Vec,
@@ -29,6 +23,7 @@ from .intlinalg import (
     primitive,
     rank_of_rows,
     solve_integer,
+    vdot,
 )
 
 FaceKey = frozenset
@@ -258,46 +253,72 @@ def class_group(fan: Fan) -> ClassGroupInfo:
     return ClassGroupInfo(cl_rank, torsion, cdiv_rank - ray_rank, n - ray_rank)
 
 
-def chart_witness(fan: Fan, tau: FaceKey,
-                  degree_rows: Sequence[Vec],
-                  weight_rows: Sequence[tuple[Vec, Vec]] = (),
-                  shared_strict: Sequence[Vec] = ()) -> Optional[dict]:
-    """Strict feasibility of the chart system for the face tau: one
-    monomial u in M and degree variables s in Z^k whose section vanishes
-    exactly on the rays of tau, so its nonvanishing locus is the affine
-    chart of tau.
-
-    degree_rows[j] gives the divisor coefficient at ray j as a linear form
-    in s.  The section needs <u, v_j> + deg_j(s) = 0 at the rays of tau
-    and > 0 at every other ray, plus the equalities weight_rows
-    (m_row . u + s_row . s = 0) and the strict forms shared_strict in s.
-    Returns {"monomial": u, "degree": s} or None.
-    """
+def section_cone(fan: Fan, degree_rows: Sequence[Vec],
+                 weight_rows: Sequence[tuple[Vec, Vec]] = (),
+                 shared_strict: Sequence[Vec] = ()) -> tuple[Cone, tuple[Vec, ...]]:
+    """The cone P of invariant sections u in M of degree s in Z^k and the
+    forms cutting it out.  The form of ray j, f_j(u, s) = <u, v_j> +
+    deg_j(s) with deg_j = degree_rows[j], is the section's order of
+    vanishing along the ray; the forms are the f_j in ray order, then the
+    shared forms (in s), all >= 0 on P, with the weight rows
+    m_row . u + s_row . s = 0."""
     n = fan.ambient_rank
     # a fan without rays has no degree rows; the shared forms still fix k
     k = len((degree_rows or shared_strict or [()])[0])
-    eqs, strict = [], []
-    for j, v in enumerate(fan.rays):
-        (eqs if j in tau else strict).append(tuple(v) + tuple(degree_rows[j]))
-    eqs.extend(tuple(m_row) + tuple(s_row) for m_row, s_row in weight_rows)
-    strict.extend((0,) * n + tuple(f) for f in shared_strict)
-    wit = feasible_strict(FeasibilitySystem(n + k, tuple(eqs), (), tuple(strict)))
-    if wit is None:
+    forms = tuple(tuple(v) + tuple(deg) for v, deg in zip(fan.rays, degree_rows))
+    forms += tuple((0,) * n + tuple(f) for f in shared_strict)
+    eqs = [tuple(m_row) + tuple(s_row) for m_row, s_row in weight_rows]
+    return Cone.from_inequalities(n + k, forms, eqs), forms
+
+
+def chart_witness(fan: Fan, section: tuple[Cone, tuple[Vec, ...]],
+                  tau: FaceKey) -> Optional[dict]:
+    """{"monomial": u, "degree": s} of a section in the section cone that
+    vanishes exactly on the rays of the face tau (f_j = 0 for j in tau,
+    every other form > 0), so its nonvanishing locus is tau's chart; or
+    None.  The witness p is the sum of the extreme rays of P on which
+    every f_j with j in tau vanishes, read by incidence.
+
+    p is the strict feasibility witness of tau's own system (as
+    feasible_strict gives it): each f_j is >= 0 on P, so P_tau = P ∩
+    {f_j = 0 : j in tau} is a face of P, and its extreme rays modulo the
+    lineality are the extreme rays of P in it.  P and P_tau are cut out
+    by the same forms, so they share the lineality, and a conversion
+    reduces rays modulo the same HNF lattice to the same primitive
+    representatives."""
+    cone, forms = section
+    p = (0,) * cone.ambient_rank
+    for r in cone.generators:
+        if all(vdot(forms[j], r) == 0 for j in tau):
+            p = tuple(a + b for a, b in zip(p, r))
+    if any(vdot(f, p) <= 0 for j, f in enumerate(forms) if j not in tau):
         return None
-    return {"monomial": wit[:n], "degree": wit[n:]}
+    return {"monomial": p[:fan.ambient_rank], "degree": p[fan.ambient_rank:]}
+
+
+def largest_first(fan: Fan, test) -> dict:
+    """{key: test(key)} where test passes (is not None), over the faces
+    largest first.  A face under a passing face is in the closure and
+    never maximal, so it is skipped: the keys are the maximal faces."""
+    passing = {}
+    for key in reversed(fan.face_keys()):
+        if not any(key <= k for k in passing):
+            got = test(key)
+            if got is not None:
+                passing[key] = got
+    return passing
 
 
 def ample_locus(group: DivisorGroup, fan: Fan) -> SubfanLocus:
-    """Faces admitting, for some divisor in the group, a section whose
-    nonvanishing locus is exactly the affine chart of the face — the
-    chart witness system with no weight constraint."""
-    cartier = cartier_locus(group, fan)
-    degree_rows = [tuple(d.coefficients[j] for d in group.basis)
-                   for j in range(len(fan.rays))]
-    passing = []
-    for key in fan.face_keys():
-        if key not in cartier:
-            continue
-        if chart_witness(fan, key, degree_rows) is not None:
-            passing.append(key)
-    return SubfanLocus.closure(fan, passing)
+    """Faces on which the group is Cartier and some divisor in it has a
+    section whose nonvanishing locus is exactly the face's affine chart
+    (the chart witness with no weight constraint)."""
+    section = section_cone(fan, [tuple(d.coefficients[j] for d in group.basis)
+                                 for j in range(len(fan.rays))])
+
+    def chart(key):
+        wit = chart_witness(fan, section, key)
+        if wit and all(is_cartier_on(fan, d, key) is not None for d in group.basis):
+            return wit
+        return None
+    return SubfanLocus.closure(fan, largest_first(fan, chart))

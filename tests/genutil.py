@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from toricgit.actions import ActionError, Linearization, SubtorusAction
-from toricgit.cones import Cone, faces, image
+from toricgit.cones import Cone, FeasibilitySystem, faces, feasible_strict, image
 from toricgit.fans import Fan, SubfanLocus, ToricDivisor, validate_fan
 from toricgit.intlinalg import (
     IntMatrix,
@@ -261,3 +261,24 @@ def chambers_by_full_refinement(action: SubtorusAction, fan: Fan) -> list:
         cells = [p for p in dict.fromkeys(halves) if p.dim == cells[0].dim]
     return sorted({f for cell in cells for f in faces(cell)},
                   key=lambda c: (-c.dim, c.generators, c.lineality_basis))
+
+
+def chart_witness_by_system(fan: Fan, tau, degree_rows, weight_rows=(),
+                            shared_strict=()):
+    """Reference for `chart_witness`: strict feasibility of the chart
+    system of the face tau alone, one conversion per face.  The section
+    needs <u, v_j> + deg_j(s) = 0 at the rays of tau and > 0 at every
+    other ray, plus the equalities weight_rows (m_row . u + s_row . s = 0)
+    and the strict forms shared_strict in s."""
+    n = fan.ambient_rank
+    # a fan without rays has no degree rows; the shared forms still fix k
+    k = len((degree_rows or shared_strict or [()])[0])
+    eqs, strict = [], []
+    for j, v in enumerate(fan.rays):
+        (eqs if j in tau else strict).append(tuple(v) + tuple(degree_rows[j]))
+    eqs.extend(tuple(m_row) + tuple(s_row) for m_row, s_row in weight_rows)
+    strict.extend((0,) * n + tuple(f) for f in shared_strict)
+    wit = feasible_strict(FeasibilitySystem(n + k, tuple(eqs), (), tuple(strict)))
+    if wit is None:
+        return None
+    return {"monomial": wit[:n], "degree": wit[n:]}

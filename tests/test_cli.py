@@ -177,6 +177,16 @@ def test_exit_2_on_nonaffine_chambers(tmp_path, capsys):
     assert code == 2
 
 
+def test_exit_3_on_internal_error(quadric_file, capsys, monkeypatch):
+    # a maximal member face that fails its chart test breaks an engine
+    # invariant of git_chambers: exit 3, not the negative verdict's 1
+    import toricgit.actions
+    monkeypatch.setattr(toricgit.actions, "chart_witness", lambda *a: None)
+    code, rep = _run_json(["chambers", quadric_file], capsys)
+    assert code == 3
+    assert rep["result"]["error"].startswith("weight-cone locus")
+
+
 def test_json_output_is_deterministic(quadric_file, capsys):
     code1 = run(["semistable", quadric_file, "--divisor", "Dss", "--json"])
     out1 = capsys.readouterr().out

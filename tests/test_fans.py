@@ -15,11 +15,13 @@ from toricgit.fans import (
     chart_witness,
     class_group,
     is_cartier_on,
+    section_cone,
     validate_fan,
 )
 from toricgit.intlinalg import vdot
 
 from genutil import (
+    chart_witness_by_system,
     open_complement,
     random_divisor,
     random_fan,
@@ -249,8 +251,8 @@ def test_open_complement_is_face_closed(seed):
 
 def test_chart_witness_quadric_ray0(quadric_fan, quadric_divisor):
     degree_rows = [(a,) for a in quadric_divisor.coefficients]
-    w = chart_witness(quadric_fan, frozenset({0}), degree_rows,
-                      shared_strict=((1,),))
+    section = section_cone(quadric_fan, degree_rows, shared_strict=((1,),))
+    w = chart_witness(quadric_fan, section, frozenset({0}))
     assert w is not None
     (n,) = w["degree"]
     u = w["monomial"]
@@ -265,11 +267,37 @@ def test_chart_witness_infeasible_with_weight_rows(quadric_fan,
     # asking the section to be invariant under the rank-2 subtorus kills
     # the rho2 and rho4 charts
     weight_rows = [((2, 1, 1), (0,)), ((0, 2, 1), (0,))]
+    section = section_cone(quadric_fan, degree_rows, weight_rows,
+                           shared_strict=((1,),))
     for rho in (1, 3):
-        assert chart_witness(quadric_fan, frozenset({rho}), degree_rows,
-                             weight_rows, shared_strict=((1,),)) is None
-    assert chart_witness(quadric_fan, frozenset({0}), degree_rows,
-                         weight_rows, shared_strict=((1,),)) is not None
+        assert chart_witness(quadric_fan, section, frozenset({rho})) is None
+    assert chart_witness(quadric_fan, section, frozenset({0})) is not None
+
+
+def _random_section_data(rng, fan):
+    """Degree rows, weight rows and shared forms of a random chart system
+    with k = 1 or 2 degree variables."""
+    n, k = fan.ambient_rank, rng.randint(1, 2)
+    degree_rows = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in fan.rays]
+    weight_rows = [(tuple(rng.randint(-2, 2) for _ in range(n)),
+                    tuple(rng.randint(-2, 2) for _ in range(k)))
+                   for _ in range(rng.randint(0, 2))]
+    shared = [tuple(rng.randint(-1, 2) for _ in range(k))
+              for _ in range(rng.randint(0, 2))]
+    return degree_rows, weight_rows, shared
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_chart_witness_matches_face_system(seed):
+    # the witness read off the section cone's faces is the one the face's
+    # own system gives by conversion, None included
+    rng = random.Random(9100 + seed)
+    fan = random_fan(rng)
+    rows = _random_section_data(rng, fan)
+    section = section_cone(fan, *rows)
+    for key in fan.face_keys():
+        assert chart_witness(fan, section, key) == chart_witness_by_system(
+            fan, key, *rows), sorted(key)
 
 
 def test_ample_locus_quadric(quadric_fan, quadric_divisor):
