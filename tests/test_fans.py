@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from toricgit.fans import (
     DivisorGroup,
     FanError,
+    SubfanLocus,
     ToricDivisor,
     ample_locus,
     cartier_locus,
     chart_witness,
     class_group,
     is_cartier_on,
+    largest_first,
     section_cone,
     validate_fan,
 )
@@ -298,6 +300,21 @@ def test_chart_witness_matches_face_system(seed):
     for key in fan.face_keys():
         assert chart_witness(fan, section, key) == chart_witness_by_system(
             fan, key, *rows), sorted(key)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_largest_first_keeps_the_maximal_passing_faces(seed):
+    # the walk skips faces under a passing face, yet returns exactly the
+    # maximal faces of the closure of every passing face, each with its
+    # own test result
+    rng = random.Random(9500 + seed)
+    fan = random_fan(rng)
+    section = section_cone(fan, *_random_section_data(rng, fan))
+    every = {key: chart_witness(fan, section, key) for key in fan.face_keys()}
+    passing = [key for key, wit in every.items() if wit is not None]
+    walked = largest_first(fan, lambda key: every[key])
+    assert set(walked) == set(SubfanLocus.closure(fan, passing).maximal_keys())
+    assert all(walked[key] == every[key] for key in walked)
 
 
 def test_ample_locus_quadric(quadric_fan, quadric_divisor):
