@@ -7,10 +7,15 @@ constraints it is tight on, so adjacency, and with it extremality, is
 decided from those sets rather than by re-evaluating every constraint.
 A cone is its canonical generators and lineality basis; its facet
 description is one more conversion, run on first read (or kept from the
-conversion that built the cone).  Faces are cut from the generators by
+conversion that built the cone).  A cone built from generators makes
+exactly that one conversion: its canonical generators are read off the
+generator-facet zero sets.  Faces are cut from the generators by
 ray-facet incidence, with no conversion, and a strict-feasibility test
-needs only one conversion.  Cones are hashable by their generators and
-are used as dictionary keys by the fan and quotient layers.
+needs only one conversion.  Whether two cones meet in a common face is
+settled by a separating form built from their facets, and only a pair
+that no facet separates is intersected.  Cones are hashable by their
+generators and are used as dictionary keys by the fan and quotient
+layers.
 """
 
 from __future__ import annotations
@@ -137,7 +142,9 @@ class Cone:
     span_equalities cut it out:
     cone = {x : u.x >= 0 for facet normals u, e.x = 0 for span equalities e}.
     Both come from one conversion, kept from the constructor's or run on
-    first read, and are then plain instance attributes.
+    first read, and are then plain instance attributes, as is dim, the
+    ambient rank less the number of span equalities.  from_generators
+    runs only that conversion and reads the generators off its facets.
     """
 
     ambient_rank: int
@@ -162,6 +169,7 @@ class Cone:
         facets = tuple(normals), tuple(hermite_normal_form(dual_lin))
         object.__setattr__(self, "facet_normals", facets[0])
         object.__setattr__(self, "span_equalities", facets[1])
+        object.__setattr__(self, "dim", self.ambient_rank - len(facets[1]))
         return facets
 
     @property
@@ -179,13 +187,30 @@ class Cone:
                         lineality: Sequence[Sequence[int]] = ()) -> "Cone":
         gens = [primitive(tuple(g)) for g in generators if not is_zero_vec(g)]
         lins = [tuple(l) for l in lineality if not is_zero_vec(l)]
-        # V-to-H: the dual cone of span(lins)+cone(gens) is cut out by the
-        # generators; its rays/lineality are our facet description.
-        dual_rays, dual_lin = double_description(ambient, gens, lins)
-        # H-to-V on our own H-form for canonical generators
-        rays, lin = double_description(ambient, dual_rays, dual_lin)
-        cone = Cone(ambient, tuple(rays), tuple(lin))
-        cone._set_facets(dual_rays, dual_lin)
+        # V-to-H, the one conversion: the dual cone of span(lins)+cone(gens)
+        # is cut out by the generators; its rays/lineality are our facet
+        # description.
+        normals, dual_lin = double_description(ambient, gens, lins)
+        zero_sets = [frozenset(i for i, u in enumerate(normals) if vdot(u, g) == 0)
+                     for g in gens]
+        # A generator on every facet lies in the lineality space, and the
+        # space is nonzero only if one does or lins is not empty; then it
+        # is the kernel of the facet description, in HNF.
+        every = frozenset(range(len(normals)))
+        lin_rows: tuple[Vec, ...] = ()
+        if lins or every in zero_sets:
+            lin_rows = tuple(kernel_basis(IntMatrix.from_rows(
+                list(normals) + list(dual_lin), ambient)).basis.entries)
+        # The smallest face holding g is cut out by the facets in its zero
+        # set and generated by the generators whose zero sets contain it,
+        # so g is extreme modulo the lineality iff each of those outside
+        # the lineality is a positive multiple of g modulo it.
+        reduced = [_reduce_mod_rows(g, lin_rows) for g in gens]
+        rays = {r for r, z in zip(reduced, zero_sets)
+                if z != every and all(r2 == r for r2, z2 in zip(reduced, zero_sets)
+                                      if z <= z2 and z2 != every)}
+        cone = Cone(ambient, tuple(sorted(rays)), lin_rows)
+        cone._set_facets(normals, dual_lin)
         return cone
 
     @staticmethod
@@ -225,6 +250,31 @@ def intersect(c1: Cone, c2: Cone) -> Cone:
         list(c1.facet_normals) + list(c2.facet_normals),
         list(c1.span_equalities) + list(c2.span_equalities),
     )
+
+
+def meets_in(c1: Cone, c2: Cone, f: Cone) -> bool:
+    """intersect(c1, c2) == f, for a cone f that is a face of both.
+
+    By the separation lemma (Cox-Little-Schenck, Lemma 1.2.13) a form m
+    that is >= 0 on c1 and <= 0 on c2 cuts a face out of each, and
+    c1 ∩ c2 = f once both faces are f.  m is the sum of the facet normals
+    and signed span equalities of either cone that are <= 0 on the other's
+    generators (negated when they come from c2).  When c1, c2 and f share
+    their lineality, every such form vanishes on it, and each face is read
+    off the generators m kills.  A pair that no such m separates is
+    intersected."""
+    if c1.ambient_rank != c2.ambient_rank:
+        raise ValueError("ambient rank mismatch")
+    m = (0,) * c1.ambient_rank
+    for a, b, sign in ((c1, c2, 1), (c2, c1, -1)):
+        for u in a.facet_normals + a.span_equalities + tuple(map(vneg, a.span_equalities)):
+            if all(vdot(u, g) <= 0 for g in b.generators):
+                m = tuple(x + sign * y for x, y in zip(m, u))
+    face = set(f.generators)
+    if all(c.lineality_basis == f.lineality_basis
+           and {g for g in c.generators if vdot(m, g) == 0} == face for c in (c1, c2)):
+        return True
+    return intersect(c1, c2) == f
 
 
 def image(c: Cone, f: LatticeMap) -> Cone:

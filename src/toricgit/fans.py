@@ -6,7 +6,10 @@ other fan ray lies in it, so each face is keyed by the frozenset of the
 indices of its generators, which are also exactly the fan rays it
 contains.  For a valid pointed fan this keying is faithful and subset
 order on keys is exactly the face order, which the locus bookkeeping
-relies on.
+relies on.  Validation builds one cone per maximal cone, with one
+conversion each; every face key is then read off that cone's facet zero
+sets on the rays, and a pair of maximal cones is checked by a
+separating form before any intersection is converted.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cones import Cone, faces as cone_faces, intersect
+from .cones import Cone, meets_in
 from .intlinalg import (
     IntMatrix,
     Vec,
@@ -71,6 +74,23 @@ class Fan:
 
 def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
                  maximal_cones: Sequence[Sequence[int]]) -> Fan:
+    """The fan on these rays and maximal cones (lists of ray indices), or
+    a FanError, checked in this order:
+
+    - for each ray in turn: BadIndex for the wrong length, NonPrimitiveRay
+      for a zero or non-primitive ray, DuplicateRay for a repeated one;
+    - BadIndex: a cone index out of range;
+    - NotPointed: a maximal cone that contains a line (every maximal cone
+      is tested before anything below);
+    - IntersectionNotFace: a listed ray that is not extreme in its cone,
+      a fan ray inside a maximal cone that does not list it, or two
+      maximal cones whose common rays do not span a face of both or that
+      meet in more than that face (`cones.meets_in`).
+
+    Each maximal cone is one `Cone.from_generators`.  Its face keys are
+    its key cut by the ray zero sets of its facets, and each distinct key
+    becomes one cone on those rays, with no conversion; a maximal cone is
+    its own face."""
     ray_tuples: list[Vec] = []
     for r in rays:
         t = tuple(int(x) for x in r)
@@ -110,17 +130,25 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
         if inside != key:
             raise FanError("IntersectionNotFace",
                            f"cone on rays {sorted(key)} contains rays {sorted(inside - key)}")
-    index = {rv: i for i, rv in enumerate(ray_tuples)}
-    own_faces = {key: {frozenset(index[g] for g in f.generators): f
-                       for f in cone_faces(c)} for key, c in cones.items()}
-    face_map = {k: f for fs in own_faces.values() for k, f in fs.items()}
+    # a face of a maximal cone is cut out by a set of its facets, and its
+    # key is the cone's key cut by those facets' zero sets on the rays
+    face_map: dict[FaceKey, Cone] = dict(cones)
+    own_keys = {}
+    for key, c in cones.items():
+        own = {key}
+        for u in c.facet_normals:
+            on = frozenset(i for i in key if vdot(u, ray_tuples[i]) == 0)
+            own |= {k & on for k in own}
+        own_keys[key] = own
+        for k in own - face_map.keys():
+            face_map[k] = Cone(ambient_rank, tuple(sorted(ray_tuples[i] for i in k)), ())
 
     # two cones must meet in the face on their shared rays, of both
     for i, k1 in enumerate(max_keys):
         for k2 in max_keys[i + 1:]:
             common = k1 & k2
-            if (common not in own_faces[k1] or common not in own_faces[k2]
-                    or intersect(cones[k1], cones[k2]) != own_faces[k1][common]):
+            if (common not in own_keys[k1] or common not in own_keys[k2]
+                    or not meets_in(cones[k1], cones[k2], face_map[common])):
                 raise FanError(
                     "IntersectionNotFace",
                     f"cones {sorted(k1)} and {sorted(k2)} do not meet in a common face")
@@ -178,8 +206,13 @@ class SubfanLocus:
         return sorted(self.faces, key=lambda k: (len(k), sorted(k)))
 
     def maximal_keys(self) -> list:
-        return [k for k in self.sorted_keys()
-                if not any(k < k2 for k2 in self.faces)]
+        # a face under another is under a maximal one, which is larger
+        # and so kept before it
+        kept: list = []
+        for k in sorted(self.faces, key=len, reverse=True):
+            if not any(k < m for m in kept):
+                kept.append(k)
+        return sorted(kept, key=lambda k: (len(k), sorted(k)))
 
     @staticmethod
     def closure(fan: Fan, keys) -> "SubfanLocus":

@@ -3,11 +3,14 @@
 Each maximal certified cone sigma of a semistable locus gives a chart
 pi(sigma) in the quotient lattice N/L, where pi is the cokernel
 projection of the acting sublattice.  Charts are glued along images of
-intersections.  Everything else is read off one orbit map per chart:
-each fan face gamma under sigma goes to its orbit image, the smallest
-face of the chart image holding pi(gamma), found by ray-facet incidence
-on the image with no conversion.  The good / separated / geometric flags
-compare orbit images, and no face lattice is built.
+intersections.  Whether two images meet in their glue cone is settled by
+a form built from their facets (`cones.meets_in`); only a pair that no
+such form separates is intersected.  Everything else is read off one
+orbit map per chart: each fan face gamma under sigma goes to its orbit
+image, the smallest face of the chart image holding pi(gamma), found by
+ray-facet incidence on the image with no conversion.  The good /
+separated / geometric flags compare orbit images, and no face lattice is
+built.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import SemistableLocus, SubtorusAction
-from .cones import Cone, image as cone_image, intersect
+from .cones import Cone, image as cone_image, meets_in
 from .fans import Fan, FaceKey
 from .intlinalg import (
     LatticeMap,
@@ -122,8 +125,9 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
                 unsaturated.append((i, j))
             # the images meet in the glue cone, and it is a face of both:
             # a cone is a face of an image iff it is its own orbit image
-            separated &= (intersect(charts[i].image, charts[j].image) == glue
-                          == images[i][common] == images[j][common])
+            separated = separated and (
+                glue == images[i][common] == images[j][common]
+                and meets_in(charts[i].image, charts[j].image, glue))
 
     # pointed images meeting so form a fan; one chart is always separated
     separated &= len(charts) < 2 or all(

@@ -9,12 +9,20 @@ import random
 from fractions import Fraction
 
 from toricgit.actions import ActionError, Linearization, SubtorusAction
-from toricgit.cones import Cone, FeasibilitySystem, faces, feasible_strict, image
+from toricgit.cones import (
+    Cone,
+    FeasibilitySystem,
+    double_description,
+    faces,
+    feasible_strict,
+    image,
+)
 from toricgit.fans import Fan, SubfanLocus, ToricDivisor, validate_fan
 from toricgit.intlinalg import (
     IntMatrix,
     LatticeMap,
     Sublattice,
+    hermite_normal_form,
     is_zero_vec,
     kernel_basis,
     primitive,
@@ -211,6 +219,18 @@ def supporting_normal(c: Cone, face: Cone):
     active = [u for u in c.facet_normals
               if all(vdot(u, g) == 0 for g in face.generators + face.lineality_basis)]
     return tuple(sum(x) for x in zip(*active)) if active else (0,) * c.ambient_rank
+
+
+def cone_by_two_conversions(ambient: int, generators, lineality=()):
+    """Reference for `Cone.from_generators`: its five fields (generators,
+    lineality_basis, facet_normals, span_equalities, dim) from a V-to-H
+    conversion of the generators and an H-to-V conversion back."""
+    gens = [primitive(tuple(g)) for g in generators if not is_zero_vec(g)]
+    lins = [tuple(l) for l in lineality if not is_zero_vec(l)]
+    normals, dual_lin = double_description(ambient, gens, lins)
+    rays, lin = double_description(ambient, normals, dual_lin)
+    return (tuple(rays), tuple(lin), tuple(normals),
+            tuple(hermite_normal_form(dual_lin)), rank_of_rows(rays + lin))
 
 
 def whole_locus(fan: Fan) -> SubfanLocus:

@@ -27,10 +27,12 @@ from toricgit.intlinalg import (
     Sublattice,
     hermite_normal_form,
     vdot,
+    vneg,
 )
 from toricgit.oracle import feasible_strict_boxed
 
 from genutil import (
+    cone_by_two_conversions,
     contains_cone,
     fraction_rank,
     interior_contains,
@@ -407,6 +409,62 @@ def test_facets_are_plain_attributes_once_known():
     assert d.contains_point((1, 1)) and not d.contains_point((0, 1))
     assert vars(d)["facet_normals"] == c.facet_normals
     assert vars(d)["span_equalities"] == ()
+
+
+# -- from_generators: one conversion, generators by incidence ------------
+
+def _generator_lists(rng):
+    """Random generators and lineality in a random ambient rank, with
+    duplicates and positive multiples, zero vectors, generators in the
+    lineality space, or generators that all lie in it."""
+    n = rng.randint(1, 4)
+    box = rng.choice([1, 2, 3])
+
+    def vec():
+        return tuple(rng.randint(-box, box) for _ in range(n))
+
+    gens = [vec() for _ in range(rng.randint(0, 6))]
+    lins = [vec() for _ in range(rng.choice([0, 0, 1, 2]))]
+    mode = rng.randrange(5)
+    if mode == 1 and gens:
+        g = rng.choice(gens)
+        gens += [g, tuple(2 * x for x in g)]
+    elif mode == 2 and gens:
+        gens.append(vneg(rng.choice(gens)))
+    elif mode == 3:
+        base = [vec() for _ in range(rng.randint(1, 3))]
+        gens = base + [vneg(b) for b in base]
+    elif mode == 4:
+        gens.append((0,) * n)
+    rng.shuffle(gens)
+    return n, gens, lins
+
+
+def _five_fields(c):
+    return c.generators, c.lineality_basis, c.facet_normals, c.span_equalities, c.dim
+
+
+@pytest.mark.parametrize("n, gens, lins", [
+    (2, [(1, 0), (-1, 0), (1, 1)], []),             # a generator in the lineality
+    (3, [(1, 0, 0), (0, 1, 0)], [(0, 0, 1)]),        # input lineality
+    (2, [(1, 1), (2, 2), (1, 1), (0, 1)], []),       # duplicates and multiples
+    (2, [(0, 0)], []),                               # the zero cone
+    (3, [(1, 2, 0), (-1, -2, 0), (0, 0, 1), (0, 0, -1)], []),  # all in the lineality
+    (2, [(1, 0), (0, 1), (-1, -1)], []),             # the whole space: no facets
+    (3, [(1, 0, 0), (1, 1, 0), (0, 1, 0)], [(0, 0, 2)]),  # a generator not extreme
+    (3, [(1, 0, 5), (1, 0, -3), (0, 1, 0)], [(0, 0, 1)]),  # equal modulo the lineality
+])
+def test_from_generators_examples_match_two_conversions(n, gens, lins):
+    assert _five_fields(Cone.from_generators(n, gens, lins)) == \
+        cone_by_two_conversions(n, gens, lins)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10**6))
+def test_from_generators_matches_two_conversions(seed):
+    n, gens, lins = _generator_lists(random.Random(seed))
+    assert _five_fields(Cone.from_generators(n, gens, lins)) == \
+        cone_by_two_conversions(n, gens, lins)
 
 
 # -- double description against a brute-force enumeration ---------------

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricgit import cones
+from toricgit.cones import Cone, faces, intersect, meets_in
 from toricgit.fans import (
     DivisorGroup,
     FanError,
@@ -23,6 +25,7 @@ from toricgit.fans import (
 from toricgit.intlinalg import vdot
 
 from genutil import (
+    COX_FANS,
     chart_witness_by_system,
     open_complement,
     random_divisor,
@@ -100,6 +103,73 @@ def test_validate_rejects_cone_inside_another_as_a_non_face():
         validate_fan(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
                      [(0, 1, 2, 3), (0, 2)])
     assert e.value.kind == "IntersectionNotFace"
+
+
+def _count_fallbacks(monkeypatch) -> list:
+    """Record each intersect that meets_in falls back to."""
+    calls = []
+    real = cones.intersect
+    monkeypatch.setattr(cones, "intersect",
+                        lambda c1, c2: calls.append((c1, c2)) or real(c1, c2))
+    return calls
+
+
+def test_validate_accepts_cones_that_no_facet_separates(monkeypatch):
+    # two triangular cones above and below the plane z = 0, which
+    # separates them; no facet of either does, so the pair is intersected
+    fallbacks = _count_fallbacks(monkeypatch)
+    fan = validate_fan(3, [(2, 0, 1), (-1, 2, 1), (-1, -2, 1),
+                           (2, 0, -1), (-1, 2, -1), (-1, -2, -1)],
+                       [[0, 1, 2], [3, 4, 5]])
+    assert len(fallbacks) == 1
+    assert len(fan.face_keys()) == 15 and fan.has_face(frozenset())
+
+
+def test_validate_rejects_overlapping_cones_that_no_facet_separates(monkeypatch):
+    # a hexagram: two triangular cones over the plane z = 1 that overlap
+    # in a hexagon, with no ray of either inside the other
+    fallbacks = _count_fallbacks(monkeypatch)
+    with pytest.raises(FanError) as e:
+        validate_fan(3, [(2, 0, 1), (-1, 2, 1), (-1, -2, 1),
+                         (-2, 0, 1), (1, -2, 1), (1, 2, 1)],
+                     [[0, 1, 2], [3, 4, 5]])
+    assert e.value.kind == "IntersectionNotFace"
+    assert len(fallbacks) == 1
+
+
+_PAIR_FANS = [
+    COX_FANS["P3"],
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+     [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]),
+    ([(2, 0, 1), (-1, 2, 1), (-1, -2, 1), (2, 0, -1), (-1, 2, -1), (-1, -2, -1)],
+     [[0, 1, 2], [3, 4, 5], [0, 1, 3, 4], [1, 2, 4, 5], [0, 2, 3, 5]]),
+]
+
+
+def test_meets_in_matches_intersect_on_fan_pairs(monkeypatch):
+    """On pairs of maximal cones of fans moved by a unimodular map, with
+    a random ray moved or a random cone added, and on every face the two
+    share, meets_in answers as the intersection does."""
+    fallbacks = _count_fallbacks(monkeypatch)
+    pairs = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        rays, maxes = _PAIR_FANS[seed % len(_PAIR_FANS)]
+        U = random_unimodular(rng, 3)
+        rays = [tuple(vdot(row, v) for row in U) for v in rays]
+        maxes = [list(m) for m in maxes]
+        if seed % 3 == 1:
+            rays[rng.randrange(len(rays))] = tuple(rng.randint(-2, 2) for _ in range(3))
+        elif seed % 3 == 2:
+            maxes.append(rng.sample(range(len(rays)), rng.randint(1, 4)))
+        cs = [Cone.from_generators(3, [rays[i] for i in m]) for m in maxes]
+        for i, c1 in enumerate(cs):
+            for c2 in cs[i + 1:]:
+                for f in set(faces(c1)) & set(faces(c2)):
+                    pairs += 1
+                    assert meets_in(c1, c2, f) == (intersect(c1, c2) == f)
+    # both the certificate and the fallback decide some pairs
+    assert 0 < len(fallbacks) < pairs
 
 
 @settings(max_examples=80, deadline=None)

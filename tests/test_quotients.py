@@ -14,7 +14,8 @@ from toricgit.actions import (
     semistable_divisor,
     semistable_group,
 )
-from toricgit.cones import Cone, faces as cone_faces, intersect
+from toricgit import cones
+from toricgit.cones import Cone, faces as cone_faces, intersect, meets_in
 from toricgit.fans import DivisorGroup, FanError, validate_fan
 from toricgit.intlinalg import rank_of_rows, vneg
 from toricgit.quotients import (
@@ -266,6 +267,29 @@ def test_orbit_image_is_smallest_face_holding_the_projection():
                     pairs += 1
                     assert orbit_image(gamma, chart) == want
     assert pairs >= 400 and escaped >= 200
+
+
+def test_meets_in_matches_intersect_on_chart_images(monkeypatch):
+    """On every pair of chart images of random quotients, and on every
+    face the two share, meets_in answers as the intersection does."""
+    fallbacks = []
+    real = cones.intersect
+    monkeypatch.setattr(cones, "intersect",
+                        lambda c1, c2: fallbacks.append(1) or real(c1, c2))
+    met = missed = 0
+    for seed in range(400):
+        drawn = _random_quotient(seed)
+        if drawn is None:
+            continue
+        images = [ch.image for ch in drawn[0].charts]
+        for i, c1 in enumerate(images):
+            for c2 in images[i + 1:]:
+                for f in set(cone_faces(c1)) & set(cone_faces(c2)):
+                    got = meets_in(c1, c2, f)
+                    assert got == (intersect(c1, c2) == f)
+                    met += got
+                    missed += not got
+    assert met >= 300 and missed >= 100 and 0 < len(fallbacks) < met + missed
 
 
 def _geometric_by_face_bijection(q, act, fan):
