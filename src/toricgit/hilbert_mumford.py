@@ -5,7 +5,9 @@ Points of an ambient affine space are abstracted to support patterns
 and limits along one-parameter subgroups depend only on the support.
 cross_validate embeds an affine toric chart via the Hilbert basis of the
 extended section cone and checks that ambient instability matches
-exclusion from the toric semistable locus.
+exclusion from the toric semistable locus.  hilbert_basis enumerates the
+candidates in the zonotope box of the cone's generators and reduces them
+degree by degree, each against the irreducibles of lower degree only.
 """
 
 from __future__ import annotations
@@ -97,7 +99,17 @@ def hilbert_basis(c: Cone, max_points: int = 200000) -> list[Vec]:
     Every irreducible element is a Caratheodory combination sum t_i g_i
     with all t_i < 1 (otherwise subtracting a generator stays in the
     cone), hence lies in the fundamental zonotope box of the generators;
-    candidates are enumerated there and reduced against each other."""
+    candidates are enumerated there and reduced degree by degree.
+
+    The degree of a point p of the cone is the sum of its facet values
+    <u, p>.  On a pointed cone it is positive off the origin: a point on
+    every facet lies in the lineality space, which is 0.  For p, q in the
+    cone, p - q lies in the cone iff every facet value of p is at least
+    that of q, and then q has the lower degree unless p = q.  So one pass
+    over the candidates by increasing degree keeps p unless it dominates
+    a point already kept.  That is the set of irreducibles: if p = q' + r
+    with q', r nonzero, some irreducible summand q of q' lies in the box,
+    was kept before p, and p - q = (q' - q) + r is in the cone."""
     if c.lineality_rank != 0:
         raise ValueError("Hilbert basis requires a pointed cone")
     gens = list(c.generators)
@@ -114,21 +126,14 @@ def hilbert_basis(c: Cone, max_points: int = 200000) -> list[Vec]:
     candidates = []
     for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         if any(x != 0 for x in p) and c.contains_point(p):
-            candidates.append(p)
-    basis = []
-    for p in candidates:
-        reducible = False
-        for q in candidates:
-            if q == p:
-                continue
-            diff = tuple(a - b for a, b in zip(p, q))
-            if c.contains_point(diff):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(p)
-    basis.sort()
-    return basis
+            values = tuple(vdot(u, p) for u in c.facet_normals)
+            candidates.append((sum(values), p, values))
+    candidates.sort()
+    kept = []
+    for _, p, values in candidates:
+        if not any(all(a >= b for a, b in zip(values, w)) for _, w in kept):
+            kept.append((p, values))
+    return sorted(p for p, _ in kept)
 
 
 @dataclass(frozen=True)
@@ -209,7 +214,15 @@ def cross_validate(fan: Fan, action: SubtorusAction, D: ToricDivisor,
                    lin: Linearization, max_points: int = 200000) -> CrossValidation:
     """Check face by face that ambient (Hilbert-Mumford) semistability in
     the coordinate model agrees with membership in the toric semistable
-    locus."""
+    locus.
+
+    The comparison presumes that D is Q-Cartier on the chart.  Then every
+    invariant section s of some nD has an affine non-vanishing set X_s (a
+    principal open set), so a point is ambient-semistable exactly when the
+    toric locus contains it.  Otherwise a section whose zero rays are not
+    a face has a non-affine X_s: the toric locus rejects it, as the
+    definition of semistability asks, but the ambient model counts it and
+    the two may disagree."""
     model = ambient_model(fan, action, D, lin, max_points)
     toric = semistable_divisor(D, lin, action, fan)
     rows = []

@@ -4,11 +4,13 @@ random.Random so runs are reproducible."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 from toricgit.actions import ActionError, Linearization, SubtorusAction
+from toricgit.certcheck import CheckResult, _dot, _rank
 from toricgit.cones import (
     Cone,
     FeasibilitySystem,
@@ -18,6 +20,7 @@ from toricgit.cones import (
     image,
 )
 from toricgit.fans import Fan, SubfanLocus, ToricDivisor, validate_fan
+from toricgit.hilbert_mumford import HilbertBasisTooLarge, _box_ranges
 from toricgit.intlinalg import (
     IntMatrix,
     LatticeMap,
@@ -302,3 +305,114 @@ def chart_witness_by_system(fan: Fan, tau, degree_rows, weight_rows=(),
     if wit is None:
         return None
     return {"monomial": wit[:n], "degree": wit[n:]}
+
+
+def hilbert_basis_by_pairs(c: Cone, max_points: int = 200000) -> list:
+    """Reference for `hilbert_basis`: the same box of candidates, each
+    reduced against every other candidate (O(N^2) membership tests)."""
+    if c.lineality_rank != 0:
+        raise ValueError("Hilbert basis requires a pointed cone")
+    gens = list(c.generators)
+    if not gens:
+        return []
+    ambient = c.ambient_rank
+    lo, hi = _box_ranges(gens, ambient)
+    count = 1
+    for a, b in zip(lo, hi):
+        count *= (b - a + 1)
+        if count > max_points:
+            raise HilbertBasisTooLarge(
+                f"candidate box has more than {max_points} points")
+    candidates = []
+    for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        if any(x != 0 for x in p) and c.contains_point(p):
+            candidates.append(p)
+    basis = []
+    for p in candidates:
+        reducible = False
+        for q in candidates:
+            if q == p:
+                continue
+            diff = tuple(a - b for a, b in zip(p, q))
+            if c.contains_point(diff):
+                reducible = True
+                break
+        if not reducible:
+            basis.append(p)
+    basis.sort()
+    return basis
+
+
+def check_certificate_with_complement_affine(
+        rays, face_keys, divisor_rows, shifts, phi_columns, cert) -> CheckResult:
+    """Reference for `certcheck.check_certificate`: the same replay with
+    the clause complement-affine, which complement-is-chart implies."""
+    failures = []
+    k = len(divisor_rows)
+    r = len(rays)
+    chart = cert.chart
+
+    if not any(chart == key for key in face_keys):
+        failures.append("chart-is-face")
+
+    degree = tuple(cert.degree)
+    if cert.group_case:
+        if len(degree) != k:
+            failures.append("degree-length")
+    else:
+        if len(degree) != 1 or degree[0] <= 0:
+            failures.append("degree-positive")
+
+    a = [sum(degree[i] * divisor_rows[i][j] for i in range(len(degree)))
+         for j in range(r)]
+    shift = tuple(sum(degree[i] * shifts[i][t] for i in range(len(degree)))
+                  for t in range(len(phi_columns)))
+
+    # the single monomial's section must vanish exactly on the chart's
+    # rays and be invariant
+    u = tuple(cert.monomial)
+    b = [_dot(u, rays[j]) + a[j] for j in range(r)]
+    if any(b[j] != 0 if j in chart else b[j] <= 0 for j in range(r)):
+        failures.append("complement-is-chart")
+    weight = [_dot(col, u) + s for col, s in zip(phi_columns, shift)]
+    if any(x != 0 for x in weight):
+        failures.append("invariant-weight")
+    # affineness of the complement: every fan face inside the zero set
+    # must be a face of the chart, i.e. keyed by a subset
+    zero_set = frozenset(j for j, x in enumerate(b) if x == 0)
+    if any(not key <= chart for key in face_keys if key <= zero_set):
+        failures.append("complement-affine")
+
+    expected_cartier = k if cert.group_case else 1
+    if len(cert.cartier) != expected_cartier:
+        failures.append("cartier-witness-count")
+    if cert.group_case:
+        # each basis divisor must be principal on the chart
+        check_rows = list(divisor_rows)
+    else:
+        # the certified multiple n*D must be principal on the chart
+        check_rows = [a]
+    for m, row in zip(cert.cartier, check_rows):
+        if any(_dot(m, rays[i]) != -row[i] for i in sorted(chart)):
+            failures.append("cartier-witness")
+
+    if cert.group_case:
+        cs = []
+        for c, w in cert.invertibles:
+            cs.append(tuple(c))
+            bad = False
+            for i in sorted(chart):
+                val = _dot(w, rays[i]) + sum(
+                    c[t] * divisor_rows[t][i] for t in range(k))
+                if val != 0:
+                    bad = True
+            wv = [_dot(col, w) + sum(c[t] * shifts[t][j] for t in range(k))
+                  for j, col in enumerate(phi_columns)]
+            if any(x != 0 for x in wv):
+                bad = True
+            if bad:
+                failures.append("invertible-witness")
+        if _rank(cs) != k:
+            failures.append("finite-index")
+
+    return CheckResult(not failures, tuple(failures))

@@ -1,6 +1,7 @@
 """Subtorus actions: semistable loci, chambers, achievable weight cones,
 obstructions.  Certificates are replayed through the independent checker."""
 
+import dataclasses
 import random
 
 import pytest
@@ -34,6 +35,7 @@ from genutil import (
     COX_FANS,
     action_sublattice,
     chambers_by_full_refinement,
+    check_certificate_with_complement_affine,
     contains_cone,
     cox_data,
     random_action,
@@ -142,6 +144,52 @@ def test_punctured_plane_certificates(plane_fan):
     res = check_certificate(list(plane_fan.rays), list(plane_fan.face_keys()),
                             [(0, 0)], [(-1,)], [(1, 1)], forged)
     assert res.failures == ("complement-is-chart",)
+
+
+def _mutants(rng, fan, cert):
+    """The certificate and copies with its monomial, degree or chart
+    changed at random."""
+    yield cert
+    for _ in range(3):
+        step = tuple(rng.randint(-1, 1) for _ in cert.monomial)
+        yield dataclasses.replace(
+            cert, monomial=tuple(a + b for a, b in zip(cert.monomial, step)))
+        yield dataclasses.replace(
+            cert, degree=tuple(x + rng.randint(-1, 1) for x in cert.degree))
+        yield dataclasses.replace(cert, chart=frozenset(
+            i for i in range(len(fan.rays)) if rng.random() < 0.5))
+    yield dataclasses.replace(cert, chart=rng.choice(list(fan.face_keys())))
+
+
+def test_certcheck_without_complement_affine():
+    """complement-affine was implied by complement-is-chart (the zero set
+    is then exactly the chart): on random and randomly mutated
+    certificates, no certificate failed it alone, and dropping it leaves
+    every verdict as it was."""
+    verdicts = set()
+    for seed in range(150):
+        rng = random.Random(7000 + seed)
+        fan = random_fan(rng)
+        act = random_action(rng, fan)
+        D = random_divisor(rng, fan)
+        lin = random_linearization(rng, act.d)
+        if seed % 2 == 0:
+            ss = semistable_divisor(D, lin, act, fan)
+        elif any(D.coefficients):
+            ss = semistable_group(DivisorGroup((D,)), lin, act, fan)
+        else:
+            continue
+        args = (list(fan.rays), list(fan.face_keys()), [D.coefficients],
+                list(lin.shifts), act.phi_star_rows())
+        for _, cert in ss.certificates:
+            for mutant in _mutants(rng, fan, cert):
+                old = check_certificate_with_complement_affine(*args, mutant)
+                assert "complement-affine" not in old.failures \
+                    or "complement-is-chart" in old.failures
+                new = check_certificate(*args, mutant)
+                assert new.ok == old.ok, (seed, mutant)
+                verdicts.add(old.ok)
+    assert verdicts == {True, False}
 
 
 def test_torus_without_rays_is_semistable():

@@ -4,10 +4,10 @@ the ambient cross-validation of toric semistability."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricgit.actions import Linearization
+from toricgit.actions import Linearization, semistable_divisor
 from toricgit.cones import Cone
 from toricgit.hilbert_mumford import (
     AmbientModel,
@@ -22,7 +22,16 @@ from toricgit.hilbert_mumford import (
     limit,
 )
 from toricgit.intlinalg import vdot
-from toricgit.oracle import destabilize_boxed
+from toricgit.oracle import SearchBounds, destabilize_boxed, enumerate_witnesses
+
+from genutil import (
+    fraction_rank,
+    hilbert_basis_by_pairs,
+    random_action,
+    random_affine_fan,
+    random_divisor,
+    random_linearization,
+)
 
 
 def _lin0(d):
@@ -156,6 +165,51 @@ def test_hilbert_basis_guard():
         hilbert_basis(c, max_points=100)
 
 
+def test_hilbert_basis_budget_boundary():
+    # the box of (1, 0) and (1, 4) is [0, 2] x [0, 4]: 15 points
+    c = Cone.from_generators(2, [(1, 0), (1, 4)])
+    assert hilbert_basis(c, max_points=15) == [(1, k) for k in range(5)]
+    with pytest.raises(HilbertBasisTooLarge,
+                       match="candidate box has more than 14 points"):
+        hilbert_basis(c, max_points=14)
+
+
+def _cone_inputs(rank):
+    row = st.tuples(*[st.integers(-2, 2)] * rank)
+    return st.tuples(st.just(rank), st.sampled_from(("generators", "inequalities")),
+                     st.lists(row, min_size=1, max_size=rank + 1),
+                     st.lists(row, max_size=rank - 1))
+
+
+def _outcome(f, c):
+    try:
+        return f(c, 300)
+    except (ValueError, HilbertBasisTooLarge) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4).flatmap(_cone_inputs))
+# (1, 0), (1, 1) and (1, 2) all have degree 2 (facet normals (0, 1), (2, -1))
+@example((2, "generators", [(1, 0), (1, 2)], []))
+# single rays, and a pointed cone that is not full-dimensional
+@example((3, "generators", [(1, -2, 0)], []))
+@example((2, "inequalities", [(1, 1)], [(1, -1)]))
+@example((3, "generators", [(1, 0, 1), (1, 2, 1)], []))
+@example((4, "inequalities", [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 2, 0)],
+          [(0, 0, 0, 1)]))
+def test_hilbert_basis_matches_pairwise_reduction(inputs):
+    """Degree-wise reduction keeps exactly the candidates that no other
+    candidate reduces, and raises the same errors, on random cones of
+    ranks 2-4 given either way."""
+    rank, kind, rows, equalities = inputs
+    if kind == "generators":
+        c = Cone.from_generators(rank, rows)
+    else:
+        c = Cone.from_inequalities(rank, rows, equalities)
+    assert _outcome(hilbert_basis, c) == _outcome(hilbert_basis_by_pairs, c)
+
+
 # --- ambient model / cross-validation --------------------------------------
 
 def test_ambient_model_intro(plane_fan, hyperbolic_action, div_z):
@@ -192,3 +246,47 @@ def test_cross_validate_quadric(quadric_fan, quadric_action, quadric_divisor):
     assert len(cv.model.basis) == 9
     semis = {k for k, t, _ in cv.per_face if t}
     assert semis == {frozenset(), frozenset({0}), frozenset({2})}
+
+
+def _q_cartier(fan, D) -> bool:
+    """Some m in M_Q has <m, v_rho> = -a_rho at every ray."""
+    rays = list(fan.rays)
+    return fraction_rank(rays) == fraction_rank(
+        [tuple(v) + (a,) for v, a in zip(rays, D.coefficients)])
+
+
+def test_cross_validation_needs_q_cartier_divisor():
+    """cross_validate compares ambient Hilbert-Mumford semistability with
+    the toric locus, which only counts sections s whose set X_s is affine.
+    With D Q-Cartier on the affine chart every X_s is a principal open
+    set, so the two must agree.  Otherwise an invariant section whose zero
+    rays are not a face makes points ambient-semistable that the toric
+    locus rightly rejects; the engine's locus then still matches the
+    oracle's.  The instances are those of acceptance criterion 8c, at a
+    Hilbert-basis budget of 2000."""
+    cartier = 0
+    for seed in range(12345, 12345 + 120):
+        rng = random.Random(seed)
+        rank = rng.choice((2, 3))
+        fan = random_affine_fan(rng, rank)
+        act = random_action(rng, fan)
+        D = random_divisor(rng, fan, box=2)
+        lin = random_linearization(rng, act.d)
+        if fan.face_cone(fan.maximal_keys[0]).dim != rank or act.d == 0:
+            continue
+        try:
+            cv = cross_validate(fan, act, D, lin, max_points=2000)
+        except HilbertBasisTooLarge:
+            continue
+        if _q_cartier(fan, D):
+            cartier += 1
+            assert cv.agrees, seed
+        elif not cv.agrees:
+            # seed 12355: the section u = (1, 0, -1), n = 1 vanishes on
+            # rays 1, 2, 3, which are not a face
+            toric = semistable_divisor(D, lin, act, fan).locus.faces
+            oracle = enumerate_witnesses(
+                list(fan.rays), list(fan.face_keys()), [D.coefficients],
+                list(lin.shifts), act.phi_star_rows(), SearchBounds())
+            assert toric == oracle, seed
+    assert cartier > 0
