@@ -19,7 +19,6 @@ from typing import Sequence
 from .cones import (
     Cone,
     faces as cone_faces,
-    image as cone_image,
     intersect,
     relative_interior_point,
 )
@@ -256,22 +255,33 @@ def mumford_trivial_semistable(chi: Sequence[int], action: SubtorusAction,
                               Linearization((vneg(chi),)), action, fan)
 
 
+def _weight_generators(action: SubtorusAction, fan: Fan):
+    """The lineality of every K_gamma and a map from gamma to the set of
+    generators of K_gamma.  The slab sigma_dual ∩ gamma^perp is the face
+    of sigma_dual on the facet normals of sigma that vanish on gamma,
+    plus sigma^perp: read by incidence, no conversion.  K_gamma is
+    phi_star of it, so its generators are the primitive nonzero phi_star
+    images of those normals, and its lineality the images of sigma's
+    span equalities, the same for every gamma."""
+    sigma = fan.face_cone(_require_affine(fan))
+    phi_star = LatticeMap(action.phi.matrix.transpose(), fan.ambient_rank, action.d)
+
+    def generators(gamma: FaceKey) -> frozenset:
+        rays = [fan.rays[i] for i in gamma]
+        images = (phi_star.apply(u) for u in sigma.facet_normals
+                  if not any(vdot(u, r) for r in rays))
+        return frozenset(primitive(g) for g in images if not is_zero_vec(g))
+    return [phi_star.apply(e) for e in sigma.span_equalities], generators
+
+
 def achievable_weight_cone(gamma: FaceKey, action: SubtorusAction,
                            fan: Fan) -> Cone:
     """K_gamma = phi_star(sigma_dual intersect gamma^perp): weights of
     regular monomials nonvanishing on the orbit of gamma, so the trivial
     bundle at chi is semistable on that orbit iff chi lies in K_gamma.
-    The slab is the face of sigma_dual on the facet normals of sigma that
-    vanish on gamma, plus sigma^perp: read by incidence, no conversion."""
-    top = _require_affine(fan)
-    sigma = fan.face_cone(top)
-    rays = [fan.rays[i] for i in gamma]
-    slab = Cone(fan.ambient_rank,
-                tuple(u for u in sigma.facet_normals
-                      if not any(vdot(u, r) for r in rays)),
-                sigma.span_equalities)
-    phi_star = LatticeMap(action.phi.matrix.transpose(), fan.ambient_rank, action.d)
-    return cone_image(slab, phi_star)
+    One conversion, of the generators `_weight_generators` reads off."""
+    lineality, generators = _weight_generators(action, fan)
+    return Cone.from_generators(action.d, sorted(generators(gamma)), lineality)
 
 
 def git_chambers(action: SubtorusAction, fan: Fan):
@@ -284,10 +294,18 @@ def git_chambers(action: SubtorusAction, fan: Fan):
     its maximal faces are certified, from one section cone per chamber:
     if chi lies in K_gamma, some tau >= gamma passes the chart test, and
     tau is itself a member, so a maximal member face gamma is that tau
-    and passes."""
-    _require_affine(fan)
-    kcones = {key: achievable_weight_cone(key, action, fan)
-              for key in fan.face_keys()}
+    and passes.
+
+    A weight cone is determined by its generator set, and faces share
+    these sets (all faces of the Cox data of P^2 share two), so each
+    distinct set is converted once and each sample is tested once per
+    distinct cone.  The conversions that remain are those weight cones,
+    the two halves of each cell a hyperplane crosses, and one section
+    cone per chamber."""
+    lineality, generators = _weight_generators(action, fan)
+    face_gens = {key: generators(key) for key in fan.face_keys()}
+    kcones = {g: Cone.from_generators(action.d, sorted(g), lineality)
+              for g in dict.fromkeys(face_gens.values())}
 
     hyperplanes = set()
     for c in kcones.values():
@@ -296,7 +314,7 @@ def git_chambers(action: SubtorusAction, fan: Fan):
             if not is_zero_vec(p):
                 hyperplanes.add(vneg(p) if next(x for x in p if x) < 0 else p)
 
-    cells = [kcones[frozenset()]]
+    cells = [kcones[face_gens[frozenset()]]]
     for h in sorted(hyperplanes):
         nxt = []
         for cell in cells:
@@ -320,8 +338,9 @@ def git_chambers(action: SubtorusAction, fan: Fan):
     out = []
     for ch in chambers:
         chi = relative_interior_point(ch)
+        members = {g for g, c in kcones.items() if c.contains_point(chi)}
         locus = SubfanLocus(frozenset(
-            key for key, c in kcones.items() if c.contains_point(chi)))
+            key for key, g in face_gens.items() if g in members))
         rows = _chart_rows(fan, (ToricDivisor.zero(fan),), (vneg(chi),), action)
         section = section_cone(fan, *rows, shared_strict=((1,),))
         certs = tuple((key, _divisor_certificate(fan, key, section))

@@ -5,6 +5,11 @@ given homogeneous inequalities and equalities we compute a minimal set
 of extreme rays plus a lineality basis.  Each ray carries the set of
 constraints it is tight on, so adjacency, and with it extremality, is
 decided from those sets rather than by re-evaluating every constraint.
+A vector the new constraint vanishes on is kept as it is, since its
+projection is a positive multiple of it and every stored vector is
+primitive; and a pair tight on fewer constraints than the codimension
+of a face two above the lineality is never scanned, since such a face
+is cut out by the constraints tight on it.
 A cone is its canonical generators and lineality basis; its facet
 description is one more conversion, run on first read (or kept from the
 conversion that built the cone).  A cone built from generators makes
@@ -65,7 +70,17 @@ def double_description(
     {x : a.x >= 0 for all inequalities, b.x = 0 for all equalities}.
 
     Rays are primitive and minimal modulo the lineality space.  The
-    lineality basis is the HNF of the saturated lattice of that space."""
+    lineality basis is the HNF of the saturated lattice of that space.
+
+    Two invariants keep the work down without changing the result.  A
+    lineality vector or ray that the constraint being added vanishes on
+    is kept, not projected: every stored vector is primitive, and
+    primitive(p.v) = v for primitive v and p > 0.  A pair of rays whose
+    common zero set has fewer than ambient - len(lin) - 2 constraints is
+    not tested for adjacency: an adjacent pair spans a face of dimension
+    len(lin) + 2, which is the cone cut by the constraints tight on it,
+    so its span is their kernel and at least that many of them vanish on
+    both rays."""
     constraints: list[Vec] = []
     for b in equalities:
         t = primitive(tuple(b))
@@ -93,15 +108,17 @@ def double_description(
             # is extreme, and so is l0: the earlier constraints vanish on
             # it and cut out the face lineality + cone(l0).  Projection
             # keeps each ray's zero set and adds k; l0 is tight on all
-            # but k.
+            # but k.  A vector a vanishes on is its own projection.
+            lin.remove(l0)
             if vdot(a, l0) < 0:
                 l0 = vneg(l0)
             p = vdot(a, l0)
-            lin = [primitive(vsub(vscale(p, l), vscale(vdot(a, l), l0)))
-                   for l in lin if l is not l0]
-            lin = [l for l in lin if not is_zero_vec(l)]
-            projected = ((primitive(vsub(vscale(p, r), vscale(vdot(a, r), l0))), z)
-                         for r, z in rays.items())
+
+            def project(v):
+                c = vdot(a, v)
+                return primitive(vsub(vscale(p, v), vscale(c, l0))) if c else v
+            lin = [project(l) for l in lin]
+            projected = ((project(r), z) for r, z in rays.items())
             rays = {r: z | bit for r, z in projected if not is_zero_vec(r)}
             rays[l0] = bit - 1
             continue
@@ -114,11 +131,14 @@ def double_description(
         # from an adjacent pair.
         new = {r: z if vals[r] else z | bit for r, z in rays.items() if vals[r] >= 0}
         neg = [r for r in rays if vals[r] < 0]
+        # fewest constraints an adjacent pair is tight on (see docstring)
+        tight = ambient - len(lin) - 2
         for rp in (r for r in rays if vals[r] > 0):
             for rn in neg:
                 common = rays[rp] & rays[rn]
-                if any(r3 is not rp and r3 is not rn and common & z3 == common
-                       for r3, z3 in rays.items()):
+                if common.bit_count() < tight or any(
+                        r3 is not rp and r3 is not rn and common & z3 == common
+                        for r3, z3 in rays.items()):
                     continue
                 # a positive combination of rp and rn: tight exactly where both are
                 w = primitive(vsub(vscale(vals[rp], rn), vscale(vals[rn], rp)))

@@ -22,7 +22,7 @@ def vdot(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 def vsub(a: Sequence[int], b: Sequence[int]) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def vscale(c: int, a: Sequence[int]) -> Vec:
@@ -34,10 +34,7 @@ def vneg(a: Sequence[int]) -> Vec:
 
 
 def gcdv(a: Sequence[int]) -> int:
-    g = 0
-    for x in a:
-        g = math.gcd(g, x)
-    return g
+    return math.gcd(*a)
 
 
 def primitive(a: Sequence[int]) -> Vec:

@@ -11,6 +11,12 @@ image, the smallest face of the chart image holding pi(gamma), found by
 ray-facet incidence on the image with no conversion.  The good /
 separated / geometric flags compare orbit images, and no face lattice is
 built.
+
+The conversions that remain are one chart image per maximal cone and,
+for a pair of charts, the glue cone pi(gamma) of the face gamma they
+share, converted only when the orbit image of gamma is not pointed or
+is not generated by the projected generators of gamma; otherwise that
+orbit image is the glue cone (`_glue_cone`).
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .intlinalg import (
     LatticeMap,
     Sublattice,
     cokernel_projection,
+    primitive,
     vdot,
     vneg,
 )
@@ -89,6 +96,21 @@ def is_saturated(sublocus_keys, images: dict[FaceKey, Cone]) -> bool:
                    for k, F in images.items() if k not in keys)
 
 
+def _glue_cone(gamma: Cone, orbit: Cone, pi: LatticeMap) -> Cone:
+    """pi(gamma), given its orbit image in some chart.
+
+    pi(gamma) lies in the orbit image F.  When F is pointed and each of
+    its generators is the primitive image of a generator of gamma, F lies
+    in pi(gamma) as well, so it is pi(gamma), with no conversion.  (A
+    pointed F that equals pi(gamma) always passes: an extreme ray of F
+    in pi(gamma) is a positive multiple of one of the pi(g).)  Otherwise
+    pi(gamma) is converted."""
+    if not orbit.lineality_basis and set(orbit.generators) <= {
+            primitive(pi.apply(g)) for g in gamma.generators}:
+        return orbit
+    return cone_image(gamma, pi)
+
+
 def build_quotient(ss: SemistableLocus, action: SubtorusAction,
                    fan: Fan) -> GluedQuotient:
     pi, torsion = quotient_projection(action)
@@ -115,7 +137,7 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
             # two fan faces meet in the face on their common rays
             common = charts[i].source_key & charts[j].source_key
             if common not in glues:
-                glues[common] = cone_image(fan.face_cone(common), pi)
+                glues[common] = _glue_cone(fan.face_cone(common), images[i][common], pi)
             glue = glues[common]
             gluings.append((i, j, glue))
             inter_keys = [k for k in images[i] if k <= common]

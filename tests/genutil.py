@@ -8,11 +8,13 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from toricgit.actions import ActionError, Linearization, SubtorusAction
 from toricgit.certcheck import CheckResult, _dot, _rank
 from toricgit.cones import (
     Cone,
+    _reduce_mod_rows,
     FeasibilitySystem,
     double_description,
     faces,
@@ -25,6 +27,7 @@ from toricgit.intlinalg import (
     IntMatrix,
     LatticeMap,
     Sublattice,
+    Vec,
     hermite_normal_form,
     is_zero_vec,
     kernel_basis,
@@ -35,6 +38,8 @@ from toricgit.intlinalg import (
     solve_integer,
     vdot,
     vneg,
+    vscale,
+    vsub,
 )
 
 
@@ -250,6 +255,82 @@ def open_complement(fan: Fan, b) -> SubfanLocus:
     set where a section with zero pattern b does not vanish."""
     zero_rays = frozenset(i for i, x in enumerate(b) if x == 0)
     return SubfanLocus(frozenset(k for k in fan.face_keys() if k <= zero_rays))
+
+
+def double_description_by_projection(
+    ambient: int,
+    inequalities: Sequence[Sequence[int]],
+    equalities: Sequence[Sequence[int]] = (),
+) -> tuple[list[Vec], list[Vec]]:
+    """Reference for `double_description`: the same conversion, projecting
+    every lineality vector and ray at each drop of the lineality and
+    scanning every pair of rays of opposite sign for adjacency."""
+    constraints: list[Vec] = []
+    for b in equalities:
+        t = primitive(tuple(b))
+        if not is_zero_vec(t):
+            constraints.append(t)
+            constraints.append(vneg(t))
+    for a in inequalities:
+        t = primitive(tuple(a))
+        if not is_zero_vec(t):
+            constraints.append(t)
+    constraints = list(dict.fromkeys(constraints))
+
+    lin: list[Vec] = [tuple(1 if i == j else 0 for j in range(ambient)) for i in range(ambient)]
+    # each ray with its zero set over the constraints handled so far (bitmask)
+    rays: dict[Vec, int] = {}
+
+    for k, a in enumerate(constraints):
+        bit = 1 << k
+        l0 = next((l for l in lin if vdot(a, l) != 0), None)
+        if l0 is not None:
+            # lineality drops by one (at most `ambient` times).  With
+            # a.l0 > 0 the new cone is (C ∩ a^perp) ⊕ cone(l0), and
+            # projecting along l0 maps C ∩ a^perp isomorphically onto
+            # C / R.l0, which has the faces of C.  So every projected ray
+            # is extreme, and so is l0: the earlier constraints vanish on
+            # it and cut out the face lineality + cone(l0).  Projection
+            # keeps each ray's zero set and adds k; l0 is tight on all
+            # but k.
+            if vdot(a, l0) < 0:
+                l0 = vneg(l0)
+            p = vdot(a, l0)
+            lin = [primitive(vsub(vscale(p, l), vscale(vdot(a, l), l0)))
+                   for l in lin if l is not l0]
+            lin = [l for l in lin if not is_zero_vec(l)]
+            projected = ((primitive(vsub(vscale(p, r), vscale(vdot(a, r), l0))), z)
+                         for r, z in rays.items())
+            rays = {r: z | bit for r, z in projected if not is_zero_vec(r)}
+            rays[l0] = bit - 1
+            continue
+        vals = {r: vdot(a, r) for r in rays}
+        # Rays kept from the larger cone stay extreme in the smaller one.
+        # The rays are exactly the extreme rays modulo the lineality, one
+        # each, with exact zero sets, so two of them are adjacent iff no
+        # third ray is tight on every constraint both are tight on
+        # (Fukuda-Prodon 1996), and a new ray is extreme iff it comes
+        # from an adjacent pair.
+        new = {r: z if vals[r] else z | bit for r, z in rays.items() if vals[r] >= 0}
+        neg = [r for r in rays if vals[r] < 0]
+        for rp in (r for r in rays if vals[r] > 0):
+            for rn in neg:
+                common = rays[rp] & rays[rn]
+                if any(r3 is not rp and r3 is not rn and common & z3 == common
+                       for r3, z3 in rays.items()):
+                    continue
+                # a positive combination of rp and rn: tight exactly where both are
+                w = primitive(vsub(vscale(vals[rp], rn), vscale(vals[rn], rp)))
+                if not is_zero_vec(w) and w not in new:
+                    new[w] = common | bit
+        rays = new
+
+    # the lineality space is the kernel of the constraints; one
+    # kernel_basis gives its saturated lattice in HNF
+    lin_rows = (kernel_basis(IntMatrix.from_rows(constraints, ambient)).basis.entries
+                if lin else ())
+    reduced = (_reduce_mod_rows(r, lin_rows) for r in rays)
+    return sorted({r for r in reduced if not is_zero_vec(r)}), list(lin_rows)
 
 
 def weight_cone_by_conversion(gamma, action: SubtorusAction, fan: Fan) -> Cone:

@@ -363,6 +363,27 @@ def test_weight_cones_match_conversion():
                 weight_cone_by_conversion(key, act, fan)
 
 
+@pytest.mark.parametrize("name, distinct", [("P2", 2), ("P1xP1", 4), ("F1", 8)])
+def test_chambers_convert_each_weight_cone_once(monkeypatch, name, distinct):
+    # the 8 or 16 faces of the orthant share these few generator sets
+    orthant, act = cox_data(COX_FANS[name][0])
+    converted = []
+    real = Cone.from_generators
+    monkeypatch.setattr(Cone, "from_generators", staticmethod(
+        lambda *args: converted.append(args) or real(*args)))
+    git_chambers(act, orthant)
+    assert len(converted) == distinct
+    assert len(orthant.face_keys()) == 2 ** len(orthant.rays) > distinct
+
+
+def test_chamber_loci_are_weight_cone_members():
+    for fan, act in _affine_instances(200):
+        for _, chi, loc in git_chambers(act, fan):
+            assert loc.locus.faces == {
+                key for key in fan.face_keys()
+                if achievable_weight_cone(key, act, fan).contains_point(chi)}
+
+
 # --- obstruction reports -------------------------------------------------
 
 def test_obstruction_quadric(quadric_fan, quadric_action, quadric_divisor):

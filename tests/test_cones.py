@@ -31,9 +31,11 @@ from toricgit.intlinalg import (
 )
 from toricgit.oracle import feasible_strict_boxed
 
+from toricgit import cones
 from genutil import (
     cone_by_two_conversions,
     contains_cone,
+    double_description_by_projection,
     fraction_rank,
     interior_contains,
     lattice_saturated,
@@ -592,3 +594,65 @@ def test_dd_lineality_is_saturated_kernel(system):
         assert fraction_rank(list(lin) + [r1, r2]) == len(lin) + 2
     assert Cone.from_generators(dim, rays, lin) == \
         Cone.from_inequalities(dim, ineqs, eqs)
+
+
+# -- the kernel against the projecting reference -------------------------
+
+@st.composite
+def _messy_systems(draw):
+    """Systems in ambient dimension 0-5 with equalities, and with some
+    rows repeated, negated or replaced by zero."""
+    n = draw(st.integers(0, 5))
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    ineqs = draw(st.lists(vec, max_size=7))
+    eqs = draw(st.lists(vec, max_size=2))
+    for rows in (ineqs, eqs):
+        for _ in range(draw(st.integers(0, 2))):
+            edit = draw(st.sampled_from(("repeat", "negate", "zero")))
+            if edit == "zero":
+                rows.append((0,) * n)
+            elif rows:
+                r = draw(st.sampled_from(rows))
+                rows.append(r if edit == "repeat" else vneg(r))
+    return n, ineqs, eqs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_messy_systems())
+# cones that are not full-dimensional modulo their lineality, where an
+# adjacent pair is tight on more rows than its face's codimension: the
+# cone over a square cut through opposite corners, flattened by an
+# equality, then by two opposite rows with a free line beside it, and
+# the cone over a cube cut off at a corner, flattened by an equality
+@example((4, [(1, 1, 1, 0), (1, -1, 1, 0), (-1, 1, 1, 0), (-1, -1, 1, 0),
+              (1, 0, 0, 0)], [(0, 0, 0, 1)]))
+@example((5, [(1, 1, 1, 0, 0), (1, -1, 1, 0, 0), (-1, 1, 1, 0, 0),
+              (-1, -1, 1, 0, 0), (1, 0, 0, 0, 0), (0, 0, 0, 1, 0),
+              (0, 0, 0, -1, 0)], []))
+@example((5, [(1, 0, 0, 1, 0), (-1, 0, 0, 1, 0), (0, 1, 0, 1, 0),
+              (0, -1, 0, 1, 0), (0, 0, 1, 1, 0), (0, 0, -1, 1, 0),
+              (1, 1, 1, 0, 0)], [(0, 0, 0, 0, 1)]))
+def test_dd_matches_projecting_reference(system):
+    n, ineqs, eqs = system
+    assert double_description(n, ineqs, eqs) == \
+        double_description_by_projection(n, ineqs, eqs)
+
+
+def test_pointed_conversion_computes_no_kernel(monkeypatch):
+    # the lineality tracked during a conversion is exactly the lineality
+    # of the cone so far, so a pointed cone ends with none to saturate
+    calls = []
+    real = cones.kernel_basis
+    monkeypatch.setattr(cones, "kernel_basis",
+                        lambda m: calls.append(1) or real(m))
+    rng = random.Random(15)
+    pointed = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(n, 7))]
+        rays, lin = double_description(n, rows)
+        assert bool(calls) == bool(lin)
+        pointed += not lin
+        calls.clear()
+    assert pointed > 100

@@ -14,10 +14,10 @@ from toricgit.actions import (
     semistable_divisor,
     semistable_group,
 )
-from toricgit import cones
+from toricgit import cones, quotients
 from toricgit.cones import Cone, faces as cone_faces, intersect, meets_in
-from toricgit.fans import DivisorGroup, FanError, validate_fan
-from toricgit.intlinalg import rank_of_rows, vneg
+from toricgit.fans import DivisorGroup, FanError, ToricDivisor, validate_fan
+from toricgit.intlinalg import IntMatrix, LatticeMap, rank_of_rows, vneg
 from toricgit.quotients import (
     build_quotient,
     is_saturated,
@@ -327,3 +327,62 @@ def test_geometric_flag_matches_face_bijection():
         geometric += q.geometric
         not_geometric += not q.geometric
     assert geometric >= 100 and not_geometric >= 8
+
+
+def _cox_quotient(name):
+    """The Cox quotient of a complete fan at its anticanonical class."""
+    orthant, act = cox_data(COX_FANS[name][0])
+    chi = tuple(sum(col) for col in act.phi_star_rows())
+    return (build_quotient(mumford_trivial_semistable(chi, act, orthant), act,
+                           orthant), act, orthant)
+
+
+def _half_plane_quotient():
+    """Two charts whose images are opposite half-planes, glued along their
+    common line: random fans of rank 3 are affine and never give this."""
+    fan = validate_fan(3, [(1, 0, 1), (-1, 0, 1), (0, 1, 0), (0, -1, 0)],
+                       [[0, 1, 2], [0, 1, 3]])
+    act = SubtorusAction.from_columns([(0, 0, 1)], 3)
+    ss = semistable_divisor(ToricDivisor((0, 0, 0, 1)), _lin0(1), act, fan)
+    return build_quotient(ss, act, fan), act, fan
+
+
+def test_glue_cones_match_conversion(monkeypatch):
+    """Every glue cone is the converted image of the shared face, whether
+    it was read off an orbit image or converted."""
+    converted = []
+    real = quotients.cone_image
+    monkeypatch.setattr(quotients, "cone_image",
+                        lambda c, f: converted.append(c) or real(c, f))
+
+    def build(make, *args):
+        # the quotient, its fan and the cones its build converted
+        converted.clear()
+        drawn = make(*args)
+        return drawn and (drawn[0], drawn[2], set(converted))
+
+    built = [build(_cox_quotient, name) for name in ("P2", "P1xP1", "F1")]
+    built.append(build(_half_plane_quotient))
+    seed = 0
+    while len(built) < 1004:
+        built += [b for b in [build(_random_quotient, seed)] if b]
+        seed += 1
+    by_incidence = by_conversion = 0
+    for q, fan, sources in built:
+        for i, j, glue in q.gluings:
+            gamma = fan.face_cone(q.charts[i].source_key & q.charts[j].source_key)
+            want = cones.image(gamma, q.charts[i].projection)
+            assert glue == want and glue.dim == want.dim
+            by_conversion += gamma in sources
+            by_incidence += gamma not in sources
+    assert by_incidence > 0 and by_conversion > 0
+
+
+def test_glue_cone_inside_its_orbit_image():
+    # pi(e3) = (1, 1) lies inside the image of the orthant, so its orbit
+    # image is the whole image, which is not pi(gamma): it is converted
+    pi = LatticeMap(IntMatrix.from_rows([(1, 0, 1), (0, 1, 1)], 3), 3, 2)
+    orthant = Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    gamma = Cone.from_generators(3, [(0, 0, 1)])
+    got = quotients._glue_cone(gamma, cones.image(orthant, pi), pi)
+    assert got == Cone.from_generators(2, [(1, 1)])
