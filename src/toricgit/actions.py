@@ -297,9 +297,9 @@ def git_chambers(action: SubtorusAction, fan: Fan):
     and passes.
 
     A weight cone is determined by its generator set, and faces share
-    these sets (all faces of the Cox data of P^2 share two), so each
-    distinct set is converted once and each sample is tested once per
-    distinct cone.  The conversions that remain are those weight cones,
+    these sets (the 8 faces of the Cox data of P^2 have 2 of them), so
+    each distinct set is converted once and each sample is tested once
+    per distinct cone.  The conversions that remain are those weight cones,
     the two halves of each cell a hyperplane crosses, and one section
     cone per chamber."""
     lineality, generators = _weight_generators(action, fan)

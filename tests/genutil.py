@@ -14,8 +14,8 @@ from toricgit.actions import ActionError, Linearization, SubtorusAction
 from toricgit.certcheck import CheckResult, _dot, _rank
 from toricgit.cones import (
     Cone,
-    _reduce_mod_rows,
     FeasibilitySystem,
+    _reduce_mod_rows,
     double_description,
     faces,
     feasible_strict,

@@ -30,8 +30,8 @@ from toricgit.intlinalg import (
     vneg,
 )
 from toricgit.oracle import feasible_strict_boxed
-
 from toricgit import cones
+
 from genutil import (
     cone_by_two_conversions,
     contains_cone,
