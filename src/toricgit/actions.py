@@ -56,15 +56,17 @@ class NotAffine(Exception):
 
 @dataclass(frozen=True)
 class SubtorusAction:
-    """H = (K*)^d embedded in the big torus via phi: Z^d -> N."""
+    """H = (K*)^d embedded in the big torus via phi: Z^d -> N.
+
+    phi is injective iff its d columns are linearly independent, so the
+    check is one rank; a kernel is computed only to word the error."""
 
     phi: LatticeMap
 
     def __post_init__(self):
-        ker = kernel_basis(self.phi.matrix)
-        if ker.rank != 0:
-            raise ActionError(
-                f"phi is not injective; kernel basis {ker.basis.entries}")
+        if rank_of_rows(self.phi_star_rows()) != self.d:
+            raise ActionError(f"phi is not injective; kernel basis "
+                              f"{kernel_basis(self.phi.matrix).basis.entries}")
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], ambient_rank: int) -> "SubtorusAction":
@@ -262,15 +264,18 @@ def _weight_generators(action: SubtorusAction, fan: Fan):
     plus sigma^perp: read by incidence, no conversion.  K_gamma is
     phi_star of it, so its generators are the primitive nonzero phi_star
     images of those normals, and its lineality the images of sigma's
-    span equalities, the same for every gamma."""
-    sigma = fan.face_cone(_require_affine(fan))
+    span equalities, the same for every gamma.  Each normal's zero set
+    on sigma's rays and its image are computed once, so a face keeps the
+    images whose zero set holds its key."""
+    top = _require_affine(fan)
+    sigma = fan.face_cone(top)
     phi_star = LatticeMap(action.phi.matrix.transpose(), fan.ambient_rank, action.d)
+    images = [(frozenset(i for i in top if vdot(u, fan.rays[i]) == 0), primitive(g))
+              for u in sigma.facet_normals
+              for g in [phi_star.apply(u)] if not is_zero_vec(g)]
 
     def generators(gamma: FaceKey) -> frozenset:
-        rays = [fan.rays[i] for i in gamma]
-        images = (phi_star.apply(u) for u in sigma.facet_normals
-                  if not any(vdot(u, r) for r in rays))
-        return frozenset(primitive(g) for g in images if not is_zero_vec(g))
+        return frozenset(g for zeros, g in images if gamma <= zeros)
     return [phi_star.apply(e) for e in sigma.span_equalities], generators
 
 

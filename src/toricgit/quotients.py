@@ -151,9 +151,13 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
                 glue == images[i][common] == images[j][common]
                 and meets_in(charts[i].image, charts[j].image, glue))
 
-    # pointed images meeting so form a fan; one chart is always separated
-    separated &= len(charts) < 2 or all(
-        ch.image.lineality_rank == 0 for ch in charts)
+    # images meeting so form a fan modulo one shared lineality space V
+    # (a wall character's charts share a line); images that do not share
+    # it are not separated.  In a good quotient each glue pi(gamma) holds
+    # V: the face of a chart over V has the empty face's orbit image, so
+    # saturation puts it under gamma.  The glue tests above are then the
+    # same modulo V.
+    separated &= len({ch.image.lineality_basis for ch in charts}) < 2
 
     # Geometric: fibers are single orbits iff each chart's orbit map is a
     # bijection onto the faces of its image and each pi(gamma) spans its

@@ -20,8 +20,9 @@ from toricgit.cones import (
     faces,
     feasible_strict,
     image,
+    meets_in,
 )
-from toricgit.fans import Fan, SubfanLocus, ToricDivisor, validate_fan
+from toricgit.fans import Fan, FaceKey, FanError, SubfanLocus, ToricDivisor, validate_fan
 from toricgit.hilbert_mumford import HilbertBasisTooLarge, _box_ranges
 from toricgit.intlinalg import (
     IntMatrix,
@@ -239,6 +240,79 @@ def cone_by_two_conversions(ambient: int, generators, lineality=()):
     rays, lin = double_description(ambient, normals, dual_lin)
     return (tuple(rays), tuple(lin), tuple(normals),
             tuple(hermite_normal_form(dual_lin)), rank_of_rows(rays + lin))
+
+
+def validate_fan_by_conversion(ambient_rank: int, rays, maximal_cones) -> Fan:
+    """Reference for `validate_fan`: the same checks in the same order,
+    with every maximal cone converted by `Cone.from_generators`, every
+    fan ray tested against it, and its face keys cut by its facet zero
+    sets, simplicial or not."""
+    ray_tuples: list[Vec] = []
+    for r in rays:
+        t = tuple(int(x) for x in r)
+        if len(t) != ambient_rank:
+            raise FanError("BadIndex", f"ray {t} has wrong length")
+        if is_zero_vec(t) or primitive(t) != t:
+            raise FanError("NonPrimitiveRay", f"ray {t} is not primitive")
+        if t in ray_tuples:
+            raise FanError("DuplicateRay", f"ray {t} listed twice")
+        ray_tuples.append(t)
+
+    max_keys: list[frozenset[int]] = []
+    for idx_list in maximal_cones:
+        idx = tuple(sorted(set(int(i) for i in idx_list)))
+        for i in idx:
+            if not 0 <= i < len(ray_tuples):
+                raise FanError("BadIndex", f"ray index {i} out of range")
+        max_keys.append(frozenset(idx))
+    if not max_keys:
+        max_keys.append(frozenset())  # the fan of the big torus alone
+
+    cones = {}
+    for key in max_keys:
+        c = Cone.from_generators(ambient_rank, [ray_tuples[i] for i in key])
+        if c.lineality_rank != 0:
+            raise FanError("NotPointed",
+                           f"cone on rays {sorted(key)} contains a line")
+        cones[key] = c
+
+    # the fan rays in each maximal cone are exactly its rays, all extreme;
+    # then a face is keyed by its generators, which determine it
+    for key, c in cones.items():
+        if len(c.generators) != len(key):
+            raise FanError("IntersectionNotFace",
+                           f"cone on rays {sorted(key)} has a ray that is not extreme")
+        inside = frozenset(i for i, rv in enumerate(ray_tuples) if c.contains_point(rv))
+        if inside != key:
+            raise FanError("IntersectionNotFace",
+                           f"cone on rays {sorted(key)} contains rays {sorted(inside - key)}")
+    # a face of a maximal cone is cut out by a set of its facets, and its
+    # key is the cone's key cut by those facets' zero sets on the rays
+    face_map: dict[FaceKey, Cone] = dict(cones)
+    own_keys = {}
+    for key, c in cones.items():
+        own = {key}
+        for u in c.facet_normals:
+            on = frozenset(i for i in key if vdot(u, ray_tuples[i]) == 0)
+            own |= {k & on for k in own}
+        own_keys[key] = own
+        for k in own - face_map.keys():
+            face_map[k] = Cone(ambient_rank, tuple(sorted(ray_tuples[i] for i in k)), ())
+
+    # two cones must meet in the face on their shared rays, of both
+    for i, k1 in enumerate(max_keys):
+        for k2 in max_keys[i + 1:]:
+            common = k1 & k2
+            if (common not in own_keys[k1] or common not in own_keys[k2]
+                    or not meets_in(cones[k1], cones[k2], face_map[common])):
+                raise FanError(
+                    "IntersectionNotFace",
+                    f"cones {sorted(k1)} and {sorted(k2)} do not meet in a common face")
+
+    ordered = dict(sorted(face_map.items(),
+                          key=lambda kv: (len(kv[0]), sorted(kv[0]))))
+    return Fan(ambient_rank, tuple(ray_tuples),
+               tuple(tuple(sorted(k)) for k in max_keys), ordered)
 
 
 def whole_locus(fan: Fan) -> SubfanLocus:

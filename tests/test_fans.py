@@ -1,12 +1,14 @@
 """Fan validation, invariant divisors, Cartier/ample loci, class groups."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricgit import cones
+from toricgit import cones, intlinalg
+from toricgit.actions import ActionError, SubtorusAction
 from toricgit.cones import Cone, faces, intersect, meets_in
 from toricgit.fans import (
     DivisorGroup,
@@ -22,7 +24,7 @@ from toricgit.fans import (
     section_cone,
     validate_fan,
 )
-from toricgit.intlinalg import vdot
+from toricgit.intlinalg import rank_of_rows, vdot
 
 from genutil import (
     COX_FANS,
@@ -30,7 +32,9 @@ from genutil import (
     open_complement,
     random_divisor,
     random_fan,
+    random_primitive_vector,
     random_unimodular,
+    validate_fan_by_conversion,
     whole_locus,
     zero_pattern,
 )
@@ -87,6 +91,11 @@ def test_validate_rejects_unlisted_ray_inside_cone():
     with pytest.raises(FanError) as e:
         validate_fan(2, [(1, 0), (1, 1), (0, 1), (-1, 0)], [(0, 2), (2, 3)])
     assert e.value.kind == "IntersectionNotFace"
+    # the same in a fan of one simplicial cone, whose facets no other
+    # check reads
+    with pytest.raises(FanError) as e:
+        validate_fan(2, [(1, 0), (0, 1), (1, 1)], [[0, 1]])
+    assert str(e.value) == "IntersectionNotFace: cone on rays [0, 1] contains rays [2]"
 
 
 def test_validate_rejects_listed_ray_that_is_not_extreme():
@@ -105,13 +114,122 @@ def test_validate_rejects_cone_inside_another_as_a_non_face():
     assert e.value.kind == "IntersectionNotFace"
 
 
+# --- simplicial cones are validated by a rank, not a conversion ---------
+
+def _complete_fans(n):
+    """Rays and maximal cones of P^n, (P^1)^n and the face fan of the cube
+    [-1, 1]^n (not simplicial for n >= 3)."""
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    proj = (unit + [(-1,) * n],
+            [list(c) for c in itertools.combinations(range(n + 1), n)])
+    signs = [v for e in unit for v in (e, tuple(-x for x in e))]
+    p1n = (signs, [[2 * i + b for i, b in enumerate(bits)]
+                   for bits in itertools.product((0, 1), repeat=n)])
+    corners = list(itertools.product((1, -1), repeat=n))
+    cube = (corners, [[j for j, v in enumerate(corners) if v[i] == s]
+                      for i in range(n) for s in (1, -1)])
+    return [proj, p1n] + ([cube] if n >= 2 else [])
+
+
+def _random_fan_input(rng):
+    """(rank, rays, maximal cones) of rank 1-4: a complete fan moved by a
+    unimodular map, some of its cones and maybe one more ray; one cone or
+    a few on random rays, simplicial or not; or a malformed input."""
+    n = rng.randint(1, 4)
+    kind = rng.randrange(4)
+    if kind == 0:
+        rays, maxes = rng.choice(_complete_fans(n))
+        U = random_unimodular(rng, n)
+        rays = [tuple(vdot(row, v) for row in U) for v in rays]
+        maxes = rng.sample(maxes, rng.randint(1, len(maxes)))
+        if rng.random() < 0.3:
+            rays.append(random_primitive_vector(rng, n))
+    elif kind in (1, 2):
+        rays = [random_primitive_vector(rng, n) for _ in range(rng.randint(1, n + 2))]
+        cones_ = 1 if kind == 1 else rng.randint(2, 3)
+        maxes = [rng.sample(range(len(rays)), rng.randint(1, min(len(rays), n + 1)))
+                 for _ in range(cones_)]
+    else:
+        rays = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n + 1))]
+        if rng.random() < 0.3:
+            rays.append(tuple(range(n + 1)))
+        maxes = [[rng.randint(0, len(rays)) for _ in range(rng.randint(0, n))]]
+    return n, rays, maxes
+
+
+def _validation_outcome(validate, *args):
+    """Every field of the validated fan and of each face cone (dim read
+    before the facets), or the rejection's kind and message."""
+    try:
+        fan = validate(*args)
+    except FanError as e:
+        return e.kind, str(e)
+    faces_ = [(k, c.dim, c.generators, c.lineality_basis, c.facet_normals,
+               c.span_equalities, c.dim)
+              for k, c in ((k, fan.face_cone(k)) for k in fan.face_keys())]
+    return fan.rays, fan.maximal_cones, fan.face_keys(), faces_
+
+
+def test_validate_matches_conversion_on_random_fans():
+    kinds = {}
+    for seed in range(700):
+        args = _random_fan_input(random.Random(seed))
+        got = _validation_outcome(validate_fan, *args)
+        assert got == _validation_outcome(validate_fan_by_conversion, *args), args
+        if isinstance(got[0], str):
+            kind = got[0]
+        else:
+            simplicial = all(rank_of_rows([args[1][i] for i in set(m)]) == len(set(m))
+                             for m in args[2])
+            kind = ("one" if len(got[1]) == 1 else "multi", simplicial)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # accepted fans of each shape, and every rejection kind
+    assert all(kinds.get((shape, simplicial), 0) >= 5
+               for shape in ("one", "multi") for simplicial in (True, False)), kinds
+    assert all(kinds.get(kind, 0) >= 5 for kind in (
+        "NonPrimitiveRay", "DuplicateRay", "IntersectionNotFace", "NotPointed",
+        "BadIndex")), kinds
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_validate_accepts_cube_and_orthant_fans(n):
+    # P^n, (P^1)^n and the cube's face fan, then the orthant; the faces of
+    # the n-cube less itself, with the empty face, number 3^n
+    fans = _complete_fans(n) + [(_complete_fans(n)[0][0][:n], [list(range(n))])]
+    counts = [2 ** (n + 1) - 1, 3 ** n, 3 ** n][:len(fans) - 1] + [2 ** n]
+    for (rays, maxes), count in zip(fans, counts):
+        fan = validate_fan(n, rays, maxes)
+        assert set(fan.maximal_keys) == {frozenset(m) for m in maxes}
+        assert len(fan.face_keys()) == count
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Record the arguments of each call of module.name."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
+def test_simplicial_fans_and_actions_need_no_conversion(monkeypatch):
+    conversions = _count_calls(monkeypatch, cones, "double_description")
+    snfs = _count_calls(monkeypatch, intlinalg, "smith_normal_form")
+    orthant = validate_fan(4, [tuple(int(i == j) for j in range(4)) for i in range(4)],
+                           [[0, 1, 2, 3]])
+    validate_fan(3, [(1, 0, 1), (0, 1, 1), (-1, -1, 1)], [[0, 1, 2]])
+    assert len(orthant.face_keys()) == 16 and conversions == []
+    SubtorusAction.from_columns([(1, 0, 1, 0), (0, 1, 0, 1)], 4)
+    assert snfs == []
+    with pytest.raises(ActionError) as e:
+        SubtorusAction.from_columns([(1, 0), (2, 0)], 2)
+    assert str(e.value) == "phi is not injective; kernel basis ((2, -1),)"
+    assert conversions == [] and len(snfs) >= 1
+
+
 def _count_fallbacks(monkeypatch) -> list:
     """Record each intersect that meets_in falls back to."""
-    calls = []
-    real = cones.intersect
-    monkeypatch.setattr(cones, "intersect",
-                        lambda c1, c2: calls.append((c1, c2)) or real(c1, c2))
-    return calls
+    return _count_calls(monkeypatch, cones, "intersect")
 
 
 def test_validate_accepts_cones_that_no_facet_separates(monkeypatch):

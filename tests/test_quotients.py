@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from toricgit.actions import (
     Linearization,
     SubtorusAction,
+    git_chambers,
     mumford_trivial_semistable,
     semistable_divisor,
     semistable_group,
@@ -17,7 +18,14 @@ from toricgit.actions import (
 from toricgit import cones, quotients
 from toricgit.cones import Cone, faces as cone_faces, intersect, meets_in
 from toricgit.fans import DivisorGroup, FanError, ToricDivisor, validate_fan
-from toricgit.intlinalg import IntMatrix, LatticeMap, rank_of_rows, vneg
+from toricgit.intlinalg import (
+    IntMatrix,
+    LatticeMap,
+    Sublattice,
+    cokernel_projection,
+    rank_of_rows,
+    vneg,
+)
 from toricgit.quotients import (
     build_quotient,
     is_saturated,
@@ -178,18 +186,23 @@ def test_quotient_structural_invariants(seed):
 
 def _images_form_fan_by_validation(q):
     """Reference for the separated flag: every pair of images meets in its
-    glue cone, and the pointed images pass validate_fan as a fan."""
+    glue cone, the images share one lineality space V, and modulo V they
+    pass validate_fan as a fan."""
     if any(intersect(q.charts[i].image, q.charts[j].image) != glue
            for i, j, glue in q.gluings):
         return False
     if len(q.charts) == 1:
         return True
-    if any(ch.image.lineality_rank for ch in q.charts):
+    lineality = {ch.image.lineality_basis for ch in q.charts}
+    if len(lineality) > 1:
         return False
-    rays = sorted({g for ch in q.charts for g in ch.image.generators})
-    cones = [[rays.index(g) for g in ch.image.generators] for ch in q.charts]
+    modulo, _ = cokernel_projection(Sublattice.from_rows(q.quotient_rank,
+                                                         list(lineality.pop())))
+    images = [cones.image(ch.image, modulo) for ch in q.charts]
+    rays = sorted({g for im in images for g in im.generators})
+    cones_ = [[rays.index(g) for g in im.generators] for im in images]
     try:
-        validate_fan(q.quotient_rank, rays, cones)
+        validate_fan(modulo.target_rank, rays, cones_)
     except FanError:
         return False
     return True
@@ -329,10 +342,11 @@ def test_geometric_flag_matches_face_bijection():
     assert geometric >= 100 and not_geometric >= 8
 
 
-def _cox_quotient(name):
-    """The Cox quotient of a complete fan at its anticanonical class."""
+def _cox_quotient(name, chi=None):
+    """The Cox quotient of a complete fan at chi, by default at its
+    anticanonical class."""
     orthant, act = cox_data(COX_FANS[name][0])
-    chi = tuple(sum(col) for col in act.phi_star_rows())
+    chi = chi or tuple(sum(col) for col in act.phi_star_rows())
     return (build_quotient(mumford_trivial_semistable(chi, act, orthant), act,
                            orthant), act, orthant)
 
@@ -345,6 +359,51 @@ def _half_plane_quotient():
     act = SubtorusAction.from_columns([(0, 0, 1)], 3)
     ss = semistable_divisor(ToricDivisor((0, 0, 0, 1)), _lin0(1), act, fan)
     return build_quotient(ss, act, fan), act, fan
+
+
+# characters on a wall of the GIT fan of Cox data: two charts whose
+# images share a line
+_WALLS = [("P1xP1", (0, 1)), ("P1xP1", (1, 0)), ("F1", (1, 0))]
+
+
+def test_quotients_glued_along_a_line_are_separated():
+    # each is P^1: two opposite half-planes that share the line V, glued
+    # along V, which modulo V are the rays +1 and -1
+    for q, _, _ in [_cox_quotient(*wall) for wall in _WALLS] + [_half_plane_quotient()]:
+        assert len(q.charts) == 2 and q.good
+        (V,) = {ch.image.lineality_basis for ch in q.charts}
+        assert len(V) == 1
+        assert [glue for _, _, glue in q.gluings] == [Cone(q.quotient_rank, (), V)]
+        assert q.separated and _images_form_fan_by_validation(q)
+
+
+def _hirzebruch(a):
+    return [(1, 0), (0, 1), (-1, a), (0, -1)]
+
+
+_HEXAGON = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)]
+
+
+@pytest.mark.parametrize("rays, lined", [
+    (COX_FANS["P2"][0], 0), (COX_FANS["P1xP1"][0], 2), (_hirzebruch(1), 1),
+    (_hirzebruch(2), 1), (_hirzebruch(3), 1), (_HEXAGON, 27)],
+    ids=["P2", "P1xP1", "F1", "F2", "F3", "hexagon"])
+def test_git_chamber_quotients_are_good_and_separated(rays, lined):
+    """The quotient at each GIT cone's sample is good and separated, and
+    `lined` of them have several charts whose images share a lineality
+    space V.  The glue cones of each hold V, so comparing glue cones
+    modulo V would change no flag: in a good quotient, the face of a
+    chart over V has the empty face's orbit image, so saturation puts it
+    under every glue source."""
+    orthant, act = cox_data(rays)
+    seen = 0
+    for _, _, ss in git_chambers(act, orthant):
+        q = build_quotient(ss, act, orthant)
+        assert q.good and q.separated and _images_form_fan_by_validation(q)
+        (V,) = {ch.image.lineality_basis for ch in q.charts}
+        assert all(glue.lineality_basis == V for _, _, glue in q.gluings)
+        seen += len(q.charts) > 1 and V != ()
+    assert seen == lined
 
 
 def test_glue_cones_match_conversion(monkeypatch):
@@ -362,9 +421,14 @@ def test_glue_cones_match_conversion(monkeypatch):
         return drawn and (drawn[0], drawn[2], set(converted))
 
     built = [build(_cox_quotient, name) for name in ("P2", "P1xP1", "F1")]
-    built.append(build(_half_plane_quotient))
+    # glued along a line, which is no orbit image's pointed face
+    lines = [build(_cox_quotient, *wall) for wall in _WALLS]
+    lines.append(build(_half_plane_quotient))
+    assert all(fan.face_cone(q.charts[0].source_key & q.charts[1].source_key) in sources
+               for q, fan, sources in lines)
+    built += lines
     seed = 0
-    while len(built) < 1004:
+    while len(built) < 1007:
         built += [b for b in [build(_random_quotient, seed)] if b]
         seed += 1
     by_incidence = by_conversion = 0
