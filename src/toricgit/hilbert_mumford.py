@@ -5,21 +5,31 @@ Points of an ambient affine space are abstracted to support patterns
 and limits along one-parameter subgroups depend only on the support.
 cross_validate embeds an affine toric chart via the Hilbert basis of the
 extended section cone and checks that ambient instability matches
-exclusion from the toric semistable locus.  hilbert_basis enumerates the
-candidates in the zonotope box of the cone's generators and reduces them
-degree by degree, each against the irreducibles of lower degree only.
+exclusion from the toric semistable locus.
+
+hilbert_basis is output-sensitive (Bruns-Koch 2001): every irreducible
+element of the cone is a generator or lies in the fundamental
+parallelepiped of a simplicial piece of a pulling triangulation, so those
+points are the only candidates, each piece's enumerated as a finite group
+in facet-value coordinates.  They are reduced degree by degree, each
+against the irreducibles of lower degree only.  The zonotope box of the
+generators holds every parallelepiped; its point count remains only as
+the max_points admission rule, so the budget admits the same inputs as
+when the box was walked.  ambient_semistable reads every support pattern
+off the extreme rays of one invariant cone per action.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .actions import Linearization, SubtorusAction, semistable_divisor
-from .cones import Cone, FeasibilitySystem, feasible_strict
+from .cones import Cone, FeasibilitySystem, double_description, feasible_strict
 from .fans import Fan, FaceKey, ToricDivisor
-from .intlinalg import Vec, vdot
+from .intlinalg import IntMatrix, Vec, kernel_basis, primitive, vdot, vneg
 
 
 class HilbertBasisTooLarge(Exception):
@@ -44,6 +54,18 @@ class LinearAction:
     @property
     def n(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def invariant_supports(self) -> tuple[frozenset, ...]:
+        """Supports of the extreme rays of positive degree (the last weight
+        slot) of the invariant cone {x >= 0 : the character part of
+        sum x_i w_i is 0}, from one conversion."""
+        deg = self.d - 1
+        rays, _ = double_description(
+            self.n, IntMatrix.identity(self.n).entries,
+            [tuple(w[t] for w in self.weights) for t in range(deg)])
+        return tuple(frozenset(i for i, x in enumerate(r) if x) for r in rays
+                     if sum(x * w[deg] for x, w in zip(r, self.weights)) > 0)
 
 
 @dataclass(frozen=True)
@@ -92,14 +114,104 @@ def _box_ranges(generators: Sequence[Vec], ambient: int):
     return lo, hi
 
 
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: each division by the previous pivot is exact."""
+    m = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if m else 1
+
+
+def _pulling_pieces(c: Cone) -> list[tuple[Vec, ...]]:
+    """Generators of the simplicial cones of a pulling triangulation of
+    the pointed cone c, read off its generator-facet incidence.
+
+    A face is keyed by the set of generators on it.  The facets of a face
+    S are the largest proper sets S & F over the facets F of c, and S is
+    the union of the cones from its first generator v over its facets
+    that miss v.  A face of dimension d with d generators is simplicial."""
+    gens = c.generators
+    on_facet = [frozenset(i for i, g in enumerate(gens) if vdot(u, g) == 0)
+                for u in c.facet_normals]
+
+    def pull(face: frozenset, d: int) -> list[frozenset]:
+        if len(face) == d:
+            return [face]
+        v = min(face)
+        cuts = {face & f for f in on_facet} - {face}
+        return [piece | {v} for t in cuts
+                if v not in t and not any(t < s for s in cuts)
+                for piece in pull(t, d - 1)]
+
+    return [tuple(gens[i] for i in sorted(piece))
+            for piece in pull(frozenset(range(len(gens))), c.dim)]
+
+
+def _parallelepiped(gens: Sequence[Vec], basis: Sequence[Vec],
+                    cols: Sequence[int]) -> list[Vec]:
+    """Nonzero lattice points sum t_i g_i, 0 <= t_i < 1, of the simplicial
+    cone on gens, where basis is a lattice basis of the cone's span and
+    the coordinates cols map that span isomorphically.
+
+    On those coordinates the form u_i(x) = det(g_1, .., x, .., g_k), with
+    x in slot i, vanishes on every generator but g_i, so a point x of the
+    span has t_i = u_i(x) / h_i with h_i = u_i(g_i).  The facet values
+    x -> (u_i(x) mod h_i) map the lattice onto its quotient by the
+    generators, with one residue vector per parallelepiped point.  That
+    group is generated by the images of the basis and walked from 0,
+    carrying each point reduced into the parallelepiped: |det| points in
+    full dimension, with no inversion and no fractions."""
+    rows = [[g[j] for j in cols] for g in gens]
+    k = len(rows)
+    units = [[int(j == m) for j in range(k)] for m in range(k)]
+    forms = []
+    for i, row in enumerate(rows):
+        u = primitive([_det(rows[:i] + [e] + rows[i + 1:]) for e in units])
+        forms.append(u if vdot(u, row) > 0 else vneg(u))
+    heights = [vdot(u, row) for u, row in zip(forms, rows)]
+    steps = [(b, [vdot(u, [b[j] for j in cols]) for u in forms]) for b in basis]
+    zero = (0,) * k
+    points = {zero: (0,) * len(gens[0])}
+    queue = [zero]
+    for r in queue:
+        p = points[r]
+        for b, beta in steps:
+            s = [x + y for x, y in zip(r, beta)]
+            key = tuple(x % h for x, h in zip(s, heights))
+            if key not in points:
+                carry = [x // h for x, h in zip(s, heights)]
+                points[key] = tuple(
+                    x + y - sum(t * g[j] for t, g in zip(carry, gens))
+                    for j, (x, y) in enumerate(zip(p, b)))
+                queue.append(key)
+    del points[zero]
+    return list(points.values())
+
+
 def hilbert_basis(c: Cone, max_points: int = 200000) -> list[Vec]:
     """Minimal generating set of the semigroup of lattice points of a
     pointed rational cone.
 
-    Every irreducible element is a Caratheodory combination sum t_i g_i
-    with all t_i < 1 (otherwise subtracting a generator stays in the
-    cone), hence lies in the fundamental zonotope box of the generators;
-    candidates are enumerated there and reduced degree by degree.
+    Candidates come from a pulling triangulation of c (on its own
+    generators; simplicial cones are their own piece).  Each lattice point
+    x of c lies in some piece, x = sum t_i g_i with t_i >= 0, and so is
+    sum floor(t_i) g_i plus a point of the piece's fundamental
+    parallelepiped (all t_i < 1).  If x is irreducible, one of the two
+    parts is 0: x is a generator or lies in a parallelepiped.  So the
+    generators and the parallelepiped points of the pieces hold every
+    irreducible element; they are enumerated by _parallelepiped, with no
+    conversion.
 
     The degree of a point p of the cone is the sum of its facet values
     <u, p>.  On a pointed cone it is positive off the origin: a point on
@@ -108,8 +220,14 @@ def hilbert_basis(c: Cone, max_points: int = 200000) -> list[Vec]:
     that of q, and then q has the lower degree unless p = q.  So one pass
     over the candidates by increasing degree keeps p unless it dominates
     a point already kept.  That is the set of irreducibles: if p = q' + r
-    with q', r nonzero, some irreducible summand q of q' lies in the box,
-    was kept before p, and p - q = (q' - q) + r is in the cone."""
+    with q', r nonzero, some irreducible summand q of q' is a candidate,
+    was kept before p, and p - q = (q' - q) + r is in the cone.
+
+    max_points bounds the points of the zonotope box of the generators,
+    sum [min(0, g_j), max(0, g_j)] over the coordinates j, which holds
+    every parallelepiped.  That count only admits the input: a box over
+    the bound raises HilbertBasisTooLarge before any enumeration, and
+    the box itself is never walked."""
     if c.lineality_rank != 0:
         raise ValueError("Hilbert basis requires a pointed cone")
     gens = list(c.generators)
@@ -123,14 +241,23 @@ def hilbert_basis(c: Cone, max_points: int = 200000) -> list[Vec]:
         if count > max_points:
             raise HilbertBasisTooLarge(
                 f"candidate box has more than {max_points} points")
-    candidates = []
-    for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if any(x != 0 for x in p) and c.contains_point(p):
-            values = tuple(vdot(u, p) for u in c.facet_normals)
-            candidates.append((sum(values), p, values))
-    candidates.sort()
+    if c.span_equalities:
+        basis = kernel_basis(IntMatrix.from_rows(
+            c.span_equalities, ambient)).basis.entries
+    else:
+        basis = IntMatrix.identity(ambient).entries
+    # the HNF pivots of the basis: coordinates that map the span isomorphically
+    cols = [next(j for j, x in enumerate(b) if x) for b in basis]
+    candidates = set(gens)
+    for piece in _pulling_pieces(c):
+        candidates.update(_parallelepiped(piece, basis, cols))
+    scored = []
+    for p in candidates:
+        values = tuple(vdot(u, p) for u in c.facet_normals)
+        scored.append((sum(values), p, values))
+    scored.sort()
     kept = []
-    for _, p, values in candidates:
+    for _, p, values in scored:
         if not any(all(a >= b for a, b in zip(values, w)) for _, w in kept):
             kept.append((p, values))
     return sorted(p for p, _ in kept)
@@ -147,11 +274,15 @@ class AmbientModel:
     action: LinearAction            # weights in Z^(d+1)
     patterns: tuple[tuple[FaceKey, PointPattern], ...]
 
+    @cached_property
+    def _by_key(self) -> dict:
+        return dict(self.patterns)
+
     def pattern_for(self, key: FaceKey) -> PointPattern:
-        for k, p in self.patterns:
-            if k == key:
-                return p
-        raise KeyError(sorted(key))
+        try:
+            return self._by_key[frozenset(key)]
+        except KeyError:
+            raise KeyError(sorted(key)) from None
 
 
 def ambient_model(fan: Fan, action: SubtorusAction, D: ToricDivisor,
@@ -189,18 +320,14 @@ def ambient_model(fan: Fan, action: SubtorusAction, D: ToricDivisor,
 def ambient_semistable(p: PointPattern, act: LinearAction) -> bool:
     """True iff some invariant monomial in the supported coordinates has
     positive degree: a nonnegative combination of supported weights with
-    vanishing character part and positive degree part (the last slot)."""
-    supp = sorted(p.support)
-    if not supp:
-        return False
-    dim = len(supp)
-    d = act.d - 1
-    eqs = [tuple(act.weights[i][t] for i in supp) for t in range(d)]
-    strict = [tuple(act.weights[i][d] for i in supp)]
-    weak = [tuple(1 if j == pos else 0 for j in range(dim))
-            for pos in range(dim)]
-    sys = FeasibilitySystem(dim, tuple(eqs), tuple(weak), tuple(strict))
-    return feasible_strict(sys) is not None
+    vanishing character part and positive degree part (the last slot).
+
+    Such combinations are the face {x_i = 0 off the support} of the
+    invariant cone of act, which is pointed, so they exist iff an extreme
+    ray of positive degree has its support in the pattern.  The rays are
+    converted once per action (LinearAction.invariant_supports)."""
+    return bool(p.support) and any(
+        s <= p.support for s in act.invariant_supports)
 
 
 @dataclass(frozen=True)

@@ -498,6 +498,26 @@ def hilbert_basis_by_pairs(c: Cone, max_points: int = 200000) -> list:
     return basis
 
 
+def ambient_semistable_by_face(p, act) -> bool:
+    """Reference for `hilbert_mumford.ambient_semistable`: one strict
+    feasibility system per pattern.
+
+    True iff some invariant monomial in the supported coordinates has
+    positive degree: a nonnegative combination of supported weights with
+    vanishing character part and positive degree part (the last slot)."""
+    supp = sorted(p.support)
+    if not supp:
+        return False
+    dim = len(supp)
+    d = act.d - 1
+    eqs = [tuple(act.weights[i][t] for i in supp) for t in range(d)]
+    strict = [tuple(act.weights[i][d] for i in supp)]
+    weak = [tuple(1 if j == pos else 0 for j in range(dim))
+            for pos in range(dim)]
+    sys = FeasibilitySystem(dim, tuple(eqs), tuple(weak), tuple(strict))
+    return feasible_strict(sys) is not None
+
+
 def check_certificate_with_complement_affine(
         rays, face_keys, divisor_rows, shifts, phi_columns, cert) -> CheckResult:
     """Reference for `certcheck.check_certificate`: the same replay with

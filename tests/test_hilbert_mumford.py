@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricgit.actions import Linearization, semistable_divisor
+from toricgit import hilbert_mumford as hm
 from toricgit.cones import Cone
 from toricgit.hilbert_mumford import (
     AmbientModel,
@@ -25,6 +26,7 @@ from toricgit.intlinalg import vdot
 from toricgit.oracle import SearchBounds, destabilize_boxed, enumerate_witnesses
 
 from genutil import (
+    ambient_semistable_by_face,
     fraction_rank,
     hilbert_basis_by_pairs,
     random_action,
@@ -188,8 +190,28 @@ def _outcome(f, c):
         return type(exc), str(exc)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(2, 4).flatmap(_cone_inputs))
+@st.composite
+def _simplicial_cones(draw):
+    """Generators of a simplicial cone: k lower-triangular rows with |det|
+    up to about 50, optionally embedded in rank k + 1 by an extra coordinate
+    c * x_1 (so not full-dimensional), under a signed permutation of the
+    coordinates."""
+    k = draw(st.integers(2, 3))
+    diag = [1] + [draw(st.integers(1, 50 if k == 2 else 7)) for _ in range(k - 1)]
+    gens = [[draw(st.integers(-2, 2)) if j < i else diag[i] if j == i else 0
+             for j in range(k)] for i in range(k)]
+    scale = draw(st.integers(-2, 2))
+    if scale:
+        gens = [g + [scale * g[0]] for g in gens]
+    order = draw(st.permutations(range(len(gens[0]))))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(order),
+                          max_size=len(order)))
+    return (len(order), "generators",
+            [tuple(s * g[j] for s, j in zip(signs, order)) for g in gens], [])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.integers(2, 4).flatmap(_cone_inputs), _simplicial_cones()))
 # (1, 0), (1, 1) and (1, 2) all have degree 2 (facet normals (0, 1), (2, -1))
 @example((2, "generators", [(1, 0), (1, 2)], []))
 # single rays, and a pointed cone that is not full-dimensional
@@ -198,16 +220,48 @@ def _outcome(f, c):
 @example((3, "generators", [(1, 0, 1), (1, 2, 1)], []))
 @example((4, "inequalities", [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 2, 0)],
           [(0, 0, 0, 1)]))
+# simplicial, not full-dimensional, on a span whose lattice basis has an
+# HNF pivot entry above 1: (0, 1, 1, 1) and (1, 0, 2, -1) span it
+@example((4, "generators", [(1, 2, 4, 1), (1, -1, 1, -2)], []))
+@example((3, "generators", [(1, 1, 0), (1, -1, 2), (2, 0, 2)], []))
+# non-simplicial: the square cone of the quadric, a pentagonal cone, and
+# a rank-4 cone over a square pyramid
+@example((3, "generators", [(1, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 1)], []))
+@example((3, "generators", [(1, 0, 1), (0, 1, 1), (-1, 1, 2), (-1, -1, 2),
+                            (1, -1, 1)], []))
+@example((4, "generators", [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1),
+                            (1, 1, -1, 1), (0, 0, 0, 1)], []))
+# |det| 49 and 50 in rank 2, 30 in rank 3
+@example((2, "generators", [(3, -1), (1, 16)], []))
+@example((2, "generators", [(1, 0), (1, 50)], []))
+@example((3, "generators", [(1, 0, 0), (0, 1, 0), (1, 1, 30)], []))
 def test_hilbert_basis_matches_pairwise_reduction(inputs):
-    """Degree-wise reduction keeps exactly the candidates that no other
-    candidate reduces, and raises the same errors, on random cones of
-    ranks 2-4 given either way."""
+    """The parallelepipeds of a pulling triangulation, reduced by degree,
+    give exactly the box candidates that no other candidate reduces, and
+    the same errors, on random cones of ranks 2-4 given either way:
+    simplicial or not, full-dimensional or not."""
     rank, kind, rows, equalities = inputs
     if kind == "generators":
         c = Cone.from_generators(rank, rows)
     else:
         c = Cone.from_inequalities(rank, rows, equalities)
     assert _outcome(hilbert_basis, c) == _outcome(hilbert_basis_by_pairs, c)
+
+
+def test_hilbert_basis_does_not_walk_the_box(monkeypatch):
+    """A unimodular cone has one point in its parallelepiped, the origin,
+    so its basis is its generators, found without a membership test of
+    the 5,408 box points."""
+    c = Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (50, 50, 1)])
+    tests = []
+    original = Cone.contains_point
+    monkeypatch.setattr(Cone, "contains_point",
+                        lambda self, x: tests.append(x) or original(self, x))
+    assert hilbert_basis(c, max_points=5408) == sorted(c.generators)
+    assert tests == []
+    with pytest.raises(HilbertBasisTooLarge,
+                       match="candidate box has more than 5407 points"):
+        hilbert_basis(c, max_points=5407)
 
 
 # --- ambient model / cross-validation --------------------------------------
@@ -227,6 +281,56 @@ def test_ambient_semistable_examples(plane_fan, hyperbolic_action, div_z):
     model = ambient_model(plane_fan, hyperbolic_action, div_z, _lin0(1))
     assert ambient_semistable(model.pattern_for(frozenset()), model.action)
     assert not ambient_semistable(PointPattern.of([]), model.action)
+
+
+def _linear_actions():
+    """Random actions with d >= 1 weight slots, the last one the degree;
+    zero weights and actions with no positive degree are drawn often."""
+    weight = st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.one_of(st.just((0,) * d), st.tuples(*[st.integers(-2, 2)] * d)),
+        max_size=6))
+    return weight.map(lambda ws: LinearAction(tuple(ws)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_linear_actions(), st.data())
+# no positive-degree invariant: every degree is 0 or negative
+@example(LinearAction(((1, 0), (-1, 0), (0, -1))), None)
+# a zero weight is an invariant of degree 0; (0, 1) one of degree 1
+@example(LinearAction(((0, 0), (0, 1), (1, 1), (-1, 1))), None)
+def test_ambient_semistable_matches_per_face_systems(act, data):
+    """The positive-degree rays of the one invariant cone decide every
+    support pattern, the empty one included, as the per-pattern
+    feasibility systems do."""
+    patterns = [PointPattern.of(i for i in range(act.n) if mask >> i & 1)
+                for mask in range(1 << act.n)]
+    if data is not None:
+        patterns = data.draw(st.lists(st.sampled_from(patterns), max_size=8))
+    for p in patterns:
+        assert ambient_semistable(p, act) == ambient_semistable_by_face(p, act)
+
+
+def test_ambient_semistable_converts_once_per_model(
+        monkeypatch, quadric_fan, quadric_action, quadric_divisor):
+    """cross_validate decides every face of the quadric's cone from one
+    conversion of the invariant cone."""
+    calls = []
+    original = hm.double_description
+    monkeypatch.setattr(hm, "double_description",
+                        lambda *a: calls.append(a) or original(*a))
+    cv = cross_validate(quadric_fan, quadric_action, quadric_divisor,
+                        _lin0(2))
+    assert len(cv.per_face) == len(quadric_fan.face_keys()) == 10
+    assert len(calls) == 1
+    assert calls[0][0] == len(cv.model.basis) == 9
+
+
+def test_pattern_for_unknown_face(plane_fan, hyperbolic_action, div_z):
+    model = ambient_model(plane_fan, hyperbolic_action, div_z, _lin0(1))
+    assert model.pattern_for({1}) == model.pattern_for(frozenset({1}))
+    with pytest.raises(KeyError) as info:
+        model.pattern_for(frozenset({2, 0}))
+    assert info.value.args == ([0, 2],)
 
 
 def test_cross_validate_intro(plane_fan, hyperbolic_action, div_z):
