@@ -9,17 +9,24 @@ single monomial, whose nonvanishing locus is exactly the affine chart of
 tau.  A locus converts one section cone and reads each chart's witness
 off its faces by incidence, walking the faces largest first and
 skipping those under a chart that already passed.
+
+For the trivial bundle on an affine chart sigma, a face gamma has weight
+cone K_gamma = phi_star(sigma_dual ∩ gamma^perp), the locus at chi is
+L(chi) = {gamma : chi in K_gamma}, and lambda_R = ∩ K_gamma over the
+maximal faces of a locus R.  If R = L(chi), lambda_R is the GIT cone of
+chi, L is constant on its relative interior, and the GIT cones form a
+fan (Berchtold-Hausen 2006).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .cones import (
     Cone,
     faces as cone_faces,
-    intersect,
     relative_interior_point,
 )
 from .fans import (
@@ -43,6 +50,8 @@ from .intlinalg import (
     rank_of_rows,
     vdot,
     vneg,
+    vscale,
+    vsub,
 )
 
 
@@ -258,7 +267,7 @@ def mumford_trivial_semistable(chi: Sequence[int], action: SubtorusAction,
 
 
 def _weight_generators(action: SubtorusAction, fan: Fan):
-    """The lineality of every K_gamma and a map from gamma to the set of
+    """The lineality of every K_gamma and, for each face gamma, the set of
     generators of K_gamma.  The slab sigma_dual ∩ gamma^perp is the face
     of sigma_dual on the facet normals of sigma that vanish on gamma,
     plus sigma^perp: read by incidence, no conversion.  K_gamma is
@@ -273,10 +282,8 @@ def _weight_generators(action: SubtorusAction, fan: Fan):
     images = [(frozenset(i for i in top if vdot(u, fan.rays[i]) == 0), primitive(g))
               for u in sigma.facet_normals
               for g in [phi_star.apply(u)] if not is_zero_vec(g)]
-
-    def generators(gamma: FaceKey) -> frozenset:
-        return frozenset(g for zeros, g in images if gamma <= zeros)
-    return [phi_star.apply(e) for e in sigma.span_equalities], generators
+    return [phi_star.apply(e) for e in sigma.span_equalities], {
+        key: frozenset(g for zeros, g in images if key <= zeros) for key in fan.face_keys()}
 
 
 def achievable_weight_cone(gamma: FaceKey, action: SubtorusAction,
@@ -285,75 +292,106 @@ def achievable_weight_cone(gamma: FaceKey, action: SubtorusAction,
     regular monomials nonvanishing on the orbit of gamma, so the trivial
     bundle at chi is semistable on that orbit iff chi lies in K_gamma.
     One conversion, of the generators `_weight_generators` reads off."""
-    lineality, generators = _weight_generators(action, fan)
-    return Cone.from_generators(action.d, sorted(generators(gamma)), lineality)
+    lineality, face_gens = _weight_generators(action, fan)
+    return Cone.from_generators(action.d, sorted(face_gens[gamma]), lineality)
+
+
+def _weight_cones(action: SubtorusAction, fan: Fan):
+    """Each face's K_gamma generator set, and one cone per distinct set."""
+    lineality, face_gens = _weight_generators(action, fan)
+    return face_gens, {g: Cone.from_generators(action.d, sorted(g), lineality)
+                       for g in dict.fromkeys(face_gens.values())}
+
+
+def _git_cone(d: int, kcones) -> Cone:
+    """The intersection of the weight cones kcones by one conversion of
+    their facets and span equalities: lambda(chi) over L(chi)'s members,
+    lambda_R over R's maximal faces."""
+    return Cone.from_inequalities(d, [u for c in kcones for u in c.facet_normals],
+                                  [e for c in kcones for e in c.span_equalities])
+
+
+def _locus_at(chi: Vec, action: SubtorusAction, fan: Fan, face_gens,
+              kcones) -> SemistableLocus:
+    """L(chi) by weight-cone membership, face-closed as K_gamma shrinks
+    when gamma grows.  Its maximal faces are certified from one section
+    cone: if chi is in K_gamma, some tau >= gamma passes the chart test and
+    is a member, so a maximal member is that tau and passes."""
+    members = {g for g, c in kcones.items() if c.contains_point(chi)}
+    locus = SubfanLocus(frozenset(key for key, g in face_gens.items() if g in members))
+    rows = _chart_rows(fan, (ToricDivisor.zero(fan),), (vneg(chi),), action)
+    section = section_cone(fan, *rows, shared_strict=((1,),))
+    certs = tuple((key, _divisor_certificate(fan, key, section))
+                  for key in locus.maximal_keys())
+    if any(cert is None for _, cert in certs):
+        raise RuntimeError(f"weight-cone locus at {chi}: a maximal face fails")
+    return SemistableLocus(locus, certs)
 
 
 def git_chambers(action: SubtorusAction, fan: Fan):
-    """Chamber decomposition of character space: on each returned cone
-    the trivial-bundle semistable locus is constant; sampled at a
-    relative interior character.  Covers phi_star(sigma_dual).
+    """The GIT fan of the trivial bundle: (lambda(chi), its relative
+    interior sample chi, certified L(chi)) per cone.  L is constant on each
+    relative interior, and no two cones share a locus.
 
-    The locus at chi is decided by membership, {gamma : chi in K_gamma},
-    which is face-closed because K_gamma shrinks as gamma grows.  Only
-    its maximal faces are certified, from one section cone per chamber:
-    if chi lies in K_gamma, some tau >= gamma passes the chart test, and
-    tau is itself a member, so a maximal member face gamma is that tau
-    and passes.
+    A point q of span(Omega), Omega = K_empty the support, is interior when
+    each weight cone holding it (a member; Omega is one) holds it off its
+    facets.  The members then have dim Omega (points near q miss a lower
+    one, and L is constant on the relative interior of lambda(q)), so they
+    cut out the chamber around q.  The walk starts at q = sum_i k^i x_i
+    over Omega's generators and lineality basis x_i, and crosses each wall
+    inside Omega once, to q = k*p - g interior with members among p's, p
+    the sum of the chamber's generators on the wall and g one off it.
+    Both loops double k from 1 and end: at the start, a failing test is a
+    form nonzero on span(Omega) vanishing at q(k), a nonzero polynomial in
+    k; in a step, q/k tends to p from beyond the wall, so for large k q
+    lies inside the chamber across it, whose members are among p's.  Omega
+    is convex, so its walls join all chambers; member sets key them, and
+    each is one conversion, or a member if all members are one cone.  They
+    share span(Omega), so its facets are the member normals with maximal
+    zero sets on its generators, read by incidence; the rest are faces."""
+    face_gens, kcones = _weight_cones(action, fan)
+    omega = kcones[face_gens[frozenset()]]
 
-    A weight cone is determined by its generator set, and faces share
-    these sets (the 8 faces of the Cox data of P^2 have 2 of them), so
-    each distinct set is converted once and each sample is tested once
-    per distinct cone.  The conversions that remain are those weight cones,
-    the two halves of each cell a hyperplane crosses, and one section
-    cone per chamber."""
-    lineality, generators = _weight_generators(action, fan)
-    face_gens = {key: generators(key) for key in fan.face_keys()}
-    kcones = {g: Cone.from_generators(action.d, sorted(g), lineality)
-              for g in dict.fromkeys(face_gens.values())}
+    def members(q):
+        return frozenset(g for g, c in kcones.items() if c.contains_point(q))
 
-    hyperplanes = set()
-    for c in kcones.values():
-        for h in c.facet_normals + c.span_equalities:
-            p = primitive(h)
-            if not is_zero_vec(p):
-                hyperplanes.add(vneg(p) if next(x for x in p if x) < 0 else p)
+    def interior(q, around=frozenset(kcones)):
+        m = members(q)
+        return m if m <= around and all(
+            vdot(u, q) for g in m for u in kcones[g].facet_normals) else frozenset()
 
-    cells = [kcones[face_gens[frozenset()]]]
-    for h in sorted(hyperplanes):
-        nxt = []
-        for cell in cells:
-            # h crosses the cell iff it takes both signs on it; then both
-            # halves have the cell's dimension.  Otherwise one half is the
-            # cell and the other a proper face of it (or the cell again).
-            vals = [vdot(h, g) for g in cell.generators]
-            if (any(vdot(h, l) for l in cell.lineality_basis)
-                    or (any(v > 0 for v in vals) and any(v < 0 for v in vals))):
-                for side in (h, vneg(h)):
-                    nxt.append(Cone.from_inequalities(
-                        action.d, list(cell.facet_normals) + [side],
-                        list(cell.span_equalities)))
-            else:
-                nxt.append(cell)
-        cells = nxt
+    x = omega.generators + omega.lineality_basis
+    k = 1
+    while not (m := interior(tuple(sum(k ** i * v[j] for i, v in enumerate(x))
+                                   for j in range(action.d)))):
+        k *= 2
+    todo = [m]
+    chambers, crossed = {}, set()
+    while todo:
+        m = todo.pop()
+        if m in chambers:
+            continue
+        cut = list(dict.fromkeys(c for g, c in kcones.items() if g in m))
+        ch = chambers[m] = cut[0] if len(cut) == 1 else _git_cone(action.d, cut)
+        zeros = {u: frozenset(i for i, g in enumerate(ch.generators) if vdot(u, g) == 0)
+                 for c in cut for u in c.facet_normals}
+        walls = {u: z for u, z in zeros.items() if not any(z < z2 for z2 in zeros.values())}
+        ch._set_facets(sorted(walls), omega.span_equalities)
+        for z in walls.values():
+            p = tuple(map(sum, zip((0,) * action.d, *(ch.generators[i] for i in z))))
+            if p in crossed or any(vdot(u, p) == 0 for u in omega.facet_normals):
+                continue
+            crossed.add(p)
+            g = next(g for i, g in enumerate(ch.generators) if i not in z)
+            below, k = members(p), 1
+            while not (m := interior(vsub(vscale(k, p), g), below)):
+                k *= 2
+            todo.append(m)
 
-    chambers = list(dict.fromkeys(f for cell in cells for f in cone_faces(cell)))
-    chambers.sort(key=lambda c: (-c.dim, c.generators, c.lineality_basis))
-
-    out = []
-    for ch in chambers:
-        chi = relative_interior_point(ch)
-        members = {g for g, c in kcones.items() if c.contains_point(chi)}
-        locus = SubfanLocus(frozenset(
-            key for key, g in face_gens.items() if g in members))
-        rows = _chart_rows(fan, (ToricDivisor.zero(fan),), (vneg(chi),), action)
-        section = section_cone(fan, *rows, shared_strict=((1,),))
-        certs = tuple((key, _divisor_certificate(fan, key, section))
-                      for key in locus.maximal_keys())
-        if any(cert is None for _, cert in certs):
-            raise RuntimeError(f"weight-cone locus at {chi}: a maximal face fails")
-        out.append((ch, chi, SemistableLocus(locus, certs)))
-    return out
+    cones = sorted({f for ch in chambers.values() for f in cone_faces(ch)},
+                   key=lambda c: (-c.dim, c.generators, c.lineality_basis))
+    return [(c, chi, _locus_at(chi, action, fan, face_gens, kcones))
+            for c in cones for chi in [relative_interior_point(c)]]
 
 
 @dataclass(frozen=True)
@@ -361,32 +399,27 @@ class ObstructionReport:
     required: SubfanLocus
     weight_cones: tuple[tuple[FaceKey, Cone], ...]
     common: Cone
-    locus_at_zero: SemistableLocus
-    verdict: str  # "obstructed" | "not-obstructed" | "inconclusive"
+    character: Vec
+    locus: SemistableLocus
+    verdict: str  # "obstructed" | "not-obstructed"
 
 
 def obstruction_report(required: SubfanLocus, action: SubtorusAction,
                        fan: Fan) -> ObstructionReport:
-    """Can `required` be the trivial-bundle semistable locus for some
-    character?  Any such character lies in every K_gamma for the maximal
-    faces of `required`; if those cones meet only in 0 and the zero
-    character fails, no character works."""
-    _require_affine(fan)
+    """Is `required` = R the trivial-bundle locus of a character?  If
+    R = L(chi0), lambda_R (`common`) is the GIT cone of chi0 and L is
+    constant on its relative interior, so R is realizable iff L(chi) = R at
+    chi = relative_interior_point(lambda_R); else L(chi) holds R and a
+    certified face outside it.  The empty R is realizable iff K_empty is
+    not the whole space: at -u for its facet normal u, or at its equality."""
+    face_gens, kcones = _weight_cones(action, fan)
     maxes = required.maximal_keys()
-    kcones = [(key, achievable_weight_cone(key, action, fan)) for key in maxes]
-    common = None
-    for _, c in kcones:
-        common = c if common is None else intersect(common, c)
-    if common is None:
-        common = Cone.full_space(action.d)
-    locus0 = mumford_trivial_semistable(tuple(0 for _ in range(action.d)),
-                                        action, fan)
-    zero_matches = locus0.locus == required
-    if zero_matches:
-        verdict = "not-obstructed"
-    elif common.is_zero():
-        verdict = "obstructed"
-    else:
-        verdict = "inconclusive"
-    return ObstructionReport(required, tuple(kcones), common, locus0,
-                             verdict)
+    weight = tuple((key, kcones[face_gens[key]]) for key in maxes)
+    common = _git_cone(action.d, [c for _, c in weight])
+    chi = relative_interior_point(common)
+    if not maxes:
+        omega = kcones[face_gens[frozenset()]]
+        chi = next(chain(map(vneg, omega.facet_normals), omega.span_equalities), chi)
+    locus = _locus_at(chi, action, fan, face_gens, kcones)
+    return ObstructionReport(required, weight, common, chi, locus,
+                             "not-obstructed" if locus.locus == required else "obstructed")

@@ -27,6 +27,7 @@ from .actions import (
 from .certcheck import check_locus
 from .fans import FanError, ample_locus, cartier_locus, class_group
 from .hilbert_mumford import LinearAction, PointPattern, destabilize, limit
+from .intlinalg import vneg
 from .problemfile import ParseError, load_problem
 from .quotients import build_quotient
 
@@ -179,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--character", required=True)
     p.add_argument("--check", action="store_true")
 
-    p = sub.add_parser("chambers", help="character-space chamber decomposition")
+    p = sub.add_parser("chambers", help="the GIT fan of character space")
     common(p)
 
     p = sub.add_parser("quotient", help="glued quotient of a semistable locus")
@@ -205,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="'origin' or the coordinate set the limit may use")
 
     p = sub.add_parser("obstruction",
-                       help="can a locus come from a trivial-bundle character")
+                       help="exact verdict: is a locus the trivial-bundle locus of "
+                       "some character (obstructed or not-obstructed)")
     common(p)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--divisor")
@@ -247,39 +249,24 @@ def run(argv) -> int:
                 report["input_digest"] = hashlib.sha256(fh.read()).hexdigest()
             problem = load_problem(args.file)
 
-        if args.command == "cartier-locus":
+        if args.command in ("cartier-locus", "ample-locus"):
             grp, _ = problem.group(args.group)
-            locus = cartier_locus(grp, problem.fan)
+            locus = (cartier_locus if args.command == "cartier-locus"
+                     else ample_locus)(grp, problem.fan)
             report["result"] = {"faces": _keys_payload(locus)}
             exit_code = 0 if locus.faces else 1
 
-        elif args.command == "ample-locus":
-            grp, _ = problem.group(args.group)
-            locus = ample_locus(grp, problem.fan)
-            report["result"] = {"faces": _keys_payload(locus)}
-            exit_code = 0 if locus.faces else 1
-
-        elif args.command == "semistable":
+        elif args.command in ("semistable", "trivial-bundle"):
             act = _require_action(problem)
-            ss, rows, shifts = _semistable_locus(problem, args, act)
+            if args.command == "semistable":
+                ss, rows, shifts = _semistable_locus(problem, args, act)
+            else:
+                chi = _parse_ints(args.character)
+                ss = mumford_trivial_semistable(chi, act, problem.fan)
+                rows, shifts = [(0,) * len(problem.fan.rays)], [vneg(chi)]
             report["result"] = _locus_payload(ss)
             if args.check:
                 report["result"]["check"] = _check_payload(problem, rows, shifts, ss)
-                if not report["result"]["check"]["ok"]:
-                    exit_code = 1
-            if not ss.locus.faces:
-                exit_code = 1
-
-        elif args.command == "trivial-bundle":
-            act = _require_action(problem)
-            chi = _parse_ints(args.character)
-            ss = mumford_trivial_semistable(chi, act, problem.fan)
-            report["result"] = _locus_payload(ss)
-            if args.check:
-                zero = tuple(0 for _ in problem.fan.rays)
-                neg = tuple(-c for c in chi)
-                report["result"]["check"] = _check_payload(
-                    problem, [zero], [neg], ss)
                 if not report["result"]["check"]["ok"]:
                     exit_code = 1
             if not ss.locus.faces:
@@ -343,6 +330,8 @@ def run(argv) -> int:
                 "weight_cones": [{"face": sorted(k), "cone": _cone_payload(c)}
                                  for k, c in rep.weight_cones],
                 "common": _cone_payload(rep.common),
+                "character": list(rep.character),
+                "locus": _locus_payload(rep.locus),
                 "verdict": rep.verdict}
             exit_code = 1 if rep.verdict == "obstructed" else 0
 

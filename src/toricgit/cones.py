@@ -239,14 +239,6 @@ class Cone:
         rays, lin = double_description(ambient, inequalities, equalities)
         return Cone(ambient, tuple(rays), tuple(lin))
 
-    @staticmethod
-    def zero(ambient: int) -> "Cone":
-        return Cone(ambient, (), ())
-
-    @staticmethod
-    def full_space(ambient: int) -> "Cone":
-        return Cone.from_inequalities(ambient, ())
-
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:

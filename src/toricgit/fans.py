@@ -212,14 +212,6 @@ class SubfanLocus:
     def __contains__(self, key: FaceKey) -> bool:
         return key in self.faces
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SubfanLocus):
-            return self.faces == other.faces
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.faces)
-
     def sorted_keys(self) -> list:
         return sorted(self.faces, key=lambda k: (len(k), sorted(k)))
 
@@ -273,12 +265,10 @@ def class_group(fan: Fan) -> ClassGroupInfo:
     r = len(fan.rays)
     n = fan.ambient_rank
     ray_rows = [tuple(fan.rays[i][j] for i in range(r)) for j in range(n)]
-    ray_rank = rank_of_rows([rw for rw in ray_rows if not is_zero_vec(rw)]) \
-        if any(not is_zero_vec(rw) for rw in ray_rows) else 0
+    ray_rank = rank_of_rows(ray_rows)
     if r == 0:
         return ClassGroupInfo(0, (), 0, n)
-    principal = Sublattice.from_rows(r, [rw for rw in ray_rows
-                                         if not is_zero_vec(rw)])
+    principal = Sublattice.from_rows(r, ray_rows)
     _, torsion = cokernel_projection(principal)
     cl_rank = r - principal.rank
 
@@ -299,8 +289,7 @@ def class_group(fan: Fan) -> ClassGroupInfo:
         a_parts = [row[:r] for row in ker.basis.entries]
     else:
         a_parts = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-    cdiv_rank = rank_of_rows([p for p in a_parts if not is_zero_vec(p)]) \
-        if any(not is_zero_vec(p) for p in a_parts) else 0
+    cdiv_rank = rank_of_rows(a_parts)
     return ClassGroupInfo(cl_rank, torsion, cdiv_rank - ray_rank, n - ray_rank)
 
 

@@ -86,9 +86,6 @@ class IntMatrix:
             raise ValueError("dimension mismatch")
         return tuple(vdot(r, v) for r in self.entries)
 
-    def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.entries)
-
 
 def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
     """Rank over Q by fraction-free (Bareiss) elimination on ints: after

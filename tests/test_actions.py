@@ -3,6 +3,8 @@ obstructions.  Certificates are replayed through the independent checker."""
 
 import dataclasses
 import random
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +27,12 @@ from toricgit.certcheck import check_certificate, check_locus
 from toricgit.cones import Cone, relative_interior_point
 from toricgit.fans import (
     DivisorGroup,
+    SubfanLocus,
     ToricDivisor,
     is_cartier_on,
     validate_fan,
 )
-from toricgit.intlinalg import rank_of_rows, vdot
+from toricgit.intlinalg import rank_of_rows, vdot, vneg, vsub
 
 from genutil import (
     COX_FANS,
@@ -294,8 +297,9 @@ def test_chamber_loci_constant_on_relint(quadric_fan, quadric_action):
 
 
 def test_chambers_match_full_refinement():
-    # 200 seeded affine cones of rank 2 or 3 under subtori of dimension 1-2;
-    # a cell a hyperplane does not cross must be kept as it is
+    # 200 seeded affine cones of rank 2 or 3 under subtori of dimension 1-2:
+    # the GIT fan has the distinct loci of the arrangement's cells, and each
+    # cell lies in the GIT cone that has its locus
     split = 0
     for seed in range(200):
         rng = random.Random(7000 + seed)
@@ -305,7 +309,13 @@ def test_chambers_match_full_refinement():
             act = SubtorusAction.from_columns([random_primitive_vector(
                 rng, fan.ambient_rank)], fan.ambient_rank)
         got = git_chambers(act, fan)
-        assert [c for c, _, _ in got] == chambers_by_full_refinement(act, fan)
+        by_locus = {loc.locus: cone for cone, _, loc in got}
+        cells = {cell: mumford_trivial_semistable(
+            relative_interior_point(cell), act, fan).locus
+            for cell in chambers_by_full_refinement(act, fan)}
+        assert set(by_locus) == set(cells.values())
+        for cell, locus in cells.items():
+            assert contains_cone(by_locus[locus], cell)
         for cone, chi, _ in got:
             assert chi == relative_interior_point(cone)
         split += sum(c.dim == act.d for c, _, _ in got) > 1
@@ -342,7 +352,7 @@ def test_chamber_loci_match_chart_solves():
     # membership in the weight cones decides each locus; only its maximal
     # faces are solved, and they must give the chart-by-chart answer
     nonfull = rank4 = chambers = 0
-    for fan, act in _affine_instances(200):
+    for fan, act in _affine_instances(250):
         chambers += len(_check_chambers_by_solving(act, fan))
         nonfull += rank_of_rows(list(fan.rays)) < fan.ambient_rank
         rank4 += fan.ambient_rank == 4
@@ -402,11 +412,116 @@ def test_obstruction_not_obstructed(plane_fan, hyperbolic_action):
     assert rep.verdict == "not-obstructed"
 
 
-def test_obstruction_inconclusive(plane_fan, hyperbolic_action):
+def test_obstruction_realized_at_nonzero_character(plane_fan,
+                                                   hyperbolic_action):
     loc = mumford_trivial_semistable((1,), hyperbolic_action, plane_fan)
     rep = obstruction_report(loc.locus, hyperbolic_action, plane_fan)
-    # a nonzero chi achieves it, so the zero test fails but the cones meet
-    assert rep.verdict == "inconclusive"
+    # the zero character gives every face, yet chi = 1 realizes the locus
+    assert rep.verdict == "not-obstructed"
+    assert rep.character != (0,) and rep.locus == loc
+    assert mumford_trivial_semistable(rep.character, hyperbolic_action,
+                                      plane_fan).locus == loc.locus
+
+
+def test_obstruction_of_the_empty_locus(plane_fan, hyperbolic_action,
+                                        quadric_fan, quadric_action):
+    empty = SubfanLocus(frozenset())
+    # under the hyperbolic action Omega is the whole line: every
+    # character keeps the torus orbit
+    rep = obstruction_report(empty, hyperbolic_action, plane_fan)
+    assert rep.verdict == "obstructed" and rep.locus.locus.faces
+    # the quadric's Omega is a proper cone; a character off it keeps nothing
+    rep = obstruction_report(empty, quadric_action, quadric_fan)
+    assert rep.verdict == "not-obstructed" and rep.locus.locus == empty
+    assert not achievable_weight_cone(frozenset(), quadric_action,
+                                      quadric_fan).contains_point(rep.character)
+    assert mumford_trivial_semistable(rep.character, quadric_action,
+                                      quadric_fan).locus == empty
+    assert check_locus(quadric_fan, [(0,) * 4], [vneg(rep.character)],
+                       quadric_action.phi_star_rows(), rep.locus).ok
+
+
+def _vadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _git_fan_instances(count: int):
+    """`_affine_instances` and the Cox data of P^2, P^1xP^1 and F_1-F_3."""
+    yield from _affine_instances(count)
+    for name in ("P2", "P1xP1"):
+        orthant, act = cox_data(COX_FANS[name][0])
+        yield orthant, act
+    for a in (1, 2, 3):
+        orthant, act = cox_data([(1, 0), (0, 1), (-1, a), (0, -1)])
+        yield orthant, act
+
+
+def test_git_fan_cones_have_one_locus_each():
+    # L at other relative interior points (the sample plus a generator, or
+    # plus or minus a lineality vector) is the cone's locus, and no two
+    # cones share one
+    cones = 0
+    for fan, act in _git_fan_instances(1000):
+        chams = git_chambers(act, fan)
+        assert len({loc.locus for _, _, loc in chams}) == len(chams)
+        for cone, chi, loc in chams:
+            others = [_vadd(chi, g) for g in cone.generators]
+            others += [f(chi, l) for l in cone.lineality_basis for f in (_vadd, vsub)]
+            for q in others:
+                assert mumford_trivial_semistable(q, act, fan).locus == loc.locus
+        cones += len(chams)
+    assert cones > 2000
+
+
+def _candidates(loci):
+    """The loci, their pairwise unions and intersections, and each locus
+    without one maximal face."""
+    out = set(loci)
+    for a in loci:
+        for b in loci:
+            out |= {SubfanLocus(a.faces | b.faces), SubfanLocus(a.faces & b.faces)}
+        out |= {SubfanLocus(a.faces - {m}) for m in a.maximal_keys()}
+    return out
+
+
+def test_obstruction_matches_git_fan_loci():
+    # realizable iff a GIT-fan locus, or empty with Omega a proper cone;
+    # both verdicts carry a certified locus at chi that replays
+    verdicts = Counter()
+    for fan, act in _git_fan_instances(120):
+        zero = (0,) * len(fan.rays)
+        chams = git_chambers(act, fan)
+        loci = {loc.locus for _, _, loc in chams}
+        omega = achievable_weight_cone(frozenset(), act, fan)
+        for req in _candidates(loci):
+            rep = obstruction_report(req, act, fan)
+            realizable = req in loci if req.faces else bool(
+                omega.facet_normals or omega.span_equalities)
+            assert rep.verdict == ("not-obstructed" if realizable else "obstructed")
+            assert check_locus(fan, [zero], [vneg(rep.character)],
+                               act.phi_star_rows(), rep.locus).ok
+            if realizable:
+                assert rep.locus.locus == req
+            elif req.faces:
+                assert rep.common.contains_point(rep.character)
+                assert rep.character == relative_interior_point(rep.common)
+                assert rep.locus.locus.faces > req.faces
+                assert any(key not in req for key, _ in rep.locus.certificates)
+            verdicts[rep.verdict] += 1
+    assert sum(verdicts.values()) >= 500 and min(verdicts.values()) > 100
+
+
+def test_heptagon_git_fan_known_answer():
+    # Cox data of the toric surface with rays (+-1, 0), (0, +-1), (1, 1),
+    # (-1, -1) and (-1, 1): the hyperplane arrangement had 2,774 cells
+    orthant, act = cox_data([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, 1),
+                             (-1, -1), (0, -1)])
+    t0 = time.perf_counter()
+    chams = git_chambers(act, orthant)
+    elapsed = time.perf_counter() - t0
+    assert len(chams) == 432
+    assert sum(c.dim == act.d for c, _, _ in chams) == 50
+    assert elapsed < 1.0, elapsed
 
 
 # --- randomized properties ----------------------------------------------

@@ -106,6 +106,21 @@ def test_obstruction_exit_1(quadric_file, capsys):
     assert rep["result"]["verdict"] == "obstructed"
 
 
+def test_obstruction_of_an_empty_locus(quadric_file, capsys):
+    # D1's semistable locus is empty; a character off the quadric's weight
+    # cone of the empty face gives the empty locus too
+    code, rep = _run_json(["obstruction", quadric_file, "--divisor", "D1"],
+                          capsys)
+    assert code == 0
+    res = rep["result"]
+    assert res["required"] == [] and res["verdict"] == "not-obstructed"
+    assert res["locus"] == {"faces": [], "certificates": []}
+    code, again = _run_json(["trivial-bundle", quadric_file, "--character",
+                             ",".join(map(str, res["character"])), "--check"],
+                            capsys)
+    assert code == 1 and again["result"]["faces"] == []
+
+
 def test_hm_limit(intro_weights_file, capsys):
     code, rep = _run_json(["hm", "limit", intro_weights_file,
                            "--lam", "1", "--support", "0"], capsys)

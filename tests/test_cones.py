@@ -85,8 +85,8 @@ def test_quadric_cone_descriptions():
 
 
 def test_dual_of_zero_and_full():
-    assert dual(Cone.zero(3)) == Cone.full_space(3)
-    assert dual(Cone.full_space(3)) == Cone.zero(3)
+    assert dual(Cone(3, (), ())) == Cone.from_inequalities(3, ())
+    assert dual(Cone.from_inequalities(3, ())) == Cone(3, (), ())
 
 
 @settings(max_examples=120, deadline=None)
@@ -193,8 +193,8 @@ def test_intersect_examples():
     h = Cone.from_generators(2, [(1, 1), (-1, 1)])
     got = intersect(q, h)
     assert got == Cone.from_generators(2, [(0, 1), (1, 1)])
-    assert intersect(q, Cone.zero(2)) == Cone.zero(2)
-    assert intersect(q, Cone.full_space(2)) == q
+    assert intersect(q, Cone(2, (), ())) == Cone(2, (), ())
+    assert intersect(q, Cone.from_inequalities(2, ())) == q
 
 
 @settings(max_examples=80, deadline=None)
@@ -216,7 +216,7 @@ def test_image_collapse_gives_lineality():
     c = Cone.from_generators(2, [(1, 1), (1, -1)])
     f = LatticeMap(IntMatrix.from_rows([(0, 1)], 2), 2, 1)
     got = image(c, f)
-    assert got == Cone.full_space(1)
+    assert got == Cone.from_inequalities(1, ())
 
 
 @settings(max_examples=80, deadline=None)

@@ -92,7 +92,7 @@ def test_quotient_quadric_is_p1(quadric_fan, quadric_action, quadric_divisor):
     assert images == {((1,),), ((-1,),)}
     assert q.good and q.geometric and q.separated
     assert q.torsion == ()
-    assert q.gluings == ((0, 1, Cone.zero(1)),)
+    assert q.gluings == ((0, 1, Cone(1, (), ())),)
 
 
 def test_quotient_intro_divisor_is_line(plane_fan, hyperbolic_action, div_z):
@@ -111,7 +111,7 @@ def test_quotient_intro_group_is_doubled_line(plane_fan, hyperbolic_action,
     assert len(q.charts) == 2
     # both charts map onto the same ray: the classic non-separated gluing
     assert q.charts[0].image == q.charts[1].image
-    assert q.gluings == ((0, 1, Cone.zero(1)),)
+    assert q.gluings == ((0, 1, Cone(1, (), ())),)
     assert q.good
     assert q.geometric
     assert not q.separated
