@@ -201,12 +201,7 @@ def _invertible_degrees(fan: Fan, group: DivisorGroup, lin: Linearization,
                     tuple(d.coefficients[i] for d in group.basis))
     for t, m_row in enumerate(action.phi_star_rows()):
         rows.append(tuple(m_row) + tuple(s[t] for s in lin.shifts))
-    if rows:
-        ker = kernel_basis(IntMatrix.from_rows(rows, n + k))
-        gens = [row for row in ker.basis.entries]
-    else:
-        gens = [tuple(1 if j == i else 0 for j in range(n + k))
-                for i in range(n + k)]
+    gens = kernel_basis(IntMatrix.from_rows(rows, n + k)).basis.entries
     c_parts = [g[n:] for g in gens]
     chosen: list[tuple[Vec, Vec]] = []
     basis_rows: list[Vec] = []
@@ -278,11 +273,10 @@ def _weight_generators(action: SubtorusAction, fan: Fan):
     images whose zero set holds its key."""
     top = _require_affine(fan)
     sigma = fan.face_cone(top)
-    phi_star = LatticeMap(action.phi.matrix.transpose(), fan.ambient_rank, action.d)
     images = [(frozenset(i for i in top if vdot(u, fan.rays[i]) == 0), primitive(g))
               for u in sigma.facet_normals
-              for g in [phi_star.apply(u)] if not is_zero_vec(g)]
-    return [phi_star.apply(e) for e in sigma.span_equalities], {
+              for g in [action.phi_star(u)] if not is_zero_vec(g)]
+    return [action.phi_star(e) for e in sigma.span_equalities], {
         key: frozenset(g for zeros, g in images if key <= zeros) for key in fan.face_keys()}
 
 
@@ -377,9 +371,9 @@ def git_chambers(action: SubtorusAction, fan: Fan):
                  for c in cut for u in c.facet_normals}
         walls = {u: z for u, z in zeros.items() if not any(z < z2 for z2 in zeros.values())}
         ch._set_facets(sorted(walls), omega.span_equalities)
-        for z in walls.values():
-            p = tuple(map(sum, zip((0,) * action.d, *(ch.generators[i] for i in z))))
-            if p in crossed or any(vdot(u, p) == 0 for u in omega.facet_normals):
+        for u, z in walls.items():
+            p = relative_interior_point(ch, (u,))
+            if p in crossed or any(vdot(f, p) == 0 for f in omega.facet_normals):
                 continue
             crossed.add(p)
             g = next(g for i, g in enumerate(ch.generators) if i not in z)
@@ -411,15 +405,16 @@ def obstruction_report(required: SubfanLocus, action: SubtorusAction,
     constant on its relative interior, so R is realizable iff L(chi) = R at
     chi = relative_interior_point(lambda_R); else L(chi) holds R and a
     certified face outside it.  The empty R is realizable iff K_empty is
-    not the whole space: at -u for its facet normal u, or at its equality."""
-    face_gens, kcones = _weight_cones(action, fan)
+    not the whole space: at -u for its facet normal u, or at its equality.
+    Only the weight cones of R's maximal faces are converted (K_empty
+    alone when R is empty), and L(chi) is one chart solve."""
     maxes = required.maximal_keys()
-    weight = tuple((key, kcones[face_gens[key]]) for key in maxes)
+    weight = tuple((key, achievable_weight_cone(key, action, fan)) for key in maxes)
     common = _git_cone(action.d, [c for _, c in weight])
     chi = relative_interior_point(common)
     if not maxes:
-        omega = kcones[face_gens[frozenset()]]
+        omega = achievable_weight_cone(frozenset(), action, fan)
         chi = next(chain(map(vneg, omega.facet_normals), omega.span_equalities), chi)
-    locus = _locus_at(chi, action, fan, face_gens, kcones)
+    locus = mumford_trivial_semistable(chi, action, fan)
     return ObstructionReport(required, weight, common, chi, locus,
                              "not-obstructed" if locus.locus == required else "obstructed")

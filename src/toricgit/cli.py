@@ -80,17 +80,26 @@ def _quotient_payload(q) -> dict:
     }
 
 
-def _semistable_locus(problem, args, act):
-    """Semistable locus of --divisor or --group, with the divisor rows and
-    shifts its certificates are replayed against."""
+def _divisor_rows(problem, args):
+    """The divisor of --divisor or the group of --group, its
+    linearization, and the coefficient rows and shifts that certificates
+    are replayed against."""
     if args.divisor:
-        D = problem.divisor(args.divisor)
+        src = problem.divisor(args.divisor)
         lin = problem.linearization_for(args.divisor)
-        ss = semistable_divisor(D, lin, act, problem.fan)
-        return ss, [D.coefficients], list(lin.shifts)
-    grp, lin = problem.group(args.group)
-    ss = semistable_group(grp, lin, act, problem.fan)
-    return ss, [d.coefficients for d in grp.basis], list(lin.shifts)
+        basis = (src,)
+    else:
+        src, lin = problem.group(args.group)
+        basis = src.basis
+    return src, lin, [d.coefficients for d in basis], list(lin.shifts)
+
+
+def _semistable_locus(problem, args, act):
+    """Semistable locus of --divisor or --group, with its divisor rows
+    and shifts."""
+    src, lin, rows, shifts = _divisor_rows(problem, args)
+    solve = semistable_divisor if args.divisor else semistable_group
+    return solve(src, lin, act, problem.fan), rows, shifts
 
 
 def _check_payload(problem, divisor_rows, shifts, ss) -> dict:
@@ -158,6 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("file", help="JSON problem file")
         p.add_argument("--json", action="store_true", help="machine output")
 
+    def divisor_or_group(p):
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--divisor")
+        g.add_argument("--group")
+
     p = sub.add_parser("cartier-locus", help="faces where every group divisor is Cartier")
     common(p)
     p.add_argument("--group", required=True)
@@ -168,9 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("semistable", help="semistable locus of a divisor or group")
     common(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--divisor")
-    g.add_argument("--group")
+    divisor_or_group(p)
     p.add_argument("--check", action="store_true",
                    help="replay certificates through the independent checker")
 
@@ -185,9 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quotient", help="glued quotient of a semistable locus")
     common(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--divisor")
-    g.add_argument("--group")
+    divisor_or_group(p)
     p.add_argument("--check", action="store_true")
 
     p = sub.add_parser("class-group", help="divisor class group and Picard rank")
@@ -209,9 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact verdict: is a locus the trivial-bundle locus of "
                        "some character (obstructed or not-obstructed)")
     common(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--divisor")
-    g.add_argument("--group")
+    divisor_or_group(p)
 
     p = sub.add_parser("verify-examples",
                        help="replay the built-in worked examples end to end")
@@ -219,9 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle")  # debugging aid: brute-force reference locus
     common(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--divisor")
-    g.add_argument("--group")
+    divisor_or_group(p)
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--box", type=int, default=8)
     p.add_argument("--degree-box", type=int, default=3)
@@ -347,19 +353,11 @@ def run(argv) -> int:
         elif args.command == "oracle":
             from .oracle import SearchBounds, enumerate_witnesses
             act = _require_action(problem)
-            cols = act.phi_star_rows()
+            _, _, rows, shifts = _divisor_rows(problem, args)
             bounds = SearchBounds(args.n_max, args.box, args.degree_box)
-            if args.divisor:
-                D = problem.divisor(args.divisor)
-                lin = problem.linearization_for(args.divisor)
-                rows, shifts, group_case = [D.coefficients], list(lin.shifts), False
-            else:
-                grp, lin = problem.group(args.group)
-                rows, shifts, group_case = \
-                    [d.coefficients for d in grp.basis], list(lin.shifts), True
             loc = enumerate_witnesses(list(problem.fan.rays),
-                                      list(problem.fan.face_keys()),
-                                      rows, shifts, cols, bounds, group_case)
+                                      list(problem.fan.face_keys()), rows, shifts,
+                                      act.phi_star_rows(), bounds, not args.divisor)
             report["result"] = {"faces": sorted(
                 (sorted(k) for k in loc), key=lambda s: (len(s), s))}
             exit_code = 0 if loc else 1

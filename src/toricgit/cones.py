@@ -15,12 +15,14 @@ description is one more conversion, run on first read (or kept from the
 conversion that built the cone).  A cone built from generators makes
 exactly that one conversion: its canonical generators are read off the
 generator-facet zero sets.  Faces are cut from the generators by
-ray-facet incidence, with no conversion, and a strict-feasibility test
-needs only one conversion.  Whether two cones meet in a common face is
-settled by a separating form built from their facets, and only a pair
-that no facet separates is intersected.  Cones are hashable by their
-generators and are used as dictionary keys by the fan and quotient
-layers.
+ray-facet incidence, with no conversion.  Every strict-feasibility
+question (is some point of a face positive on given forms?) is answered
+by one primitive, relative_interior_point: the sum of the generators on
+the face, read by incidence, so a cone converted once answers it for
+every face.  Whether two cones meet in a common face is settled by a
+separating form built from their facets, and only a pair that no facet
+separates is intersected.  Cones are hashable by their generators and
+are used as dictionary keys by the fan and quotient layers.
 """
 
 from __future__ import annotations
@@ -334,12 +336,18 @@ def faces(c: Cone) -> tuple[Cone, ...]:
     return tuple(out)
 
 
-def relative_interior_point(c: Cone) -> Vec:
-    """Integer point strictly inside every facet of c (sum of the
-    generators; 0 for a linear subspace or the zero cone)."""
-    p = tuple(0 for _ in range(c.ambient_rank))
+def relative_interior_point(c: Cone, tight: Sequence[Vec] = ()) -> Vec:
+    """The sum of the generators of c on which every form in tight
+    vanishes (0 if there are none).  For forms >= 0 on c it lies in the
+    relative interior of the face F they cut out: F's extreme rays modulo
+    the lineality are c's generators in F, so a form >= 0 on c is positive
+    somewhere on F iff it is positive here.  F shares c's lineality, and a
+    conversion reduces rays modulo its HNF, so this is also the sum of F's
+    own generators."""
+    p = (0,) * c.ambient_rank
     for g in c.generators:
-        p = tuple(a + b for a, b in zip(p, g))
+        if all(vdot(u, g) == 0 for u in tight):
+            p = tuple(a + b for a, b in zip(p, g))
     return p
 
 
@@ -369,17 +377,12 @@ def feasible_strict(sys: FeasibilitySystem) -> Optional[Vec]:
     """Integer witness satisfying all equalities, weak forms, and strictly
     all strict forms, or None.
 
-    Weaken the strict forms, run one double description conversion, and
-    take p = the sum of the extreme rays of the resulting cone.  Accept
-    iff every strict form is positive at p: a form that is nonnegative on
-    the cone vanishes on its lineality space, so it is either zero on
-    every ray or positive on one of them, and then positive at p."""
-    rays, _ = double_description(
-        sys.dim, list(sys.weak) + list(sys.strict), list(sys.equalities))
-    p = tuple(sum(x) for x in zip(*rays)) if rays else (0,) * sys.dim
-    if sys.satisfied_by(p):
-        return p
-    return None
+    Weaken the strict forms, convert once, and replay the system at the
+    cone's relative_interior_point: a strict form, >= 0 on the cone, is
+    positive somewhere on it iff it is positive there."""
+    p = relative_interior_point(Cone.from_inequalities(
+        sys.dim, list(sys.weak) + list(sys.strict), list(sys.equalities)))
+    return p if sys.satisfied_by(p) else None
 
 
 def product_feasible_strict(

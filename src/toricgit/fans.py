@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cones import Cone, meets_in
+from .cones import Cone, meets_in, relative_interior_point
 from .intlinalg import (
     IntMatrix,
     Vec,
@@ -284,11 +284,8 @@ def class_group(fan: Fan) -> ClassGroupInfo:
             for j in range(n):
                 row[r + n * s + j] = fan.rays[i][j]
             rows.append(tuple(row))
-    if rows:
-        ker = kernel_basis(IntMatrix.from_rows(rows, nvars))
-        a_parts = [row[:r] for row in ker.basis.entries]
-    else:
-        a_parts = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
+    ker = kernel_basis(IntMatrix.from_rows(rows, nvars))
+    a_parts = [row[:r] for row in ker.basis.entries]
     cdiv_rank = rank_of_rows(a_parts)
     return ClassGroupInfo(cl_rank, torsion, cdiv_rank - ray_rank, n - ray_rank)
 
@@ -316,21 +313,12 @@ def chart_witness(fan: Fan, section: tuple[Cone, tuple[Vec, ...]],
     """{"monomial": u, "degree": s} of a section in the section cone that
     vanishes exactly on the rays of the face tau (f_j = 0 for j in tau,
     every other form > 0), so its nonvanishing locus is tau's chart; or
-    None.  The witness p is the sum of the extreme rays of P on which
-    every f_j with j in tau vanishes, read by incidence.
-
-    p is the strict feasibility witness of tau's own system (as
-    feasible_strict gives it): each f_j is >= 0 on P, so P_tau = P ∩
-    {f_j = 0 : j in tau} is a face of P, and its extreme rays modulo the
-    lineality are the extreme rays of P in it.  P and P_tau are cut out
-    by the same forms, so they share the lineality, and a conversion
-    reduces rays modulo the same HNF lattice to the same primitive
-    representatives."""
+    None.  Each f_j is >= 0 on P, so the f_j with j in tau cut out a face
+    of P, and its relative_interior_point p, read by incidence, is the
+    witness iff any point of that face is: p is the strict-feasibility
+    witness of tau's own system, as feasible_strict gives it."""
     cone, forms = section
-    p = (0,) * cone.ambient_rank
-    for r in cone.generators:
-        if all(vdot(forms[j], r) == 0 for j in tau):
-            p = tuple(a + b for a, b in zip(p, r))
+    p = relative_interior_point(cone, [forms[j] for j in tau])
     if any(vdot(f, p) <= 0 for j, f in enumerate(forms) if j not in tau):
         return None
     return {"monomial": p[:fan.ambient_rank], "degree": p[fan.ambient_rank:]}

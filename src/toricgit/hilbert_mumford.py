@@ -27,9 +27,9 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .actions import Linearization, SubtorusAction, semistable_divisor
-from .cones import Cone, FeasibilitySystem, double_description, feasible_strict
-from .fans import Fan, FaceKey, ToricDivisor
-from .intlinalg import IntMatrix, Vec, kernel_basis, primitive, vdot, vneg
+from .cones import Cone, double_description, relative_interior_point
+from .fans import Fan, FaceKey, ToricDivisor, section_cone
+from .intlinalg import IntMatrix, Vec, det, kernel_basis, primitive, vdot, vneg
 
 
 class HilbertBasisTooLarge(Exception):
@@ -92,18 +92,19 @@ def limit(lam: Sequence[int], p: PointPattern, act: LinearAction) -> Optional[Po
 def destabilize(p: PointPattern, target: Callable[[PointPattern], bool],
                 act: LinearAction) -> Optional[Vec]:
     """One-parameter subgroup lambda whose limit of p exists and lands in
-    the target, or None.  Candidate limit supports are enumerated and
-    each gives a strict/weak cone feasibility over lambda."""
+    the target, or None.  The limit exists iff lambda lies in the cone
+    {<w_i, lambda> >= 0 : i in p's support} and keeps the coordinates whose
+    forms vanish at lambda, so a candidate support t is realized iff the
+    relative_interior_point of t's face is positive on the other forms:
+    one conversion per call, and each candidate read off it by incidence."""
     supp = sorted(p.support)
+    cone = Cone.from_inequalities(act.d, [act.weights[i] for i in supp])
     for size in range(len(supp) + 1):
         for sub in itertools.combinations(supp, size):
-            t = frozenset(sub)
-            if not target(PointPattern(t)):
+            if not target(PointPattern(frozenset(sub))):
                 continue
-            eqs = tuple(act.weights[i] for i in sorted(t))
-            strict = tuple(act.weights[i] for i in supp if i not in t)
-            lam = feasible_strict(FeasibilitySystem(act.d, eqs, (), strict))
-            if lam is not None:
+            lam = relative_interior_point(cone, [act.weights[i] for i in sub])
+            if all(vdot(act.weights[i], lam) > 0 for i in supp if i not in sub):
                 return lam
     return None
 
@@ -112,25 +113,6 @@ def _box_ranges(generators: Sequence[Vec], ambient: int):
     lo = [sum(min(0, g[j]) for g in generators) for j in range(ambient)]
     hi = [sum(max(0, g[j]) for g in generators) for j in range(ambient)]
     return lo, hi
-
-
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: each division by the previous pivot is exact."""
-    m = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for k in range(len(m) - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, len(m)):
-            for j in range(k + 1, len(m)):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if m else 1
 
 
 def _pulling_pieces(c: Cone) -> list[tuple[Vec, ...]]:
@@ -177,7 +159,7 @@ def _parallelepiped(gens: Sequence[Vec], basis: Sequence[Vec],
     units = [[int(j == m) for j in range(k)] for m in range(k)]
     forms = []
     for i, row in enumerate(rows):
-        u = primitive([_det(rows[:i] + [e] + rows[i + 1:]) for e in units])
+        u = primitive([det(rows[:i] + [e] + rows[i + 1:]) for e in units])
         forms.append(u if vdot(u, row) > 0 else vneg(u))
     heights = [vdot(u, row) for u, row in zip(forms, rows)]
     steps = [(b, [vdot(u, [b[j] for j in cols]) for u in forms]) for b in basis]
@@ -292,9 +274,7 @@ def ambient_model(fan: Fan, action: SubtorusAction, D: ToricDivisor,
     _require_affine(fan)
     n = fan.ambient_rank
     shift = _single_shift(lin, action.d)
-    ineqs = [tuple(v) + (a,) for v, a in zip(fan.rays, D.coefficients)]
-    ineqs.append(tuple(0 for _ in range(n)) + (1,))
-    cd = Cone.from_inequalities(n + 1, ineqs)
+    cd, forms = section_cone(fan, [(a,) for a in D.coefficients], shared_strict=((1,),))
     hb = hilbert_basis(cd, max_points)
     weights = []
     for h in hb:
@@ -304,16 +284,10 @@ def ambient_model(fan: Fan, action: SubtorusAction, D: ToricDivisor,
             w[t] += deg * shift[t]
         weights.append(tuple(w) + (deg,))
     act = LinearAction(tuple(weights))
-
-    patterns = []
-    for key in fan.face_keys():
-        supp = []
-        for i, h in enumerate(hb):
-            u, deg = h[:n], h[n]
-            if all(vdot(u, fan.rays[r]) + deg * D.coefficients[r] == 0
-                   for r in sorted(key)):
-                supp.append(i)
-        patterns.append((key, PointPattern(frozenset(supp))))
+    # a face's coordinates are the basis elements its ray forms vanish on
+    patterns = [(key, PointPattern(frozenset(
+        i for i, h in enumerate(hb) if all(vdot(forms[r], h) == 0 for r in key))))
+        for key in fan.face_keys()]
     return AmbientModel(tuple(hb), act, tuple(patterns))
 
 

@@ -1,10 +1,11 @@
 """Exact integer linear algebra over free abelian groups of finite rank.
 
 Everything here is arbitrary-precision: matrices hold Python ints, ranks
-come from fraction-free (Bareiss) elimination on ints, kernels from one
-Smith normal form each, and no floating point is used anywhere.  Smith
-normal form uses a fixed pivoting rule (smallest absolute nonzero entry,
-row-major tie break) so all outputs are deterministic.
+and determinants come from one fraction-free (Bareiss) elimination on
+ints, kernels from one Smith normal form each, and no floating point is
+used anywhere.  Smith normal form uses a fixed pivoting rule (smallest
+absolute nonzero entry, row-major tie break) so all outputs are
+deterministic.
 """
 
 from __future__ import annotations
@@ -72,12 +73,6 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
-    def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.entries)
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols)))
 
@@ -87,29 +82,44 @@ class IntMatrix:
         return tuple(vdot(r, v) for r in self.entries)
 
 
-def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination on ints: after
-    each pivot the remaining entries are minors of the input, so the
-    division by the previous pivot is exact."""
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) elimination: the rank, the sign of the row
+    swaps and the last pivot.  Entries are minors of the input, so each
+    division by the previous pivot is exact; rows below a pivot are zero
+    left of its column, so only the columns right of it are updated."""
     mat = [list(r) for r in rows]
     ncols = len(mat[0]) if mat else 0
-    rank = 0
-    prev = 1
+    rank, sign, prev = 0, 1, 1
     for col in range(ncols):
         if rank == len(mat):
             break
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
+        if mat[rank][col] == 0:
+            piv = next((i for i in range(rank + 1, len(mat)) if mat[i][col] != 0), None)
+            if piv is None:
+                continue
+            mat[rank], mat[piv] = mat[piv], mat[rank]
+            sign = -sign
         top = mat[rank]
         p = top[col]
-        for i in range(rank + 1, len(mat)):
-            a = mat[i][col]
-            mat[i] = [(p * x - a * y) // prev for x, y in zip(mat[i], top)]
+        for row in mat[rank + 1:]:
+            a = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = (p * row[j] - a * top[j]) // prev
         prev = p
         rank += 1
-    return rank
+    return rank, sign, prev
+
+
+def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q, by Bareiss elimination."""
+    return _bareiss(rows)[0]
+
+
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix: the last Bareiss pivot is
+    the determinant of the row-swapped matrix."""
+    rank, sign, pivot = _bareiss(rows)
+    return sign * pivot if rank == len(rows) else 0
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
@@ -295,8 +305,7 @@ def kernel_basis(A: IntMatrix) -> Sublattice:
     """Saturated sublattice {x in Z^cols : A x = 0}: the last columns of V
     in one Smith decomposition U*A*V = D, put in HNF."""
     snf = smith_normal_form(A)
-    rows = [snf.V.col(j) for j in range(snf.rank, A.cols)]
-    return Sublattice.from_rows(A.cols, rows)
+    return Sublattice.from_rows(A.cols, snf.V.transpose().entries[snf.rank:])
 
 
 def saturate(S: Sublattice) -> Sublattice:
@@ -308,8 +317,9 @@ def saturate(S: Sublattice) -> Sublattice:
 
 
 def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
-    """Some integer x with A x = b, or None.  Witness verifies by
-    substitution; absence is a value, not an error."""
+    """Some integer x with A x = b, or None.  The candidate is checked by
+    substitution, which rejects every inconsistent system; absence is a
+    value, not an error."""
     if len(b) != A.rows:
         raise ValueError("dimension mismatch")
     snf = smith_normal_form(A)
@@ -324,13 +334,6 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
             if ci % d != 0:
                 return None
             y.append(ci // d)
-    for i in range(A.cols, A.rows):
-        if c[i] != 0:
-            return None
-    for i in range(min(A.rows, A.cols)):
-        d = snf.D.entries[i][i]
-        if d == 0 and c[i] != 0:
-            return None
     x = snf.V.mulvec(y)
     if A.mulvec(x) != tuple(b):
         return None
@@ -347,6 +350,5 @@ def cokernel_projection(S: Sublattice) -> tuple[LatticeMap, tuple[int, ...]]:
     snf = smith_normal_form(A)
     r = snf.rank
     torsion = tuple(d for d in snf.invariant_factors if d > 1)
-    proj_rows = [snf.U.row(i) for i in range(r, n)]
-    pi = LatticeMap(IntMatrix.from_rows(proj_rows, n), n, n - r)
+    pi = LatticeMap(IntMatrix.from_rows(snf.U.entries[r:], n), n, n - r)
     return pi, torsion

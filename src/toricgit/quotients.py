@@ -39,7 +39,6 @@ from .intlinalg import (
 @dataclass(frozen=True)
 class QuotientChart:
     source_key: FaceKey
-    source: Cone
     image: Cone
     projection: LatticeMap
 
@@ -118,10 +117,8 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
     max_keys = [k for k, _ in ss.certificates]
     max_keys.sort(key=lambda k: (len(k), sorted(k)))
 
-    charts = []
-    for key in max_keys:
-        src = fan.face_cone(key)
-        charts.append(QuotientChart(key, src, cone_image(src, pi), pi))
+    charts = [QuotientChart(key, cone_image(fan.face_cone(key), pi), pi)
+              for key in max_keys]
 
     images = [{k: orbit_image(fan.face_cone(k), ch)
                for k in fan.all_keys_under(ch.source_key)} for ch in charts]

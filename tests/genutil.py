@@ -23,7 +23,7 @@ from toricgit.cones import (
     meets_in,
 )
 from toricgit.fans import Fan, FaceKey, FanError, SubfanLocus, ToricDivisor, validate_fan
-from toricgit.hilbert_mumford import HilbertBasisTooLarge, _box_ranges
+from toricgit.hilbert_mumford import HilbertBasisTooLarge, PointPattern, _box_ranges
 from toricgit.intlinalg import (
     IntMatrix,
     LatticeMap,
@@ -460,6 +460,24 @@ def chart_witness_by_system(fan: Fan, tau, degree_rows, weight_rows=(),
     if wit is None:
         return None
     return {"monomial": wit[:n], "degree": wit[n:]}
+
+
+def destabilize_by_candidate(p, target, act):
+    """Reference for `hilbert_mumford.destabilize`: one strict feasibility
+    system, and one conversion, per candidate limit support t (the weights
+    of t vanish, every other supported weight is positive)."""
+    supp = sorted(p.support)
+    for size in range(len(supp) + 1):
+        for sub in itertools.combinations(supp, size):
+            t = frozenset(sub)
+            if not target(PointPattern(t)):
+                continue
+            eqs = tuple(act.weights[i] for i in sorted(t))
+            strict = tuple(act.weights[i] for i in supp if i not in t)
+            lam = feasible_strict(FeasibilitySystem(act.d, eqs, (), strict))
+            if lam is not None:
+                return lam
+    return None
 
 
 def hilbert_basis_by_pairs(c: Cone, max_points: int = 200000) -> list:

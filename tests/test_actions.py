@@ -511,6 +511,35 @@ def test_obstruction_matches_git_fan_loci():
     assert sum(verdicts.values()) >= 500 and min(verdicts.values()) > 100
 
 
+def test_obstruction_converts_only_the_maximal_faces_weight_cones(monkeypatch):
+    # the weight cones converted are K_gamma of R's maximal faces, in order
+    # (Omega alone for the empty R); the rest is lambda_R and one section
+    # cone for the chart solve at chi
+    from toricgit import cones
+    built, dd = [], []
+    real_gens = Cone.__dict__["from_generators"].__func__
+    real_dd = cones.double_description
+    monkeypatch.setattr(Cone, "from_generators", staticmethod(
+        lambda *a, **k: built.append(real_gens(*a, **k)) or built[-1]))
+    monkeypatch.setattr(cones, "double_description",
+                        lambda *a, **k: dd.append(a) or real_dd(*a, **k))
+    reports = 0
+    for fan, act in _git_fan_instances(40):
+        loci = {loc.locus for _, _, loc in git_chambers(act, fan)}
+        for req in sorted(_candidates(loci), key=lambda r: r.sorted_keys()):
+            fan.face_cone(fan.maximal_keys[0]).facet_normals  # converted once per fan
+            expected = [weight_cone_by_conversion(k, act, fan)
+                        for k in req.maximal_keys() or [frozenset()]]
+            built.clear()
+            dd.clear()
+            rep = obstruction_report(req, act, fan)
+            assert built == expected
+            assert [c for _, c in rep.weight_cones] == built[:len(req.maximal_keys())]
+            assert len(dd) == len(built) + 2
+            reports += 1
+    assert reports > 100
+
+
 def test_heptagon_git_fan_known_answer():
     # Cox data of the toric surface with rays (+-1, 0), (0, +-1), (1, 1),
     # (-1, -1) and (-1, 1): the hyperplane arrangement had 2,774 cells

@@ -28,6 +28,7 @@ from toricgit.intlinalg import (
     hermite_normal_form,
     vdot,
     vneg,
+    vscale,
 )
 from toricgit.oracle import feasible_strict_boxed
 from toricgit import cones
@@ -186,6 +187,23 @@ def test_relative_interior_point_is_interior(c):
         assert vdot(n, p) > 0
     for e in c.span_equalities:
         assert vdot(e, p) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cone_strategy(3), st.lists(st.booleans(), min_size=5, max_size=5),
+       st.lists(st.lists(st.integers(0, 2), min_size=5, max_size=5), max_size=2))
+def test_relative_interior_point_of_a_face_is_its_strict_witness(c, picks, mixes):
+    # the facet normals picked as tight cut out a face of c; its own system
+    # (those and the span equalities = 0, the other normals and nonnegative
+    # mixes of all normals > 0) is solved by the generators' sum on the face
+    # iff it is solvable, and feasible_strict returns that same sum
+    tight = [u for u, pick in zip(c.facet_normals, picks) if pick]
+    strict = [u for u, pick in zip(c.facet_normals, picks) if not pick]
+    strict += [tuple(map(sum, zip((0,) * 3, *(vscale(a, u) for a, u in zip(mix, c.facet_normals)))))
+               for mix in mixes]
+    p = relative_interior_point(c, tight)
+    face = FeasibilitySystem(3, tuple(tight) + c.span_equalities, (), tuple(strict))
+    assert (p if all(vdot(s, p) > 0 for s in strict) else None) == feasible_strict(face)
 
 
 def test_intersect_examples():

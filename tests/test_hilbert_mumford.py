@@ -27,6 +27,7 @@ from toricgit.oracle import SearchBounds, destabilize_boxed, enumerate_witnesses
 
 from genutil import (
     ambient_semistable_by_face,
+    destabilize_by_candidate,
     fraction_rank,
     hilbert_basis_by_pairs,
     random_action,
@@ -115,6 +116,33 @@ def test_destabilize_matches_box_search(seed):
         assert lim is not None and lim.support in targets
     else:
         assert boxed is None
+
+
+def test_destabilize_converts_once_and_matches_per_candidate_systems(monkeypatch):
+    # one conversion per call, of the cone of the supported weights; each
+    # candidate's answer is the face's relative-interior point, which is
+    # what the per-candidate strict system returns
+    from toricgit import cones
+    calls = []
+    real = cones.double_description
+    rng = random.Random(4242)
+    found = 0
+    for _ in range(400):
+        d, n = rng.randint(1, 3), rng.randint(1, 6)
+        act = LinearAction(tuple(tuple(rng.randint(-2, 2) for _ in range(d))
+                                 for _ in range(n)))
+        p = PointPattern(frozenset(i for i in range(n) if rng.random() < 0.7))
+        targets = {frozenset(i for i in p.support if rng.random() < 0.4)
+                   for _ in range(rng.randint(0, 4))}
+        with monkeypatch.context() as m:
+            m.setattr(cones, "double_description",
+                      lambda *a, **k: calls.append(a) or real(*a, **k))
+            lam = destabilize(p, lambda q: q.support in targets, act)
+        assert len(calls) == 1
+        calls.clear()
+        assert lam == destabilize_by_candidate(p, lambda q: q.support in targets, act)
+        found += lam is not None
+    assert 100 < found < 300
 
 
 # --- Hilbert bases ---------------------------------------------------------

@@ -2,6 +2,8 @@
 integer solvability."""
 
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from toricgit.intlinalg import (
     IntMatrix,
     Sublattice,
     cokernel_projection,
+    det,
     hermite_normal_form,
     kernel_basis,
     rank_of_rows,
@@ -186,6 +189,53 @@ def test_solve_integer_soundness(rows, bvals):
     x = solve_integer(A, b)
     if x is not None:
         assert A.mulvec(x) == b
+
+
+def _images_in_box(A: IntMatrix, box: int) -> set:
+    return {A.mulvec(x) for x in itertools.product(range(-box, box + 1), repeat=A.cols)}
+
+
+def test_solve_integer_rejects_inconsistent_systems_like_brute_force():
+    # At most two columns with entries in [-3, 3] and |b_i| <= 6: a solvable
+    # system has a solution with entries of size at most 36 (Cramer at full
+    # rank; a rank-1 line reaches a point with one coordinate below 3 and
+    # the other at most 12), so the box [-40, 40]^2 decides solvability.
+    # b is A x0 moved off by one coordinate; the final substitution in
+    # solve_integer is the only consistency check
+    rng = random.Random(20260)
+    kinds = Counter()
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 2)
+        rows = [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(m)] = [0] * n  # a zero row: a zero pivot
+        A = IntMatrix.from_rows(rows, n)
+        b = list(A.mulvec([rng.randint(-1, 1) for _ in range(n)]))
+        b[rng.randrange(m)] += rng.choice((-1, 1, 2))
+        b = tuple(max(-6, min(6, x)) for x in b)
+        x = solve_integer(A, b)
+        if b in _images_in_box(A, 40):
+            assert x is not None and A.mulvec(x) == b
+            continue
+        assert x is None
+        kinds["inconsistent"] += 1
+        kinds["zero pivot"] += rank_of_rows(rows) < min(m, n)
+        kinds["more rows"] += m > n
+    assert kinds["inconsistent"] > 150 and kinds["zero pivot"] > 40 and kinds["more rows"] > 80, kinds
+
+
+def test_kernel_of_no_rows_is_the_identity_basis():
+    for n in range(5):
+        assert kernel_basis(IntMatrix.from_rows([], n)).basis.entries == \
+            IntMatrix.identity(n).entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_det_matches_fraction_elimination(rows):
+    assert det(rows) == _det(rows)
 
 
 def test_cokernel_of_action_image():
