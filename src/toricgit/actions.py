@@ -407,13 +407,16 @@ def obstruction_report(required: SubfanLocus, action: SubtorusAction,
     certified face outside it.  The empty R is realizable iff K_empty is
     not the whole space: at -u for its facet normal u, or at its equality.
     Only the weight cones of R's maximal faces are converted (K_empty
-    alone when R is empty), and L(chi) is one chart solve."""
+    alone when R is empty), from one `_weight_generators`, and L(chi) is
+    one chart solve."""
     maxes = required.maximal_keys()
-    weight = tuple((key, achievable_weight_cone(key, action, fan)) for key in maxes)
+    lineality, face_gens = _weight_generators(action, fan)
+    weight = tuple((key, Cone.from_generators(action.d, sorted(face_gens[key]), lineality))
+                   for key in maxes)
     common = _git_cone(action.d, [c for _, c in weight])
     chi = relative_interior_point(common)
     if not maxes:
-        omega = achievable_weight_cone(frozenset(), action, fan)
+        omega = Cone.from_generators(action.d, sorted(face_gens[frozenset()]), lineality)
         chi = next(chain(map(vneg, omega.facet_normals), omega.span_equalities), chi)
     locus = mumford_trivial_semistable(chi, action, fan)
     return ObstructionReport(required, weight, common, chi, locus,

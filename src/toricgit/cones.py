@@ -9,7 +9,9 @@ A vector the new constraint vanishes on is kept as it is, since its
 projection is a positive multiple of it and every stored vector is
 primitive; and a pair tight on fewer constraints than the codimension
 of a face two above the lineality is never scanned, since such a face
-is cut out by the constraints tight on it.
+is cut out by the constraints tight on it.  The saturated lineality
+lattice is read off the elimination at rank 0, 1 and full rank; only a
+rank in between takes a Smith normal form (kernel_basis).
 A cone is its canonical generators and lineality basis; its facet
 description is one more conversion, run on first read (or kept from the
 conversion that built the cone).  A cone built from generators makes
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
+from operator import mul, neg
 from typing import Optional, Sequence
 
 from .intlinalg import (
@@ -42,8 +46,6 @@ from .intlinalg import (
     rank_of_rows,
     vdot,
     vneg,
-    vscale,
-    vsub,
 )
 
 
@@ -61,6 +63,29 @@ def _reduce_mod_rows(v: Sequence[int], hnf_rows: Sequence[Vec]) -> Vec:
             p, c = row[j], w[j]
             w = [p * a - c * b for a, b in zip(w, row)]
     return primitive(w)
+
+
+def _primitive_combination(p: int, v: Vec, c: int, u: Vec) -> Vec:
+    """primitive(p.v - c.u), with no helper call per entry."""
+    w = [p * x - c * y for x, y in zip(v, u)]
+    g = gcd(*w)
+    return tuple(x // g for x in w) if g > 1 else tuple(w)
+
+
+def _lineality_lattice(ambient: int, spanning: Sequence[Vec],
+                       constraints: Sequence[Vec]) -> tuple[Vec, ...]:
+    """HNF basis of the saturated lattice of the kernel of `constraints`,
+    given primitive vectors spanning that kernel.  It is read off them
+    when that is free: the whole space when there is no constraint, else
+    no vector at rank 0 and at rank 1 the spanning line's primitive
+    vector with a positive leading entry (its HNF).  Distinct such
+    vectors mean rank 2 or more, which takes one kernel_basis."""
+    if not constraints:
+        return IntMatrix.identity(ambient).entries
+    lines = {v if next(x for x in v if x) > 0 else tuple(map(neg, v)) for v in spanning}
+    if len(lines) <= 1:
+        return tuple(lines)
+    return kernel_basis(IntMatrix.from_rows(constraints, ambient)).basis.entries
 
 
 def double_description(
@@ -82,27 +107,31 @@ def double_description(
     not tested for adjacency: an adjacent pair spans a face of dimension
     len(lin) + 2, which is the cone cut by the constraints tight on it,
     so its span is their kernel and at least that many of them vanish on
-    both rays."""
+    both rays.
+
+    The lineality vectors left at the end are primitive and span the
+    lineality space, the kernel of the constraints, so its lattice is
+    read off them at rank 0, 1 or full (`_lineality_lattice`)."""
     constraints: list[Vec] = []
-    for b in equalities:
-        t = primitive(tuple(b))
-        if not is_zero_vec(t):
-            constraints.append(t)
-            constraints.append(vneg(t))
-    for a in inequalities:
-        t = primitive(tuple(a))
-        if not is_zero_vec(t):
-            constraints.append(t)
+    for rows, both_signs in ((equalities, True), (inequalities, False)):
+        for a in rows:
+            g = gcd(*a)
+            if g:
+                t = tuple(a) if g == 1 else tuple(x // g for x in a)
+                constraints.append(t)
+                if both_signs:
+                    constraints.append(tuple(map(neg, t)))
     constraints = list(dict.fromkeys(constraints))
 
-    lin: list[Vec] = [tuple(1 if i == j else 0 for j in range(ambient)) for i in range(ambient)]
+    lin: list[Vec] = [(0,) * i + (1,) + (0,) * (ambient - 1 - i) for i in range(ambient)]
     # each ray with its zero set over the constraints handled so far (bitmask)
     rays: dict[Vec, int] = {}
 
     for k, a in enumerate(constraints):
         bit = 1 << k
-        l0 = next((l for l in lin if vdot(a, l) != 0), None)
-        if l0 is not None:
+        dots = [sum(map(mul, a, l)) for l in lin]
+        if any(dots):
+            i0 = next(i for i, p in enumerate(dots) if p)
             # lineality drops by one (at most `ambient` times).  With
             # a.l0 > 0 the new cone is (C ∩ a^perp) ⊕ cone(l0), and
             # projecting along l0 maps C ∩ a^perp isomorphically onto
@@ -111,49 +140,54 @@ def double_description(
             # it and cut out the face lineality + cone(l0).  Projection
             # keeps each ray's zero set and adds k; l0 is tight on all
             # but k.  A vector a vanishes on is its own projection.
-            lin.remove(l0)
-            if vdot(a, l0) < 0:
-                l0 = vneg(l0)
-            p = vdot(a, l0)
-
-            def project(v):
-                c = vdot(a, v)
-                return primitive(vsub(vscale(p, v), vscale(c, l0))) if c else v
-            lin = [project(l) for l in lin]
-            projected = ((project(r), z) for r, z in rays.items())
-            rays = {r: z | bit for r, z in projected if not is_zero_vec(r)}
-            rays[l0] = bit - 1
+            l0, p = lin.pop(i0), dots.pop(i0)
+            if p < 0:
+                l0, p = tuple(map(neg, l0)), -p
+            lin = [_primitive_combination(p, l, c, l0) if c else l for l, c in zip(lin, dots)]
+            new = {}
+            for r, z in rays.items():
+                c = sum(map(mul, a, r))
+                if c:
+                    r = _primitive_combination(p, r, c, l0)
+                if any(r):
+                    new[r] = z | bit
+            new[l0] = bit - 1
+            rays = new
             continue
-        vals = {r: vdot(a, r) for r in rays}
+        vals = [sum(map(mul, a, r)) for r in rays]
         # Rays kept from the larger cone stay extreme in the smaller one.
         # The rays are exactly the extreme rays modulo the lineality, one
         # each, with exact zero sets, so two of them are adjacent iff no
         # third ray is tight on every constraint both are tight on
         # (Fukuda-Prodon 1996), and a new ray is extreme iff it comes
         # from an adjacent pair.
-        new = {r: z if vals[r] else z | bit for r, z in rays.items() if vals[r] >= 0}
-        neg = [r for r in rays if vals[r] < 0]
-        # fewest constraints an adjacent pair is tight on (see docstring)
-        tight = ambient - len(lin) - 2
-        for rp in (r for r in rays if vals[r] > 0):
-            for rn in neg:
-                common = rays[rp] & rays[rn]
-                if common.bit_count() < tight or any(
-                        r3 is not rp and r3 is not rn and common & z3 == common
-                        for r3, z3 in rays.items()):
+        items = list(zip(rays, rays.values(), vals))
+        new = {r: z if v else z | bit for r, z, v in items if v >= 0}
+        negative = [t for t in items if t[2] < 0]
+        if negative:
+            zs = list(rays.values())
+            # fewest constraints an adjacent pair is tight on (see docstring)
+            tight = ambient - len(lin) - 2
+            for rp, zp, vp in items:
+                if vp <= 0:
                     continue
-                # a positive combination of rp and rn: tight exactly where both are
-                w = primitive(vsub(vscale(vals[rp], rn), vscale(vals[rn], rp)))
-                if not is_zero_vec(w) and w not in new:
-                    new[w] = common | bit
+                for rn, zn, vn in negative:
+                    common = zp & zn
+                    # rp and rn are two of the rays tight on all of common
+                    if common.bit_count() < tight or sum(
+                            1 for z in zs if z & common == common) > 2:
+                        continue
+                    # a positive combination of rp and rn: tight exactly where both are
+                    w = _primitive_combination(vp, rn, vn, rp)
+                    if any(w) and w not in new:
+                        new[w] = common | bit
         rays = new
 
-    # the lineality space is the kernel of the constraints; one
-    # kernel_basis gives its saturated lattice in HNF
-    lin_rows = (kernel_basis(IntMatrix.from_rows(constraints, ambient)).basis.entries
-                if lin else ())
+    if not lin:
+        return sorted(rays), []
+    lin_rows = _lineality_lattice(ambient, lin, constraints)
     reduced = (_reduce_mod_rows(r, lin_rows) for r in rays)
-    return sorted({r for r in reduced if not is_zero_vec(r)}), list(lin_rows)
+    return sorted({r for r in reduced if any(r)}), list(lin_rows)
 
 
 @dataclass(frozen=True)
@@ -208,21 +242,18 @@ class Cone:
     def from_generators(ambient: int, generators: Sequence[Sequence[int]],
                         lineality: Sequence[Sequence[int]] = ()) -> "Cone":
         gens = [primitive(tuple(g)) for g in generators if not is_zero_vec(g)]
-        lins = [tuple(l) for l in lineality if not is_zero_vec(l)]
+        lins = [primitive(tuple(l)) for l in lineality if not is_zero_vec(l)]
         # V-to-H, the one conversion: the dual cone of span(lins)+cone(gens)
         # is cut out by the generators; its rays/lineality are our facet
         # description.
         normals, dual_lin = double_description(ambient, gens, lins)
         zero_sets = [frozenset(i for i, u in enumerate(normals) if vdot(u, g) == 0)
                      for g in gens]
-        # A generator on every facet lies in the lineality space, and the
-        # space is nonzero only if one does or lins is not empty; then it
-        # is the kernel of the facet description, in HNF.
+        # The lineality space is the kernel of the facet description, and
+        # it is spanned by lins and the generators on every facet.
         every = frozenset(range(len(normals)))
-        lin_rows: tuple[Vec, ...] = ()
-        if lins or every in zero_sets:
-            lin_rows = tuple(kernel_basis(IntMatrix.from_rows(
-                list(normals) + list(dual_lin), ambient)).basis.entries)
+        on_every = [g for g, z in zip(gens, zero_sets) if z == every]
+        lin_rows = _lineality_lattice(ambient, lins + on_every, normals + dual_lin)
         # The smallest face holding g is cut out by the facets in its zero
         # set and generated by the generators whose zero sets contain it,
         # so g is extreme modulo the lineality iff each of those outside

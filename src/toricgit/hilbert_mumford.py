@@ -96,13 +96,16 @@ def destabilize(p: PointPattern, target: Callable[[PointPattern], bool],
     {<w_i, lambda> >= 0 : i in p's support} and keeps the coordinates whose
     forms vanish at lambda, so a candidate support t is realized iff the
     relative_interior_point of t's face is positive on the other forms:
-    one conversion per call, and each candidate read off it by incidence."""
+    at most one conversion per call, made at the first candidate the
+    target accepts, and each candidate read off it by incidence."""
     supp = sorted(p.support)
-    cone = Cone.from_inequalities(act.d, [act.weights[i] for i in supp])
+    cone = None
     for size in range(len(supp) + 1):
         for sub in itertools.combinations(supp, size):
             if not target(PointPattern(frozenset(sub))):
                 continue
+            if cone is None:
+                cone = Cone.from_inequalities(act.d, [act.weights[i] for i in supp])
             lam = relative_interior_point(cone, [act.weights[i] for i in sub])
             if all(vdot(act.weights[i], lam) > 0 for i in supp if i not in sub):
                 return lam

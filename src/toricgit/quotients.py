@@ -32,7 +32,6 @@ from .intlinalg import (
     cokernel_projection,
     primitive,
     vdot,
-    vneg,
 )
 
 
@@ -68,12 +67,12 @@ def orbit_image(gamma: Cone, chart: QuotientChart) -> Cone:
 
     It is cut out by the image facets that vanish on pi(gamma), and
     generated by the image generators on all of them plus the image's
-    lineality: the same cone `cones.faces` builds for that face."""
+    lineality: the same cone `cones.faces` builds for that face.  gamma is
+    a face of a validated fan, which is pointed, so its generators are
+    all of it."""
     img = chart.image
     pi = chart.projection
     points = [pi.apply(g) for g in gamma.generators]
-    for l in gamma.lineality_basis:
-        points += [pi.apply(l), pi.apply(vneg(l))]
     if not all(img.contains_point(p) for p in points):
         raise ValueError("projected face escapes the chart image")
     tight = [u for u in img.facet_normals

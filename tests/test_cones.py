@@ -1,6 +1,7 @@
 """Convex cone engine: double description, duality, faces, strict
 feasibility."""
 
+import collections
 import itertools
 import math
 import random
@@ -656,21 +657,48 @@ def test_dd_matches_projecting_reference(system):
         double_description_by_projection(n, ineqs, eqs)
 
 
-def test_pointed_conversion_computes_no_kernel(monkeypatch):
-    # the lineality tracked during a conversion is exactly the lineality
-    # of the cone so far, so a pointed cone ends with none to saturate
+def _count_kernel_calls(monkeypatch) -> list:
     calls = []
     real = cones.kernel_basis
     monkeypatch.setattr(cones, "kernel_basis",
                         lambda m: calls.append(1) or real(m))
+    return calls
+
+
+def test_pointed_conversion_computes_no_kernel(monkeypatch):
+    # the lineality tracked during a conversion spans the lineality of the
+    # cone so far, so its lattice is read off at rank 0 (none), rank 1 (one
+    # primitive vector) and full rank (the untouched identity); only a rank
+    # from 2 to ambient - 1 saturates with kernel_basis
+    calls = _count_kernel_calls(monkeypatch)
     rng = random.Random(15)
-    pointed = 0
-    for _ in range(300):
+    by_rank = collections.Counter()
+    for _ in range(600):
         n = rng.randint(1, 4)
         rows = [tuple(rng.randint(-3, 3) for _ in range(n))
-                for _ in range(rng.randint(n, 7))]
-        rays, lin = double_description(n, rows)
-        assert bool(calls) == bool(lin)
-        pointed += not lin
+                for _ in range(rng.randint(0, 7))]
+        eqs = [tuple(rng.randint(-2, 2) for _ in range(n))
+               for _ in range(rng.choice((0, 0, 1)))]
+        rays, lin = double_description(n, rows, eqs)
+        assert bool(calls) == (2 <= len(lin) < n)
+        by_rank["full" if len(lin) == n else min(len(lin), 2)] += 1
         calls.clear()
-    assert pointed > 100
+    assert by_rank[0] > 100 and min(by_rank.values()) > 10, by_rank
+
+
+@pytest.mark.parametrize("ambient, ineqs, eqs, lineality, kernels", [
+    # rank 1, and the vector left after the drops leads with -1
+    (2, [(1, 1)], [], [(1, -1)], 0),
+    (3, [(-1, -1, -1), (-1, -1, 0)], [], [(1, -1, 0)], 0),
+    # no constraints: the whole space, no conversion work at all
+    (3, [], [], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 0),
+    (2, [(0, 0)], [(0, 0)], [(1, 0), (0, 1)], 0),
+    # rank 2 of 3: the one case that still saturates
+    (3, [(1, 1, 1)], [], [(1, 0, -1), (0, 1, -1)], 1),
+])
+def test_lineality_read_off_the_elimination(monkeypatch, ambient, ineqs, eqs,
+                                            lineality, kernels):
+    calls = _count_kernel_calls(monkeypatch)
+    got = double_description(ambient, ineqs, eqs)
+    assert got[1] == lineality and len(calls) == kernels
+    assert got == double_description_by_projection(ambient, ineqs, eqs)

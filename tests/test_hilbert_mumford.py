@@ -119,14 +119,15 @@ def test_destabilize_matches_box_search(seed):
 
 
 def test_destabilize_converts_once_and_matches_per_candidate_systems(monkeypatch):
-    # one conversion per call, of the cone of the supported weights; each
-    # candidate's answer is the face's relative-interior point, which is
-    # what the per-candidate strict system returns
+    # one conversion, of the cone of the supported weights, made at the
+    # first candidate the target accepts and none when it accepts none;
+    # each candidate's answer is the face's relative-interior point, which
+    # is what the per-candidate strict system returns
     from toricgit import cones
     calls = []
     real = cones.double_description
     rng = random.Random(4242)
-    found = 0
+    found = unconverted = 0
     for _ in range(400):
         d, n = rng.randint(1, 3), rng.randint(1, 6)
         act = LinearAction(tuple(tuple(rng.randint(-2, 2) for _ in range(d))
@@ -138,11 +139,13 @@ def test_destabilize_converts_once_and_matches_per_candidate_systems(monkeypatch
             m.setattr(cones, "double_description",
                       lambda *a, **k: calls.append(a) or real(*a, **k))
             lam = destabilize(p, lambda q: q.support in targets, act)
-        assert len(calls) == 1
+        # every target is a support under p's, so one is a candidate
+        assert len(calls) == (1 if targets else 0)
         calls.clear()
         assert lam == destabilize_by_candidate(p, lambda q: q.support in targets, act)
         found += lam is not None
-    assert 100 < found < 300
+        unconverted += not targets
+    assert 100 < found < 300 and unconverted > 40
 
 
 # --- Hilbert bases ---------------------------------------------------------
