@@ -22,9 +22,11 @@ question (is some point of a face positive on given forms?) is answered
 by one primitive, relative_interior_point: the sum of the generators on
 the face, read by incidence, so a cone converted once answers it for
 every face.  Whether two cones meet in a common face is settled by a
-separating form built from their facets, and only a pair that no facet
-separates is intersected.  Cones are hashable by their generators and
-are used as dictionary keys by the fan and quotient layers.
+separating form built from their facets, read off the forms' values at
+the generators (which a caller that pairs one cone many times evaluates
+once), and only a pair that no facet separates is intersected.  Cones
+are hashable by their generators and are used as dictionary keys by the
+fan and quotient layers.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .intlinalg import (
     primitive,
     rank_of_rows,
     vdot,
-    vneg,
 )
 
 
@@ -221,8 +222,9 @@ class Cone:
 
     def _set_facets(self, normals: Sequence[Vec], dual_lin: Sequence[Vec]):
         """Store both halves of the facet description of one conversion."""
-        # the dual's lineality is the orthogonal complement of our span
-        facets = tuple(normals), tuple(hermite_normal_form(dual_lin))
+        # the dual's lineality is the orthogonal complement of our span;
+        # a full-dimensional cone's is empty and takes no HNF
+        facets = tuple(normals), (tuple(hermite_normal_form(dual_lin)) if dual_lin else ())
         object.__setattr__(self, "facet_normals", facets[0])
         object.__setattr__(self, "span_equalities", facets[1])
         object.__setattr__(self, "dim", self.ambient_rank - len(facets[1]))
@@ -297,28 +299,43 @@ def intersect(c1: Cone, c2: Cone) -> Cone:
     )
 
 
-def meets_in(c1: Cone, c2: Cone, f: Cone) -> bool:
+def form_values(c: Cone, points) -> list[dict]:
+    """The facet normals of c, then its span equalities and their
+    negatives, each as a dict of its values at the points."""
+    rows = [{p: vdot(u, p) for p in points}
+            for u in c.facet_normals + c.span_equalities]
+    return rows + [{p: -x for p, x in row.items()}
+                   for row in rows[len(c.facet_normals):]]
+
+
+def meets_in(c1: Cone, c2: Cone, f: Cone, values=None) -> bool:
     """intersect(c1, c2) == f, for a cone f that is a face of both.
 
     By the separation lemma (Cox-Little-Schenck, Lemma 1.2.13) a form m
     that is >= 0 on c1 and <= 0 on c2 cuts a face out of each, and
     c1 ∩ c2 = f once both faces are f.  m is the sum of the facet normals
     and signed span equalities of either cone that are <= 0 on the other's
-    generators (negated when they come from c2).  When c1, c2 and f share
-    their lineality, every such form vanishes on it, and each face is read
-    off the generators m kills.  A pair that no such m separates is
-    intersected."""
+    generators (negated when they come from c2), read off their values
+    (`form_values`), by default at the generators of both; a caller that
+    reuses one cone in many pairs passes them at a larger set of points.
+    When c1, c2 and f share their lineality, every such form vanishes on
+    it, and each face is read off the generators m kills.  A pair that no
+    such m separates is intersected."""
     if c1.ambient_rank != c2.ambient_rank:
         raise ValueError("ambient rank mismatch")
-    m = (0,) * c1.ambient_rank
-    for a, b, sign in ((c1, c2, 1), (c2, c1, -1)):
-        for u in a.facet_normals + a.span_equalities + tuple(map(vneg, a.span_equalities)):
-            if all(vdot(u, g) <= 0 for g in b.generators):
-                m = tuple(x + sign * y for x, y in zip(m, u))
-    face = set(f.generators)
-    if all(c.lineality_basis == f.lineality_basis
-           and {g for g in c.generators if vdot(m, g) == 0} == face for c in (c1, c2)):
-        return True
+    if c1.lineality_basis == c2.lineality_basis == f.lineality_basis:
+        if values is None:
+            points = set(c1.generators) | set(c2.generators)
+            values = form_values(c1, points), form_values(c2, points)
+        m = dict.fromkeys(c1.generators + c2.generators, 0)
+        for rows, other, sign in ((values[0], c2, 1), (values[1], c1, -1)):
+            for row in rows:
+                if all(row[g] <= 0 for g in other.generators):
+                    for g in m:
+                        m[g] += sign * row[g]
+        face = set(f.generators)
+        if all({g for g in c.generators if m[g] == 0} == face for c in (c1, c2)):
+            return True
     return intersect(c1, c2) == f
 
 

@@ -13,7 +13,9 @@ rays but one (Cox-Little-Schenck, Section 1.2), so one rank settles what
 validation asks of it, and it is converted only when a check reads its
 facets.  Two checks do: the test of a fan ray outside the cone, and the
 pair check, by a separating form before any intersection is converted.
-Any other maximal cone is converted once.
+Any other maximal cone is converted once.  A cone's facet normals and
+signed span equalities are evaluated on every fan ray once, and both
+checks read those values.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cones import Cone, meets_in, relative_interior_point
+from .cones import Cone, form_values, meets_in, relative_interior_point
 from .intlinalg import (
     IntMatrix,
     Vec,
@@ -96,7 +98,9 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
     and its rays are extreme.  Its facets are converted on first read, by
     a fan ray outside its key or by the pair check; a fan of one such
     cone listing every ray converts nothing.  Any other maximal cone is
-    one `Cone.from_generators`.  Face keys are a cone's key cut by the ray
+    one `Cone.from_generators`.  Both checks read one table per cone, its
+    facet normals and signed span equalities on every fan ray
+    (`cones.form_values`).  Face keys are a cone's key cut by the ray
     zero sets of its facets, and each distinct key becomes one cone on
     those rays, with no conversion; a maximal cone is its own face."""
     ray_tuples: list[Vec] = []
@@ -138,6 +142,15 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
         facet_zeros[key] = [frozenset(i for i in key if vdot(u, ray_tuples[i]) == 0)
                             for u in c.facet_normals]
 
+    # each cone's facet normals and signed span equalities on every fan
+    # ray, for the cones whose facets a check reads
+    values = {}
+
+    def table(key):
+        if key not in values:
+            values[key] = form_values(cones[key], ray_tuples)
+        return values[key]
+
     # the fan rays in each maximal cone are exactly its rays, all extreme;
     # then a face is keyed by its generators, which determine it
     for key, c in cones.items():
@@ -145,7 +158,7 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
             raise FanError("IntersectionNotFace",
                            f"cone on rays {sorted(key)} has a ray that is not extreme")
         inside = [i for i, rv in enumerate(ray_tuples)
-                  if i not in key and c.contains_point(rv)]
+                  if i not in key and all(row[rv] >= 0 for row in table(key))]
         if inside:
             raise FanError("IntersectionNotFace",
                            f"cone on rays {sorted(key)} contains rays {inside}")
@@ -166,7 +179,8 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
         for k2 in max_keys[i + 1:]:
             common = k1 & k2
             if (common not in own_keys[k1] or common not in own_keys[k2]
-                    or not meets_in(cones[k1], cones[k2], face_map[common])):
+                    or not meets_in(cones[k1], cones[k2], face_map[common],
+                                    (table(k1), table(k2)))):
                 raise FanError(
                     "IntersectionNotFace",
                     f"cones {sorted(k1)} and {sorted(k2)} do not meet in a common face")

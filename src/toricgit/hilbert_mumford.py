@@ -274,10 +274,18 @@ def ambient_model(fan: Fan, action: SubtorusAction, D: ToricDivisor,
                   lin: Linearization, max_points: int = 200000) -> AmbientModel:
     from .actions import _require_affine, _single_shift
 
-    _require_affine(fan)
+    sigma = _require_affine(fan)
     n = fan.ambient_rank
     shift = _single_shift(lin, action.d)
     cd, forms = section_cone(fan, [(a,) for a in D.coefficients], shared_strict=((1,),))
+    if not cd.lineality_basis and len(sigma) == len(fan.rays):
+        # pointed, so sigma, the cone on every ray, is full-dimensional and
+        # the section cone too, and each form cuts out a facet: s = 0 cuts
+        # out sigma^dual x 0, and the form of a ray v, extreme in sigma,
+        # vanishes on the facet of sigma^dual dual to v and at some (u, 1).
+        # The forms are primitive and distinct, so they are the facet
+        # normals, with no conversion.
+        cd._set_facets(sorted(forms), ())
     hb = hilbert_basis(cd, max_points)
     weights = []
     for h in hb:

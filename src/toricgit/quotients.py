@@ -1,22 +1,27 @@
-"""Good/geometric quotients of semistable loci as glued fan charts.
+"""Good, geometric and separated quotients of invariant open sets, as
+glued fan charts.
 
-Each maximal certified cone sigma of a semistable locus gives a chart
-pi(sigma) in the quotient lattice N/L, where pi is the cokernel
-projection of the acting sublattice.  Charts are glued along images of
-intersections.  Whether two images meet in their glue cone is settled by
-a form built from their facets (`cones.meets_in`); only a pair that no
-such form separates is intersected.  Everything else is read off one
-orbit map per chart: each fan face gamma under sigma goes to its orbit
-image, the smallest face of the chart image holding pi(gamma), found by
-ray-facet incidence on the image with no conversion.  The good /
-separated / geometric flags compare orbit images, and no face lattice is
-built.
+Each maximal face sigma of a locus gives a chart pi(sigma) in the
+quotient lattice N/L, where pi is the cokernel projection of the acting
+sublattice.  Each fan ray under some chart is projected once, and each
+chart image is one conversion, on the projected rays of its face.
+Everything else is read off one ray-facet incidence table per chart: the
+set of image facets vanishing on each projected ray, as a bitmask, and
+the same for each image generator.  A face gamma under sigma is tight on
+the AND of its rays' masks, and its orbit image, the smallest face of
+the chart image holding pi(gamma), is the image generators on all of
+those facets plus the image lineality.  Faces with one tight set share
+one orbit image, so the table also gives each chart's fibres (orbit
+image to the faces over it), and the good and geometric flags are read
+off the fibres.
 
-The conversions that remain are one chart image per maximal cone and,
-for a pair of charts, the glue cone pi(gamma) of the face gamma they
-share, converted only when the orbit image of gamma is not pointed or
-is not generated by the projected generators of gamma; otherwise that
-orbit image is the glue cone (`_glue_cone`).
+Charts are glued along the images of their shared faces.  The glue cone
+pi(gamma) is the orbit image of gamma when that is pointed and generated
+by the projected rays of gamma, and is converted otherwise.  Whether two
+images meet in their glue cone is settled by a form built from their
+facets (`cones.meets_in`), read off each image's facet values at every
+image generator, taken once; only a pair that no such form separates is
+intersected.  No face lattice is built.
 """
 
 from __future__ import annotations
@@ -24,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import SemistableLocus, SubtorusAction
-from .cones import Cone, image as cone_image, meets_in
+from .cones import Cone, form_values, image as cone_image, meets_in
 from .fans import Fan, FaceKey
 from .intlinalg import (
     LatticeMap,
     Sublattice,
+    Vec,
     cokernel_projection,
     primitive,
     vdot,
@@ -63,24 +69,13 @@ def quotient_projection(action: SubtorusAction) -> tuple[LatticeMap, tuple[int, 
 
 
 def orbit_image(gamma: Cone, chart: QuotientChart) -> Cone:
-    """Smallest face of the chart's image containing pi(gamma).
-
-    It is cut out by the image facets that vanish on pi(gamma), and
-    generated by the image generators on all of them plus the image's
-    lineality: the same cone `cones.faces` builds for that face.  gamma is
-    a face of a validated fan, which is pointed, so its generators are
-    all of it."""
-    img = chart.image
-    pi = chart.projection
-    points = [pi.apply(g) for g in gamma.generators]
-    if not all(img.contains_point(p) for p in points):
-        raise ValueError("projected face escapes the chart image")
-    tight = [u for u in img.facet_normals
-             if all(vdot(u, p) == 0 for p in points)]
-    return Cone(img.ambient_rank,
-                tuple(g for g in img.generators
-                      if all(vdot(u, g) == 0 for u in tight)),
-                img.lineality_basis)
+    """Smallest face of the chart's image containing pi(gamma), read off
+    the incidence of pi(gamma)'s generators with the image facets
+    (`_incidence`).  gamma is a face of a validated fan, which is pointed,
+    so its generators are all of it."""
+    proj = dict(enumerate(map(chart.projection.apply, gamma.generators)))
+    key = frozenset(proj)
+    return _incidence(chart.image, proj, [key]).orbit[key]
 
 
 def is_saturated(sublocus_keys, images: dict[FaceKey, Cone]) -> bool:
@@ -94,34 +89,113 @@ def is_saturated(sublocus_keys, images: dict[FaceKey, Cone]) -> bool:
                    for k, F in images.items() if k not in keys)
 
 
-def _glue_cone(gamma: Cone, orbit: Cone, pi: LatticeMap) -> Cone:
-    """pi(gamma), given its orbit image in some chart.
+@dataclass(frozen=True)
+class _Incidence:
+    """A chart's orbit map read off its ray-facet incidence.
+
+    tight[k] is the bitmask of the image facets that vanish on pi(gamma)
+    for the face gamma keyed k, and orbit[k] its orbit image.  Faces with
+    one tight set form one fibre and share one orbit image, and reach[t]
+    is the union of the keys in the fibre of t."""
+
+    orbit: dict[FaceKey, Cone]
+    tight: dict[FaceKey, int]
+    reach: dict[int, frozenset]
+
+    def saturated(self, common: FaceKey) -> bool:
+        """No face under common shares its fibre with a face that is not."""
+        return all(self.reach[t] <= common
+                   for k, t in self.tight.items() if k <= common)
+
+
+def _incidence(img: Cone, proj: dict[int, Vec], keys) -> _Incidence:
+    """The orbit map of the chart image img over the face keys, given the
+    projection of each ray of the chart (proj, keyed like the keys).
+
+    The orbit image of a face is cut out by the image facets that vanish
+    on all of its projected rays, the AND of the rays' bitmasks, and
+    generated by the image generators on all of those facets plus the
+    image's lineality: the same cone `cones.faces` builds for that face.
+    A face of sigma projects into pi(sigma), so a projected ray outside
+    the image is a failed engine invariant (RuntimeError)."""
+    normals, eqs = img.facet_normals, img.span_equalities
+
+    def zeros(xs):  # bitmask of the facets with value 0
+        return sum(1 << b for b, x in enumerate(xs) if x == 0)
+
+    ray_zeros = {}
+    for j, p in proj.items():
+        xs = [vdot(u, p) for u in normals]
+        if any(x < 0 for x in xs) or any(vdot(e, p) for e in eqs):
+            raise RuntimeError("projected face escapes the chart image")
+        ray_zeros[j] = zeros(xs)
+    gens = [(g, zeros([vdot(u, g) for u in normals])) for g in img.generators]
+    orbit, tight, by_tight, reach = {}, {}, {}, {}
+    for k in keys:
+        t = (1 << len(normals)) - 1
+        for j in k:
+            t &= ray_zeros[j]
+        if t not in by_tight:
+            by_tight[t] = Cone(img.ambient_rank,
+                               tuple(g for g, z in gens if z & t == t),
+                               img.lineality_basis)
+        orbit[k], tight[k] = by_tight[t], t
+        reach[t] = reach.get(t, k) | k
+    return _Incidence(orbit, tight, reach)
+
+
+def _glue_cone(key: FaceKey, orbit: Cone, proj: dict[int, Vec], fan: Fan,
+               pi: LatticeMap) -> Cone:
+    """pi(gamma) for the fan face gamma on key, given its orbit image in
+    some chart and the projected fan rays.
 
     pi(gamma) lies in the orbit image F.  When F is pointed and each of
-    its generators is the primitive image of a generator of gamma, F lies
-    in pi(gamma) as well, so it is pi(gamma), with no conversion.  (A
+    its generators is the primitive image of a ray of gamma, F lies in
+    pi(gamma) as well, so it is pi(gamma), with no conversion.  (A
     pointed F that equals pi(gamma) always passes: an extreme ray of F
-    in pi(gamma) is a positive multiple of one of the pi(g).)  Otherwise
+    in pi(gamma) is a positive multiple of one of the pi(v).)  Otherwise
     pi(gamma) is converted."""
     if not orbit.lineality_basis and set(orbit.generators) <= {
-            primitive(pi.apply(g)) for g in gamma.generators}:
+            primitive(proj[j]) for j in key}:
         return orbit
-    return cone_image(gamma, pi)
+    return cone_image(fan.face_cone(key), pi)
 
 
 def build_quotient(ss: SemistableLocus, action: SubtorusAction,
                    fan: Fan) -> GluedQuotient:
+    """The charts of the locus's maximal faces (the keys of
+    ss.certificates), glued along the images of their shared faces, with
+    every fan face under a chart sent to its orbit image there.
+
+    Each ray under a chart is projected once.  Each chart's orbit map
+    and fibres are read off its ray-facet incidence table, and the flags
+    off the fibres:
+
+    - good: the intersection of every two charts, the orbits over the
+      faces under their common face, is saturated in both, a full
+      preimage of its image: no face under the common face shares its
+      orbit image with a face that is not (Cox-Little-Schenck, Toric
+      Varieties, Sections 3.1 and 14.1).  unsaturated_pairs lists the
+      pairs that are not.
+    - geometric: good, and every fibre is one face, so each fibre of the
+      quotient is a single orbit.
+    - separated: the images share one lineality space and every two of
+      them meet in their glue cone, which is a face of both."""
     pi, torsion = quotient_projection(action)
     q = pi.target_rank
     max_keys = [k for k, _ in ss.certificates]
     max_keys.sort(key=lambda k: (len(k), sorted(k)))
 
-    charts = [QuotientChart(key, cone_image(fan.face_cone(key), pi), pi)
+    proj = {j: pi.apply(fan.rays[j]) for j in frozenset().union(*max_keys)}
+    charts = [QuotientChart(key, Cone.from_generators(q, [proj[j] for j in sorted(key)]), pi)
               for key in max_keys]
-
-    images = [{k: orbit_image(fan.face_cone(k), ch)
-               for k in fan.all_keys_under(ch.source_key)} for ch in charts]
+    tables = [_incidence(ch.image, {j: proj[j] for j in ch.source_key},
+                         fan.all_keys_under(ch.source_key)) for ch in charts]
+    images = [t.orbit for t in tables]
     orbit_map = [(k, i, F) for i, m in enumerate(images) for k, F in m.items()]
+    # each image's facet forms at every image generator, for the pair checks
+    points = {g for ch in charts for g in ch.image.generators}
+    forms = [form_values(ch.image, points) for ch in charts]
 
     gluings = []
     glues: dict[FaceKey, Cone] = {}  # one image per shared face
@@ -133,19 +207,18 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
             # two fan faces meet in the face on their common rays
             common = charts[i].source_key & charts[j].source_key
             if common not in glues:
-                glues[common] = _glue_cone(fan.face_cone(common), images[i][common], pi)
+                glues[common] = _glue_cone(common, images[i][common], proj, fan, pi)
             glue = glues[common]
             gluings.append((i, j, glue))
-            inter_keys = [k for k in images[i] if k <= common]
-            if not (is_saturated(inter_keys, images[i])
-                    and is_saturated(inter_keys, images[j])):
+            if not (tables[i].saturated(common) and tables[j].saturated(common)):
                 good = False
                 unsaturated.append((i, j))
             # the images meet in the glue cone, and it is a face of both:
             # a cone is a face of an image iff it is its own orbit image
             separated = separated and (
                 glue == images[i][common] == images[j][common]
-                and meets_in(charts[i].image, charts[j].image, glue))
+                and meets_in(charts[i].image, charts[j].image, glue,
+                             (forms[i], forms[j])))
 
     # images meeting so form a fan modulo one shared lineality space V
     # (a wall character's charts share a line); images that do not share
@@ -160,8 +233,8 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
     # orbit image.  The map is always onto: a face F = image ∩ u^perp is
     # the image of the face sigma ∩ (pi* u)^perp of sigma.  If it is also
     # injective, the face gamma over F is that face, so pi(gamma) = F and
-    # the dimensions agree.  So injective suffices.
-    geometric = good and all(len(set(m.values())) == len(m) for m in images)
+    # the dimensions agree.  So injective suffices: one face per fibre.
+    geometric = good and all(len(t.reach) == len(t.tight) for t in tables)
 
     return GluedQuotient(tuple(charts), tuple(gluings), good, geometric,
                          separated, torsion, tuple(orbit_map),

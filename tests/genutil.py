@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from toricgit.actions import ActionError, Linearization, SubtorusAction
+from toricgit.actions import ActionError, Linearization, SemistableLocus, SubtorusAction
 from toricgit.certcheck import CheckResult, _dot, _rank
 from toricgit.cones import (
     Cone,
@@ -20,6 +20,7 @@ from toricgit.cones import (
     faces,
     feasible_strict,
     image,
+    intersect,
     meets_in,
 )
 from toricgit.fans import Fan, FaceKey, FanError, SubfanLocus, ToricDivisor, validate_fan
@@ -41,6 +42,12 @@ from toricgit.intlinalg import (
     vneg,
     vscale,
     vsub,
+)
+from toricgit.quotients import (
+    GluedQuotient,
+    QuotientChart,
+    is_saturated,
+    quotient_projection,
 )
 
 
@@ -329,6 +336,58 @@ def open_complement(fan: Fan, b) -> SubfanLocus:
     set where a section with zero pattern b does not vanish."""
     zero_rays = frozenset(i for i, x in enumerate(b) if x == 0)
     return SubfanLocus(frozenset(k for k in fan.face_keys() if k <= zero_rays))
+
+
+def locus_of_faces(fan: Fan, keys) -> SemistableLocus:
+    """The face-closed set under keys as a SemistableLocus with no
+    certificates: its maximal faces are the certificate keys, which is
+    all build_quotient reads."""
+    locus = SubfanLocus.closure(fan, keys)
+    return SemistableLocus(locus, tuple((k, None) for k in locus.maximal_keys()))
+
+
+def orbit_image_by_facets(gamma: Cone, chart: QuotientChart) -> Cone:
+    """Smallest face of the chart image holding pi(gamma): the image
+    generators on every image facet that vanishes on all of pi(gamma),
+    plus the image lineality."""
+    img = chart.image
+    points = [chart.projection.apply(g) for g in gamma.generators]
+    assert all(img.contains_point(p) for p in points)
+    tight = [u for u in img.facet_normals if all(vdot(u, p) == 0 for p in points)]
+    return Cone(img.ambient_rank,
+                tuple(g for g in img.generators if all(vdot(u, g) == 0 for u in tight)),
+                img.lineality_basis)
+
+
+def build_quotient_by_faces(ss: SemistableLocus, action: SubtorusAction,
+                            fan: Fan) -> GluedQuotient:
+    """Reference for build_quotient, face by face: one orbit image per
+    face and chart, is_saturated per pair of charts, and every chart
+    image, glue cone and pairwise intersection converted."""
+    pi, torsion = quotient_projection(action)
+    max_keys = sorted((k for k, _ in ss.certificates),
+                      key=lambda k: (len(k), sorted(k)))
+    charts = [QuotientChart(k, image(fan.face_cone(k), pi), pi) for k in max_keys]
+    images = [{k: orbit_image_by_facets(fan.face_cone(k), ch)
+               for k in fan.all_keys_under(ch.source_key)} for ch in charts]
+    gluings, unsaturated = [], []
+    separated = True
+    for i, j in itertools.combinations(range(len(charts)), 2):
+        common = charts[i].source_key & charts[j].source_key
+        glue = image(fan.face_cone(common), pi)
+        gluings.append((i, j, glue))
+        inside = [k for k in images[i] if k <= common]
+        if not (is_saturated(inside, images[i]) and is_saturated(inside, images[j])):
+            unsaturated.append((i, j))
+        separated = separated and (
+            glue == images[i][common] == images[j][common]
+            and intersect(charts[i].image, charts[j].image) == glue)
+    separated &= len({ch.image.lineality_basis for ch in charts}) < 2
+    good = not unsaturated
+    geometric = good and all(len(set(m.values())) == len(m) for m in images)
+    orbit_map = tuple((k, i, F) for i, m in enumerate(images) for k, F in m.items())
+    return GluedQuotient(tuple(charts), tuple(gluings), good, geometric, separated,
+                         torsion, orbit_map, tuple(unsaturated), pi.target_rank)
 
 
 def double_description_by_projection(

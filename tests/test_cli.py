@@ -202,6 +202,20 @@ def test_exit_3_on_internal_error(quadric_file, capsys, monkeypatch):
     assert rep["result"]["error"].startswith("weight-cone locus")
 
 
+def test_exit_3_when_a_face_escapes_its_chart(quadric_file, capsys, monkeypatch):
+    # a face of sigma projects into pi(sigma), so a chart image that misses
+    # a projected ray breaks an engine invariant of build_quotient: exit 3,
+    # not the bad input's 2
+    import toricgit.quotients
+    from toricgit.cones import Cone
+    chart = toricgit.quotients.QuotientChart
+    monkeypatch.setattr(toricgit.quotients, "QuotientChart",
+                        lambda key, image, pi: chart(key, Cone(image.ambient_rank, (), ()), pi))
+    code, rep = _run_json(["quotient", quadric_file, "--divisor", "Dss"], capsys)
+    assert code == 3
+    assert rep["result"]["error"] == "projected face escapes the chart image"
+
+
 def test_json_output_is_deterministic(quadric_file, capsys):
     code1 = run(["semistable", quadric_file, "--divisor", "Dss", "--json"])
     out1 = capsys.readouterr().out

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricgit.actions import Linearization, semistable_divisor
+from toricgit.actions import Linearization, SubtorusAction, semistable_divisor
 from toricgit import hilbert_mumford as hm
 from toricgit.cones import Cone
+from toricgit.fans import ToricDivisor, validate_fan
 from toricgit.hilbert_mumford import (
     AmbientModel,
     HilbertBasisTooLarge,
@@ -354,6 +355,40 @@ def test_ambient_semistable_converts_once_per_model(
     assert len(cv.per_face) == len(quadric_fan.face_keys()) == 10
     assert len(calls) == 1
     assert calls[0][0] == len(cv.model.basis) == 9
+
+
+def test_ambient_model_takes_section_facets_from_its_forms(monkeypatch):
+    """A pointed section cone of a cone on every fan ray takes its facets
+    from its forms, with no second conversion, and they are the facets a
+    conversion gives.  A fan ray outside the cone may leave the section
+    cone pointed but not full-dimensional, and that one is converted."""
+    pointed, converted = [], []
+    real_basis, real_convert = hm.hilbert_basis, Cone._convert
+    monkeypatch.setattr(hm, "hilbert_basis",
+                        lambda c, *a: (c.lineality_basis or pointed.append(c))
+                        or real_basis(c, *a))
+    monkeypatch.setattr(Cone, "_convert",
+                        lambda c: converted.append(c) or real_convert(c))
+    for seed in range(300):
+        rng = random.Random(seed)
+        fan = random_affine_fan(rng, rng.randint(1, 3))
+        act = random_action(rng, fan)
+        try:
+            ambient_model(fan, act, random_divisor(rng, fan),
+                          random_linearization(rng, act.d), max_points=2000)
+        except (ValueError, HilbertBasisTooLarge):
+            pass
+    assert len(pointed) >= 100
+    assert not set(map(id, pointed)) & set(map(id, converted))
+    # u >= 0 from the cone's ray and -u >= 0 from the ray outside it: the
+    # section cone is the ray s >= 0 on the line u = 0
+    stray = validate_fan(1, [(1,), (-1,)], [[0]])
+    ambient_model(stray, SubtorusAction.from_columns([], 1), ToricDivisor((0, 0)),
+                  _lin0(0))
+    assert pointed[-1].generators == ((0, 1),) and pointed[-1] in converted
+    for c in pointed:
+        fresh = Cone(c.ambient_rank, c.generators, c.lineality_basis)
+        assert (c.facet_normals, c.span_equalities) == fresh._convert()
 
 
 def test_pattern_for_unknown_face(plane_fan, hyperbolic_action, div_z):
