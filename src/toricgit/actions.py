@@ -224,7 +224,7 @@ def semistable_group(group: DivisorGroup, lin: Linearization,
     section = section_cone(fan, *_chart_rows(fan, group.basis, lin.shifts, action))
 
     def certify(key):
-        # the witness is incidence only, so it goes before the SNF tests
+        # the witness is incidence only, so it goes before the lattice tests
         wit = chart_witness(fan, section, key)
         if wit is None:
             return None

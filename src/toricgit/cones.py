@@ -11,7 +11,7 @@ primitive; and a pair tight on fewer constraints than the codimension
 of a face two above the lineality is never scanned, since such a face
 is cut out by the constraints tight on it.  The saturated lineality
 lattice is read off the elimination at rank 0, 1 and full rank; only a
-rank in between takes a Smith normal form (kernel_basis).
+rank in between takes one Hermite-form kernel (kernel_basis).
 A cone is its canonical generators and lineality basis; its facet
 description is one more conversion, run on first read (or kept from the
 conversion that built the cone).  A cone built from generators makes

@@ -40,11 +40,13 @@ FaceKey = frozenset
 
 class FanError(Exception):
     """Structured fan rejection; kind is one of NonPrimitiveRay,
-    DuplicateRay, IntersectionNotFace, NotPointed, BadIndex.
+    DuplicateRay, IntersectionNotFace, NotPointed, BadIndex, UnusedRay.
 
     IntersectionNotFace covers a maximal cone whose listed rays are not
     all extreme in it, a fan ray lying in a maximal cone that does not
-    list it, and two maximal cones that do not meet in a common face."""
+    list it, and two maximal cones that do not meet in a common face.
+    UnusedRay is a fan ray that no maximal cone lists: it is no cone of
+    the fan, yet its form would still constrain every chart."""
 
     def __init__(self, kind: str, message: str):
         super().__init__(f"{kind}: {message}")
@@ -91,7 +93,8 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
     - IntersectionNotFace: a listed ray that is not extreme in its cone,
       a fan ray inside a maximal cone that does not list it, or two
       maximal cones whose common rays do not span a face of both or that
-      meet in more than that face (`cones.meets_in`).
+      meet in more than that face (`cones.meets_in`);
+    - UnusedRay: a fan ray that no maximal cone lists.
 
     A maximal cone whose rays are linearly independent (one
     `rank_of_rows`) is built from them with no conversion: it is pointed
@@ -184,6 +187,9 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
                 raise FanError(
                     "IntersectionNotFace",
                     f"cones {sorted(k1)} and {sorted(k2)} do not meet in a common face")
+    unused = sorted(set(range(len(ray_tuples))).difference(*max_keys))
+    if unused:
+        raise FanError("UnusedRay", f"rays {unused} lie in no maximal cone")
 
     ordered = dict(sorted(face_map.items(),
                           key=lambda kv: (len(kv[0]), sorted(kv[0]))))

@@ -274,13 +274,14 @@ def ambient_model(fan: Fan, action: SubtorusAction, D: ToricDivisor,
                   lin: Linearization, max_points: int = 200000) -> AmbientModel:
     from .actions import _require_affine, _single_shift
 
-    sigma = _require_affine(fan)
+    _require_affine(fan)
     n = fan.ambient_rank
     shift = _single_shift(lin, action.d)
     cd, forms = section_cone(fan, [(a,) for a in D.coefficients], shared_strict=((1,),))
-    if not cd.lineality_basis and len(sigma) == len(fan.rays):
-        # pointed, so sigma, the cone on every ray, is full-dimensional and
-        # the section cone too, and each form cuts out a facet: s = 0 cuts
+    if not cd.lineality_basis:
+        # pointed, so sigma, the cone on every ray (validate_fan rejects a
+        # ray that no maximal cone lists), is full-dimensional and the
+        # section cone too, and each form cuts out a facet: s = 0 cuts
         # out sigma^dual x 0, and the form of a ray v, extreme in sigma,
         # vanishes on the facet of sigma^dual dual to v and at some (u, 1).
         # The forms are primitive and distinct, so they are the facet

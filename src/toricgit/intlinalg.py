@@ -2,10 +2,11 @@
 
 Everything here is arbitrary-precision: matrices hold Python ints, ranks
 and determinants come from one fraction-free (Bareiss) elimination on
-ints, kernels from one Smith normal form each, and no floating point is
-used anywhere.  Smith normal form uses a fixed pivoting rule (smallest
-absolute nonzero entry, row-major tie break) so all outputs are
-deterministic.
+ints, kernels and integer solutions from one Hermite normal form of
+[A^T | I] each (Cohen, A Course in Computational Algebraic Number Theory,
+1993, section 2.4), and invariant factors from Hermite forms of the rows
+and the columns in turn.  No unimodular transform is ever accumulated,
+no floating point is used anywhere, and every output is deterministic.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols)))
@@ -126,23 +127,25 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
     """Row-style HNF: echelon rows, positive pivots, entries above a pivot
     reduced into [0, pivot).  Zero rows are dropped.  Canonical basis for
     the row span over Z."""
-    mat = [list(r) for r in rows if not is_zero_vec(r)]
+    mat = [list(r) for r in rows if any(r)]
     if not mat:
         return ()
     ncols = len(mat[0])
     done = 0
     for col in range(ncols):
+        if done == len(mat):
+            break  # every row has its pivot
         # gcd the column below `done` into one row
         while True:
-            nz = [i for i in range(done, len(mat)) if mat[i][col] != 0]
+            nz = [i for i in range(done, len(mat)) if mat[i][col]]
             if len(nz) <= 1:
                 break
-            nz.sort(key=lambda i: abs(mat[i][col]))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = mat[i][col] // mat[i0][col]
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[i0])]
-        nz = [i for i in range(done, len(mat)) if mat[i][col] != 0]
+            i0 = min(nz, key=lambda i: abs(mat[i][col]))
+            top = mat[i0]
+            for i in nz:
+                if i != i0:
+                    q = mat[i][col] // top[col]
+                    mat[i] = [a - q * b for a, b in zip(mat[i], top)]
         if not nz:
             continue
         i0 = nz[0]
@@ -156,113 +159,25 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
             if q:
                 mat[i] = [a - q * b for a, b in zip(mat[i], mat[done])]
         done += 1
-    return tuple(tuple(r) for r in mat[:done] if not is_zero_vec(r))
+    return tuple(map(tuple, mat[:done]))
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U*A*V = D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
-
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        k = min(self.D.rows, self.D.cols)
-        facs = tuple(self.D.entries[i][i] for i in range(k))
-        return tuple(d for d in facs if d != 0)
-
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
-
-def _round_div(a: int, b: int) -> int:
-    """Quotient q minimizing |a - q*b| (nearest integer, ties toward zero)."""
-    q, r = divmod(a, b)
-    if 2 * abs(r) > abs(b):
-        q += 1
-    return q
-
-
-def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    m, n = A.rows, A.cols
-    D = [list(r) for r in A.entries]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def addmul_row(i, j, q):
-        # row_i -= q*row_j
-        D[i] = [a - q * b for a, b in zip(D[i], D[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def addmul_col(i, j, q):
-        # col_i -= q*col_j
-        for r in D:
-            r[i] -= q * r[j]
-        for r in V:
-            r[i] -= q * r[j]
-
-    t = 0
-    while t < min(m, n):
-        # pivot: smallest absolute nonzero entry, row-major tie break
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] != 0 and (piv is None or abs(D[i][j]) < abs(D[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            moved = False
-            for i in range(t + 1, m):
-                if D[i][t] != 0:
-                    q = _round_div(D[i][t], D[t][t])
-                    addmul_row(i, t, q)
-                    if D[i][t] != 0:
-                        swap_rows(i, t)
-                        moved = True
-            for j in range(t + 1, n):
-                if D[t][j] != 0:
-                    q = _round_div(D[t][j], D[t][t])
-                    addmul_col(j, t, q)
-                    if D[t][j] != 0:
-                        swap_cols(j, t)
-                        moved = True
-            if moved:
-                continue
-            # column and row at t are clear; enforce divisibility
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if D[i][j] % D[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            addmul_row(t, offender, -1)  # add offending row to pivot row
-        if D[t][t] < 0:
-            D[t] = [-a for a in D[t]]
-            U[t] = [-a for a in U[t]]
-        t += 1
-    return SmithDecomposition(IntMatrix(m, m, tuple(map(tuple, U))),
-                              IntMatrix(m, n, tuple(map(tuple, D))),
-                              IntMatrix(n, n, tuple(map(tuple, V))))
+def smith_normal_form(A: IntMatrix) -> tuple[int, ...]:
+    """Nonzero invariant factors d_1 | d_2 | ... of A, with no transforms
+    kept: Hermite forms of the rows and of the columns in turn until the
+    matrix is diagonal, then each diagonal pair (a, b) becomes
+    (gcd, lcm).  From the second form on the matrix is square and
+    nonsingular, and a square HNF keeps every entry above a pivot in
+    [0, pivot), so the entries stay bounded by the determinant."""
+    rows = hermite_normal_form(A.entries)
+    while any(x for i, r in enumerate(rows) for j, x in enumerate(r) if i != j):
+        rows = hermite_normal_form(tuple(zip(*rows)))
+    d = [r[i] for i, r in enumerate(rows)]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(d)
 
 
 @dataclass(frozen=True)
@@ -301,11 +216,21 @@ class LatticeMap:
         return self.matrix.mulvec(v)
 
 
+def _transformed_hnf(A: IntMatrix) -> tuple[Vec, ...]:
+    """HNF of the rows (column_i of A, e_i).  Each row is (A u, u), the u
+    run over a basis of Z^cols, and the rows are echelon in their A u
+    part, so the rows whose A u part is zero come last."""
+    return hermite_normal_form(tuple(
+        col + e for col, e in zip(A.transpose().entries, IntMatrix.identity(A.cols).entries)))
+
+
 def kernel_basis(A: IntMatrix) -> Sublattice:
-    """Saturated sublattice {x in Z^cols : A x = 0}: the last columns of V
-    in one Smith decomposition U*A*V = D, put in HNF."""
-    snf = smith_normal_form(A)
-    return Sublattice.from_rows(A.cols, snf.V.transpose().entries[snf.rank:])
+    """Saturated sublattice {x in Z^cols : A x = 0}: the u parts of the
+    transformed HNF's rows whose A u part is zero.  Those rows are the
+    last ones of an HNF, so they are already the kernel's HNF basis."""
+    m = A.rows
+    rows = tuple(r[m:] for r in _transformed_hnf(A) if not any(r[:m]))
+    return Sublattice(A.cols, IntMatrix(len(rows), A.cols, rows))
 
 
 def saturate(S: Sublattice) -> Sublattice:
@@ -317,38 +242,36 @@ def saturate(S: Sublattice) -> Sublattice:
 
 
 def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
-    """Some integer x with A x = b, or None.  The candidate is checked by
-    substitution, which rejects every inconsistent system; absence is a
-    value, not an error."""
+    """Some integer x with A x = b, or None: b is reduced against the
+    echelon A u parts of the transformed HNF, and x collects the u parts
+    with the same coefficients.  A pivot that does not divide, or a
+    remainder left at the end, means no solution.  The candidate is
+    checked by substitution; absence is a value, not an error."""
     if len(b) != A.rows:
         raise ValueError("dimension mismatch")
-    snf = smith_normal_form(A)
-    c = snf.U.mulvec(b)
-    y = []
-    for i in range(A.cols):
-        d = snf.D.entries[i][i] if i < min(A.rows, A.cols) else 0
-        ci = c[i] if i < A.rows else 0
-        if d == 0:
-            y.append(0)
-        else:
-            if ci % d != 0:
-                return None
-            y.append(ci // d)
-    x = snf.V.mulvec(y)
-    if A.mulvec(x) != tuple(b):
+    m = A.rows
+    rest = list(b)
+    x = [0] * A.cols
+    for row in _transformed_hnf(A):
+        j = next((j for j in range(m) if row[j]), None)
+        if j is None:
+            break
+        q, r = divmod(rest[j], row[j])
+        if r:
+            return None
+        if q:
+            rest = [a - q * c for a, c in zip(rest, row)]
+            x = [a + q * c for a, c in zip(x, row[m:])]
+    if any(rest) or A.mulvec(x) != tuple(b):
         return None
-    return x
+    return tuple(x)
 
 
 def cokernel_projection(S: Sublattice) -> tuple[LatticeMap, tuple[int, ...]]:
     """Projection of Z^n onto the free part of Z^n / S, plus the torsion
-    invariant factors of the quotient."""
+    invariant factors of the quotient.  The rows of the projection are
+    the saturated S^perp, so it is onto and its kernel is sat(S)."""
     n = S.ambient_rank
-    if S.rank == 0:
-        return LatticeMap(IntMatrix.identity(n), n, n), ()
-    A = S.basis.transpose()  # n x k, columns = basis vectors
-    snf = smith_normal_form(A)
-    r = snf.rank
-    torsion = tuple(d for d in snf.invariant_factors if d > 1)
-    pi = LatticeMap(IntMatrix.from_rows(snf.U.entries[r:], n), n, n - r)
-    return pi, torsion
+    perp = kernel_basis(S.basis).basis
+    torsion = tuple(d for d in smith_normal_form(S.basis) if d > 1)
+    return LatticeMap(perp, n, perp.rows), torsion

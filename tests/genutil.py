@@ -36,7 +36,6 @@ from toricgit.intlinalg import (
     primitive,
     rank_of_rows,
     saturate,
-    smith_normal_form,
     solve_integer,
     vdot,
     vneg,
@@ -193,18 +192,49 @@ def fraction_rank(rows) -> int:
 
 # --- references for properties the engine does not expose ---------------
 
-def mat_product(*mats: IntMatrix):
-    """Entries of the product of the given integer matrices."""
-    out = mats[0].entries
-    for m in mats[1:]:
-        cols = list(zip(*m.entries))
-        out = tuple(tuple(vdot(r, c) for c in cols) for r in out)
-    return out
+def fraction_det(rows) -> Fraction:
+    """Reference determinant of a square matrix: Gaussian elimination with
+    Fraction entries; the empty matrix has determinant 1."""
+    n = len(rows)
+    mat = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for j in range(n):
+        piv = next((i for i in range(j, n) if mat[i][j] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != j:
+            mat[j], mat[piv] = mat[piv], mat[j]
+            det = -det
+        det *= mat[j][j]
+        for i in range(j + 1, n):
+            f = mat[i][j] / mat[j][j]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[j])]
+    return det
+
+
+def invariant_factors_by_minors(rows) -> tuple[int, ...]:
+    """Reference nonzero invariant factors d_1 | d_2 | ... of an integer
+    matrix, from its determinantal divisors: D_k is the gcd of the k x k
+    minors, and d_k = D_k / D_(k-1)."""
+    rows = [tuple(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    factors, prev = [], 1
+    for k in range(1, min(len(rows), ncols) + 1):
+        g = 0
+        for I in itertools.combinations(range(len(rows)), k):
+            for J in itertools.combinations(range(ncols), k):
+                minor = fraction_det([[rows[i][j] for j in J] for i in I])
+                g = math.gcd(g, int(minor))
+        if g == 0:
+            break
+        factors.append(g // prev)
+        prev = g
+    return tuple(factors)
 
 
 def lattice_saturated(S: Sublattice) -> bool:
     """Z^n / S is torsion free: all invariant factors of the basis are 1."""
-    return all(d == 1 for d in smith_normal_form(S.basis).invariant_factors)
+    return all(d == 1 for d in invariant_factors_by_minors(S.basis.entries))
 
 
 def lattice_contains(S: Sublattice, v) -> bool:
@@ -315,6 +345,9 @@ def validate_fan_by_conversion(ambient_rank: int, rays, maximal_cones) -> Fan:
                 raise FanError(
                     "IntersectionNotFace",
                     f"cones {sorted(k1)} and {sorted(k2)} do not meet in a common face")
+    unused = sorted(set(range(len(ray_tuples))).difference(*max_keys))
+    if unused:
+        raise FanError("UnusedRay", f"rays {unused} lie in no maximal cone")
 
     ordered = dict(sorted(face_map.items(),
                           key=lambda kv: (len(kv[0]), sorted(kv[0]))))

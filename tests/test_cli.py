@@ -192,6 +192,18 @@ def test_exit_2_on_nonaffine_chambers(tmp_path, capsys):
     assert code == 2
 
 
+def test_exit_2_on_a_ray_in_no_cone(tmp_path, capsys):
+    # the third ray is no cone of the fan, yet its form would constrain
+    # every chart: the locus would be empty instead of all four faces
+    data = {"lattice_rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+            "cones": [[0, 1]], "action": [[1, -1]], "divisors": {"D": [0, 0, 0]}}
+    f = tmp_path / "unused.json"
+    f.write_text(json.dumps(data))
+    code, rep = _run_json(["semistable", str(f), "--divisor", "D"], capsys)
+    assert code == 2
+    assert rep["result"]["error"].startswith("UnusedRay")
+
+
 def test_exit_3_on_internal_error(quadric_file, capsys, monkeypatch):
     # a maximal member face that fails its chart test breaks an engine
     # invariant of git_chambers: exit 3, not the negative verdict's 1

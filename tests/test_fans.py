@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricgit import cones, intlinalg
+from toricgit import actions, cones, intlinalg
 from toricgit.actions import ActionError, SubtorusAction
 from toricgit.cones import Cone, faces, intersect, meets_in
 from toricgit.fans import (
@@ -214,17 +214,18 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 def test_simplicial_fans_and_actions_need_no_conversion(monkeypatch):
     conversions = _count_calls(monkeypatch, cones, "double_description")
-    snfs = _count_calls(monkeypatch, intlinalg, "smith_normal_form")
+    # the "not injective" message is the one place that computes a kernel
+    kernels = [_count_calls(monkeypatch, m, "kernel_basis") for m in (intlinalg, cones, actions)]
     orthant = validate_fan(4, [tuple(int(i == j) for j in range(4)) for i in range(4)],
                            [[0, 1, 2, 3]])
     validate_fan(3, [(1, 0, 1), (0, 1, 1), (-1, -1, 1)], [[0, 1, 2]])
     assert len(orthant.face_keys()) == 16 and conversions == []
     SubtorusAction.from_columns([(1, 0, 1, 0), (0, 1, 0, 1)], 4)
-    assert snfs == []
+    assert not any(kernels)
     with pytest.raises(ActionError) as e:
         SubtorusAction.from_columns([(1, 0), (2, 0)], 2)
     assert str(e.value) == "phi is not injective; kernel basis ((2, -1),)"
-    assert conversions == [] and len(snfs) >= 1
+    assert conversions == [] and sum(map(len, kernels)) >= 1
 
 
 def _count_fallbacks(monkeypatch) -> list:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from toricgit.actions import Linearization, SubtorusAction, semistable_divisor
 from toricgit import hilbert_mumford as hm
 from toricgit.cones import Cone
-from toricgit.fans import ToricDivisor, validate_fan
+from toricgit.fans import FanError, ToricDivisor, validate_fan
 from toricgit.hilbert_mumford import (
     AmbientModel,
     HilbertBasisTooLarge,
@@ -358,10 +358,10 @@ def test_ambient_semistable_converts_once_per_model(
 
 
 def test_ambient_model_takes_section_facets_from_its_forms(monkeypatch):
-    """A pointed section cone of a cone on every fan ray takes its facets
-    from its forms, with no second conversion, and they are the facets a
-    conversion gives.  A fan ray outside the cone may leave the section
-    cone pointed but not full-dimensional, and that one is converted."""
+    """A pointed section cone takes its facets from its forms, with no
+    second conversion, and they are the facets a conversion gives.  A fan
+    ray outside the cone could leave the section cone pointed but not
+    full-dimensional, and validate_fan rejects such a fan."""
     pointed, converted = [], []
     real_basis, real_convert = hm.hilbert_basis, Cone._convert
     monkeypatch.setattr(hm, "hilbert_basis",
@@ -380,12 +380,11 @@ def test_ambient_model_takes_section_facets_from_its_forms(monkeypatch):
             pass
     assert len(pointed) >= 100
     assert not set(map(id, pointed)) & set(map(id, converted))
-    # u >= 0 from the cone's ray and -u >= 0 from the ray outside it: the
-    # section cone is the ray s >= 0 on the line u = 0
-    stray = validate_fan(1, [(1,), (-1,)], [[0]])
-    ambient_model(stray, SubtorusAction.from_columns([], 1), ToricDivisor((0, 0)),
-                  _lin0(0))
-    assert pointed[-1].generators == ((0, 1),) and pointed[-1] in converted
+    # u >= 0 from the cone's ray and -u >= 0 from the ray outside it would
+    # make the section cone the ray s >= 0 on the line u = 0
+    with pytest.raises(FanError) as e:
+        validate_fan(1, [(1,), (-1,)], [[0]])
+    assert e.value.kind == "UnusedRay"
     for c in pointed:
         fresh = Cone(c.ambient_rank, c.generators, c.lineality_basis)
         assert (c.facet_normals, c.span_equalities) == fresh._convert()

@@ -4,7 +4,6 @@ integer solvability."""
 import itertools
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +23,11 @@ from toricgit.intlinalg import (
 )
 
 from genutil import (
+    fraction_det,
     fraction_rank,
+    invariant_factors_by_minors,
     lattice_contains,
     lattice_saturated,
-    mat_product,
 )
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -37,62 +37,62 @@ small_matrices = st.integers(1, 4).flatmap(
             min_size=rows, max_size=rows)))
 
 
-def _det(rows):
-    n = len(rows)
-    if n == 0:
-        return 1
-    mat = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for j in range(n):
-        piv = next((i for i in range(j, n) if mat[i][j] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != j:
-            mat[j], mat[piv] = mat[piv], mat[j]
-            det = -det
-        det *= mat[j][j]
-        for i in range(j + 1, n):
-            f = mat[i][j] / mat[j][j]
-            mat[i] = [a - f * b for a, b in zip(mat[i], mat[j])]
-    return det
-
-
 def test_snf_phi_matrix():
     A = IntMatrix.from_rows([(2, 0), (1, 2), (1, 1)], 2)
-    s = smith_normal_form(A)
-    assert s.invariant_factors == (1, 1)
-    assert mat_product(s.U, A, s.V) == s.D.entries
+    assert smith_normal_form(A) == invariant_factors_by_minors(A.entries) == (1, 1)
 
 
 def test_snf_zero_matrix():
     A = IntMatrix.from_rows([(0, 0, 0), (0, 0, 0)], 3)
-    s = smith_normal_form(A)
-    assert not any(map(any, s.D.entries))
-    assert s.U.entries == IntMatrix.identity(2).entries
-    assert s.V.entries == IntMatrix.identity(3).entries
+    assert smith_normal_form(A) == invariant_factors_by_minors(A.entries) == ()
 
 
 def test_snf_1x1():
-    s = smith_normal_form(IntMatrix.from_rows([(2,)], 1))
-    assert s.D.entries == ((2,),)
+    A = IntMatrix.from_rows([(2,)], 1)
+    assert smith_normal_form(A) == invariant_factors_by_minors(A.entries) == (2,)
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_matrices)
-def test_snf_certificate_identity(rows):
+def test_snf_matches_determinantal_divisors(rows):
     cols = len(rows[0])
     A = IntMatrix.from_rows([tuple(r) for r in rows], cols)
-    s = smith_normal_form(A)
-    assert mat_product(s.U, A, s.V) == s.D.entries
-    assert abs(_det(s.U.entries)) == 1
-    assert abs(_det(s.V.entries)) == 1
-    factors = s.invariant_factors
-    for a, b in zip(factors, factors[1:]):
-        assert b % a == 0
-    for i in range(s.D.rows):
-        for j in range(s.D.cols):
-            if i != j:
-                assert s.D.entries[i][j] == 0
+    factors = smith_normal_form(A)
+    assert factors == invariant_factors_by_minors(A.entries)
+    assert all(d > 0 for d in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+# facet normals of the cone on (-3, 4, -4, 4, -2), (3, -3, -4, 4, -4),
+# (-2, -1, -4, 4, -4), (4, -1, 2, -3, 3), (1, 1, -2, -1, -1),
+# (-3, -1, -2, 0, -3) and (-6, 6, 8, -8, 8): a Smith form that carries
+# unreduced transforms builds entries of about 448,000 bits on it
+FACET_NORMALS = ((-112, -220, -373, -20, 434), (-76, -80, -215, 28, 246),
+                 (-34, -46, -63, -13, 59), (-8, -20, -47, -10, 46),
+                 (8, 20, -15, -52, -46), (24, 60, -45, -32, -14))
+
+
+def _coefficient_blow_up_inputs():
+    yield FACET_NORMALS
+    rng = random.Random(7)
+    for _ in range(400):
+        m, n = rng.randint(4, 9), rng.randint(4, 8)
+        yield tuple(tuple(rng.randint(-60, 60) for _ in range(n)) for _ in range(m))
+
+
+def test_kernels_and_solutions_keep_small_entries():
+    # no wall-clock bound: the entry sizes are the regression
+    for rows in _coefficient_blow_up_inputs():
+        A = IntMatrix.from_rows(rows)
+        K = kernel_basis(A)
+        assert K.rank == A.cols - rank_of_rows(rows)
+        assert all(A.mulvec(v) == (0,) * A.rows for v in K.basis.entries)
+        assert all(d == 1 for d in invariant_factors_by_minors(K.basis.entries))
+        assert all(abs(x).bit_length() < 64 for v in K.basis.entries for x in v)
+        b = A.mulvec(tuple(range(1, A.cols + 1)))
+        x = solve_integer(A, b)
+        assert x is not None and A.mulvec(x) == b
+        assert all(abs(a).bit_length() < 64 for a in x)
 
 
 def test_kernel_of_weight_map():
@@ -235,7 +235,7 @@ def test_kernel_of_no_rows_is_the_identity_basis():
     st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=n, max_size=n),
     min_size=n, max_size=n)))
 def test_det_matches_fraction_elimination(rows):
-    assert det(rows) == _det(rows)
+    assert det(rows) == fraction_det(rows)
 
 
 def test_cokernel_of_action_image():
@@ -310,10 +310,6 @@ def test_rank_of_sparse_matrices(rows):
     assert rank_of_rows(list(zip(*rows))) == fraction_rank(rows)
 
 
-def _invariant_factors(basis):
-    return smith_normal_form(basis).invariant_factors if basis.rows else ()
-
-
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
 def test_saturate_properties(rows):
@@ -322,7 +318,7 @@ def test_saturate_properties(rows):
     T = saturate(S)
     assert all(lattice_contains(T, b) for b in S.basis.entries)
     assert T.rank == S.rank == fraction_rank(rows)
-    assert all(d == 1 for d in _invariant_factors(T.basis))
+    assert all(d == 1 for d in smith_normal_form(T.basis))
     assert saturate(T).basis.entries == T.basis.entries
     assert lattice_saturated(T)
 
@@ -332,7 +328,7 @@ def test_saturate_properties(rows):
 def test_saturated_flag_agrees_with_snf(rows):
     # saturate fixes exactly the lattices whose invariant factors are all 1
     S = Sublattice.from_rows(len(rows[0]), rows)
-    by_snf = all(d == 1 for d in _invariant_factors(S.basis))
+    by_snf = all(d == 1 for d in smith_normal_form(S.basis))
     assert by_snf == (saturate(S).basis.entries == S.basis.entries)
 
 
