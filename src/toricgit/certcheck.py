@@ -49,7 +49,7 @@ def check_certificate(rays: Sequence[tuple], face_keys: Sequence[frozenset],
     r = len(rays)
     chart = cert.chart
 
-    if not any(chart == key for key in face_keys):
+    if chart not in face_keys:
         failures.append("chart-is-face")
 
     degree = tuple(cert.degree)
@@ -118,7 +118,7 @@ def check_locus(fan, divisor_rows, shifts, phi_columns, ss) -> CheckResult:
     failures = []
     keys = list(fan.face_keys())
     for key in ss.locus.faces:
-        if not any(k2 == key for k2 in keys):
+        if key not in keys:
             failures.append("locus-face-exists")
         if not all(k2 in ss.locus.faces for k2 in keys if k2 <= key):
             failures.append("locus-face-closed")

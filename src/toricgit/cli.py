@@ -2,8 +2,13 @@
 
 Commands operate on a JSON problem file (see problemfile) and emit a
 deterministic report, as JSON with --json or as plain text otherwise.
-Exit codes: 0 success, 1 negative verdict (empty locus, obstruction,
-nonexistent limit, failed verification), 2 input error, 3 internal error.
+Each command is one branch of `_result`, which returns the report's
+result and exit code; `run` loads the problem, maps errors to exit codes
+and emits the report.
+Exit codes: 0 success; 1 negative verdict (a failed --check replay, an
+empty locus, a quotient of an empty locus, an obstruction, no limit or
+destabilizer, a failed built-in example); 2 input error; 3 internal
+error.
 """
 
 from __future__ import annotations
@@ -31,9 +36,13 @@ from .intlinalg import vneg
 from .problemfile import ParseError, load_problem
 from .quotients import build_quotient
 
+# commands that read the problem file's 'action' field
+_NEEDS_ACTION = frozenset({"semistable", "trivial-bundle", "chambers",
+                           "quotient", "obstruction", "oracle"})
 
-def _keys_payload(locus) -> list:
-    return [sorted(k) for k in locus.sorted_keys()]
+
+def _keys_payload(faces) -> list:
+    return sorted((sorted(k) for k in faces), key=lambda s: (len(s), s))
 
 
 def _cone_payload(c) -> dict:
@@ -58,10 +67,10 @@ def _cert_payload(cert) -> dict:
 
 
 def _locus_payload(ss) -> dict:
+    # the engine lists certificates in face order, (size, sorted key)
     return {
-        "faces": _keys_payload(ss.locus),
-        "certificates": [_cert_payload(c) for _, c in sorted(
-            ss.certificates, key=lambda kc: (len(kc[0]), sorted(kc[0])))],
+        "faces": _keys_payload(ss.locus.faces),
+        "certificates": [_cert_payload(c) for _, c in ss.certificates],
     }
 
 
@@ -74,8 +83,8 @@ def _quotient_payload(q) -> dict:
         "flags": {"good": q.good, "geometric": q.geometric,
                   "separated": q.separated},
         "torsion": list(q.torsion),
-        "projection": [list(r) for r in q.charts[0].projection.matrix.entries]
-        if q.charts else [],
+        # run only on a nonempty locus, whose maximal faces are charts
+        "projection": [list(r) for r in q.charts[0].projection.matrix.entries],
         "quotient_rank": q.quotient_rank,
     }
 
@@ -94,53 +103,28 @@ def _divisor_rows(problem, args):
     return src, lin, [d.coefficients for d in basis], list(lin.shifts)
 
 
-def _semistable_locus(problem, args, act):
+def _semistable_locus(problem, args):
     """Semistable locus of --divisor or --group, with its divisor rows
     and shifts."""
     src, lin, rows, shifts = _divisor_rows(problem, args)
     solve = semistable_divisor if args.divisor else semistable_group
-    return solve(src, lin, act, problem.fan), rows, shifts
-
-
-def _check_payload(problem, divisor_rows, shifts, ss) -> dict:
-    cols = problem.action.phi_star_rows() if problem.action else []
-    res = check_locus(problem.fan, divisor_rows, shifts, cols, ss)
-    return {"ok": res.ok, "failures": list(res.failures)}
-
-
-def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-        return
-    print(f"toricgit {report['version']} :: {report['command']}")
-    _print_tree(report["result"], indent=0)
+    return solve(src, lin, problem.action, problem.fan), rows, shifts
 
 
 def _print_tree(value, indent: int) -> None:
+    """Dict entries as 'key:' and list items as '-', in one loop; a
+    nonempty dict, or a list holding a dict or list, opens a nested
+    block, and anything else prints as JSON on the same line."""
     pad = "  " * indent
-    if isinstance(value, dict):
-        for k in sorted(value):
-            v = value[k]
-            if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                print(f"{pad}{k}:")
-                _print_tree(v, indent + 1)
-            else:
-                print(f"{pad}{k}: {json.dumps(v)}")
-    elif isinstance(value, list):
-        for v in value:
-            if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                print(f"{pad}-")
-                _print_tree(v, indent + 1)
-            else:
-                print(f"{pad}- {json.dumps(v)}")
-    else:
-        print(f"{pad}{json.dumps(value)}")
-
-
-def _is_flat(v) -> bool:
-    if isinstance(v, list):
-        return all(not isinstance(x, (dict, list)) for x in v)
-    return False
+    items = ((f"{k}:", value[k]) for k in sorted(value)) if isinstance(
+        value, dict) else (("-", v) for v in value)
+    for label, v in items:
+        if isinstance(v, dict) and v or isinstance(v, list) and any(
+                isinstance(x, (dict, list)) for x in v):
+            print(f"{pad}{label}")
+            _print_tree(v, indent + 1)
+        else:
+            print(f"{pad}{label} {json.dumps(v)}")
 
 
 def _parse_ints(text: str) -> tuple:
@@ -162,214 +146,173 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_file=True):
-        if needs_file:
+    def command(name, *, file=True, source=False, check=False, parent=sub, **kw):
+        """A subparser with the problem file, --json, the mutually
+        exclusive --divisor/--group source and --check as asked."""
+        p = parent.add_parser(name, **kw)
+        if file:
             p.add_argument("file", help="JSON problem file")
         p.add_argument("--json", action="store_true", help="machine output")
+        if source:
+            g = p.add_mutually_exclusive_group(required=True)
+            g.add_argument("--divisor")
+            g.add_argument("--group")
+        if check:
+            p.add_argument("--check", action="store_true",
+                           help="replay certificates through the independent checker")
+        return p
 
-    def divisor_or_group(p):
-        g = p.add_mutually_exclusive_group(required=True)
-        g.add_argument("--divisor")
-        g.add_argument("--group")
+    command("cartier-locus", help="faces where every group divisor is Cartier"
+            ).add_argument("--group", required=True)
+    command("ample-locus", help="faces carrying an ample chart witness"
+            ).add_argument("--group", required=True)
+    command("semistable", source=True, check=True,
+            help="semistable locus of a divisor or group")
+    command("trivial-bundle", check=True,
+            help="semistable locus of the trivial bundle at a character"
+            ).add_argument("--character", required=True)
+    command("chambers", help="the GIT fan of character space")
+    command("quotient", source=True, check=True,
+            help="glued quotient of a semistable locus")
+    command("class-group", help="divisor class group and Picard rank")
 
-    p = sub.add_parser("cartier-locus", help="faces where every group divisor is Cartier")
-    common(p)
-    p.add_argument("--group", required=True)
+    hm_sub = sub.add_parser("hm", help="Hilbert-Mumford limits and destabilizers"
+                            ).add_subparsers(dest="hm_command", required=True)
+    p = command("limit", parent=hm_sub)
+    p.add_argument("--lam", required=True, help="one-parameter subgroup, e.g. 1,0")
+    p.add_argument("--support", required=True, help="nonzero coordinates, e.g. 0,1,2")
+    p = command("destabilize", parent=hm_sub)
+    p.add_argument("--support", required=True)
+    p.add_argument("--target", required=True,
+                   help="'origin' or the coordinate set the limit may use")
 
-    p = sub.add_parser("ample-locus", help="faces carrying an ample chart witness")
-    common(p)
-    p.add_argument("--group", required=True)
+    command("obstruction", source=True,
+            help="exact verdict: is a locus the trivial-bundle locus of "
+            "some character (obstructed or not-obstructed)")
+    command("verify-examples", file=False,
+            help="replay the built-in worked examples end to end")
 
-    p = sub.add_parser("semistable", help="semistable locus of a divisor or group")
-    common(p)
-    divisor_or_group(p)
-    p.add_argument("--check", action="store_true",
-                   help="replay certificates through the independent checker")
-
-    p = sub.add_parser("trivial-bundle",
-                       help="semistable locus of the trivial bundle at a character")
-    common(p)
-    p.add_argument("--character", required=True)
-    p.add_argument("--check", action="store_true")
-
-    p = sub.add_parser("chambers", help="the GIT fan of character space")
-    common(p)
-
-    p = sub.add_parser("quotient", help="glued quotient of a semistable locus")
-    common(p)
-    divisor_or_group(p)
-    p.add_argument("--check", action="store_true")
-
-    p = sub.add_parser("class-group", help="divisor class group and Picard rank")
-    common(p)
-
-    p = sub.add_parser("hm", help="Hilbert-Mumford limits and destabilizers")
-    hm_sub = p.add_subparsers(dest="hm_command", required=True)
-    pl = hm_sub.add_parser("limit")
-    common(pl)
-    pl.add_argument("--lam", required=True, help="one-parameter subgroup, e.g. 1,0")
-    pl.add_argument("--support", required=True, help="nonzero coordinates, e.g. 0,1,2")
-    pd = hm_sub.add_parser("destabilize")
-    common(pd)
-    pd.add_argument("--support", required=True)
-    pd.add_argument("--target", required=True,
-                    help="'origin' or the coordinate set the limit may use")
-
-    p = sub.add_parser("obstruction",
-                       help="exact verdict: is a locus the trivial-bundle locus of "
-                       "some character (obstructed or not-obstructed)")
-    common(p)
-    divisor_or_group(p)
-
-    p = sub.add_parser("verify-examples",
-                       help="replay the built-in worked examples end to end")
-    common(p, needs_file=False)
-
-    p = sub.add_parser("oracle")  # debugging aid: brute-force reference locus
-    common(p)
-    divisor_or_group(p)
+    p = command("oracle", source=True)  # debugging aid: brute-force reference locus
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--box", type=int, default=8)
     p.add_argument("--degree-box", type=int, default=3)
     return ap
 
 
-def _require_action(problem):
-    if problem.action is None:
-        raise ParseError("this command needs an 'action' field in the problem file")
-    return problem.action
+def _result(problem, args) -> tuple[dict, int]:
+    """The report's result for args' command on problem, and its exit
+    code: 0, or 1 for a negative verdict."""
+    cmd = args.command
+    act = problem.action if problem else None
+
+    if cmd in ("cartier-locus", "ample-locus"):
+        grp, _ = problem.group(args.group)
+        locus = (cartier_locus if cmd == "cartier-locus"
+                 else ample_locus)(grp, problem.fan)
+        return {"faces": _keys_payload(locus.faces)}, 0 if locus.faces else 1
+
+    if cmd in ("semistable", "trivial-bundle"):
+        if cmd == "semistable":
+            ss, rows, shifts = _semistable_locus(problem, args)
+        else:
+            chi = _parse_ints(args.character)
+            ss = mumford_trivial_semistable(chi, act, problem.fan)
+            rows, shifts = [(0,) * len(problem.fan.rays)], [vneg(chi)]
+        out = _locus_payload(ss)
+        if args.check:
+            res = check_locus(problem.fan, rows, shifts, act.phi_star_rows(), ss)
+            out["check"] = {"ok": res.ok, "failures": list(res.failures)}
+        return out, 0 if ss.locus.faces and (not args.check or res.ok) else 1
+
+    if cmd == "chambers":
+        return {"chambers": [
+            {"cone": _cone_payload(c), "sample": list(chi),
+             "faces": _keys_payload(loc.locus.faces)}
+            for c, chi, loc in git_chambers(act, problem.fan)]}, 0
+
+    if cmd == "quotient":
+        ss, _, _ = _semistable_locus(problem, args)
+        if not ss.locus.faces:
+            return {"faces": [], "error": "empty semistable locus"}, 1
+        q = build_quotient(ss, act, problem.fan)
+        return {"semistable": _locus_payload(ss),
+                "quotient": _quotient_payload(q)}, 0
+
+    if cmd == "class-group":
+        cg = class_group(problem.fan)
+        return {"cl_rank": cg.cl_rank, "cl_torsion": list(cg.cl_torsion),
+                "pic_rank": cg.pic_rank,
+                "torus_factor_rank": cg.torus_factor_rank}, 0
+
+    if cmd == "hm":
+        if problem.weights is None:
+            raise ParseError("hm commands need a 'weights' field")
+        lin_act = LinearAction(problem.weights)
+        support = PointPattern.of(_parse_ints(args.support))
+        if args.hm_command == "limit":
+            lim = limit(_parse_ints(args.lam), support, lin_act)
+            return {"exists": lim is not None,
+                    "limit_support": sorted(lim.support) if lim else None
+                    }, 0 if lim is not None else 1
+        allowed = frozenset() if args.target == "origin" else frozenset(
+            _parse_ints(args.target))
+        lam = destabilize(support, lambda q: q.support <= allowed, lin_act)
+        return {"found": lam is not None,
+                "lambda": list(lam) if lam else None}, 0 if lam is not None else 1
+
+    if cmd == "obstruction":
+        ss, _, _ = _semistable_locus(problem, args)
+        rep = obstruction_report(ss.locus, act, problem.fan)
+        return {"required": _keys_payload(rep.required.faces),
+                "weight_cones": [{"face": sorted(k), "cone": _cone_payload(c)}
+                                 for k, c in rep.weight_cones],
+                "common": _cone_payload(rep.common),
+                "character": list(rep.character),
+                "locus": _locus_payload(rep.locus),
+                "verdict": rep.verdict}, 1 if rep.verdict == "obstructed" else 0
+
+    if cmd == "verify-examples":
+        from .builtin import verify_examples
+        checks = verify_examples()
+        passed = all(c.passed for c in checks)
+        return {"checks": [{"name": c.name, "passed": c.passed,
+                            "expected": c.expected, "actual": c.actual}
+                           for c in checks],
+                "all_passed": passed}, 0 if passed else 1
+
+    # oracle
+    from .oracle import SearchBounds, enumerate_witnesses
+    _, _, rows, shifts = _divisor_rows(problem, args)
+    bounds = SearchBounds(args.n_max, args.box, args.degree_box)
+    loc = enumerate_witnesses(list(problem.fan.rays), list(problem.fan.face_keys()),
+                              rows, shifts, act.phi_star_rows(), bounds,
+                              not args.divisor)
+    return {"faces": _keys_payload(loc)}, 0 if loc else 1
 
 
 def run(argv) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-
+    args = build_parser().parse_args(argv)
     report = {"command": " ".join(argv), "version": __version__,
               "input_digest": None, "result": {}}
-    exit_code = 0
-
     try:
         problem = None
         if getattr(args, "file", None):
             with open(args.file, "rb") as fh:
                 report["input_digest"] = hashlib.sha256(fh.read()).hexdigest()
             problem = load_problem(args.file)
-
-        if args.command in ("cartier-locus", "ample-locus"):
-            grp, _ = problem.group(args.group)
-            locus = (cartier_locus if args.command == "cartier-locus"
-                     else ample_locus)(grp, problem.fan)
-            report["result"] = {"faces": _keys_payload(locus)}
-            exit_code = 0 if locus.faces else 1
-
-        elif args.command in ("semistable", "trivial-bundle"):
-            act = _require_action(problem)
-            if args.command == "semistable":
-                ss, rows, shifts = _semistable_locus(problem, args, act)
-            else:
-                chi = _parse_ints(args.character)
-                ss = mumford_trivial_semistable(chi, act, problem.fan)
-                rows, shifts = [(0,) * len(problem.fan.rays)], [vneg(chi)]
-            report["result"] = _locus_payload(ss)
-            if args.check:
-                report["result"]["check"] = _check_payload(problem, rows, shifts, ss)
-                if not report["result"]["check"]["ok"]:
-                    exit_code = 1
-            if not ss.locus.faces:
-                exit_code = 1
-
-        elif args.command == "chambers":
-            act = _require_action(problem)
-            chams = git_chambers(act, problem.fan)
-            report["result"] = {"chambers": [
-                {"cone": _cone_payload(c), "sample": list(chi),
-                 "faces": _keys_payload(loc.locus)}
-                for c, chi, loc in chams]}
-
-        elif args.command == "quotient":
-            act = _require_action(problem)
-            ss, _, _ = _semistable_locus(problem, args, act)
-            if not ss.locus.faces:
-                report["result"] = {"faces": [], "error": "empty semistable locus"}
-                exit_code = 1
-            else:
-                q = build_quotient(ss, act, problem.fan)
-                report["result"] = {"semistable": _locus_payload(ss),
-                                    "quotient": _quotient_payload(q)}
-
-        elif args.command == "class-group":
-            cg = class_group(problem.fan)
-            report["result"] = {
-                "cl_rank": cg.cl_rank, "cl_torsion": list(cg.cl_torsion),
-                "pic_rank": cg.pic_rank,
-                "torus_factor_rank": cg.torus_factor_rank}
-
-        elif args.command == "hm":
-            if problem.weights is None:
-                raise ParseError("hm commands need a 'weights' field")
-            act = LinearAction(problem.weights)
-            support = PointPattern.of(_parse_ints(args.support))
-            if args.hm_command == "limit":
-                lam = _parse_ints(args.lam)
-                lim = limit(lam, support, act)
-                report["result"] = {
-                    "exists": lim is not None,
-                    "limit_support": sorted(lim.support) if lim else None}
-                exit_code = 0 if lim is not None else 1
-            else:
-                if args.target == "origin":
-                    allowed = frozenset()
-                else:
-                    allowed = frozenset(_parse_ints(args.target))
-                lam = destabilize(support, lambda q: q.support <= allowed, act)
-                report["result"] = {
-                    "found": lam is not None,
-                    "lambda": list(lam) if lam else None}
-                exit_code = 0 if lam is not None else 1
-
-        elif args.command == "obstruction":
-            act = _require_action(problem)
-            ss, _, _ = _semistable_locus(problem, args, act)
-            rep = obstruction_report(ss.locus, act, problem.fan)
-            report["result"] = {
-                "required": _keys_payload(rep.required),
-                "weight_cones": [{"face": sorted(k), "cone": _cone_payload(c)}
-                                 for k, c in rep.weight_cones],
-                "common": _cone_payload(rep.common),
-                "character": list(rep.character),
-                "locus": _locus_payload(rep.locus),
-                "verdict": rep.verdict}
-            exit_code = 1 if rep.verdict == "obstructed" else 0
-
-        elif args.command == "verify-examples":
-            from .builtin import verify_examples
-            checks = verify_examples()
-            report["result"] = {"checks": [
-                {"name": c.name, "passed": c.passed, "expected": c.expected,
-                 "actual": c.actual} for c in checks],
-                "all_passed": all(c.passed for c in checks)}
-            exit_code = 0 if report["result"]["all_passed"] else 1
-
-        elif args.command == "oracle":
-            from .oracle import SearchBounds, enumerate_witnesses
-            act = _require_action(problem)
-            _, _, rows, shifts = _divisor_rows(problem, args)
-            bounds = SearchBounds(args.n_max, args.box, args.degree_box)
-            loc = enumerate_witnesses(list(problem.fan.rays),
-                                      list(problem.fan.face_keys()), rows, shifts,
-                                      act.phi_star_rows(), bounds, not args.divisor)
-            report["result"] = {"faces": sorted(
-                (sorted(k) for k in loc), key=lambda s: (len(s), s))}
-            exit_code = 0 if loc else 1
-
+            if args.command in _NEEDS_ACTION and problem.action is None:
+                raise ParseError("this command needs an 'action' field in the problem file")
+        report["result"], exit_code = _result(problem, args)
     except (ParseError, FileNotFoundError, NotAffine, FanError,
             ActionError, ValueError, RuntimeError) as e:
         report["result"] = {"error": str(e)}
-        _emit(report, getattr(args, "json", False))
         # a RuntimeError is a failed engine invariant, not bad input
-        return 3 if isinstance(e, RuntimeError) else 2
-
-    _emit(report, args.json)
+        exit_code = 3 if isinstance(e, RuntimeError) else 2
+    if args.json:
+        print(json.dumps(report, sort_keys=True, indent=2))
+    else:
+        print(f"toricgit {report['version']} :: {report['command']}")
+        _print_tree(report["result"], indent=0)
     return exit_code
 
 

@@ -31,6 +31,7 @@ from .intlinalg import (
     kernel_basis,
     primitive,
     rank_of_rows,
+    smith_normal_form,
     solve_integer,
     vdot,
 )
@@ -279,18 +280,15 @@ class ClassGroupInfo:
 
 def class_group(fan: Fan) -> ClassGroupInfo:
     """Divisor class group Z^rays / (principal divisors) and the rank of
-    its Picard subgroup (classes Cartier on every maximal cone)."""
-    from .intlinalg import Sublattice, cokernel_projection
-
+    its Picard subgroup (classes Cartier on every maximal cone).  The
+    principal divisors are the row span of the ray matrix, so the torsion
+    is its invariant factors greater than 1."""
     r = len(fan.rays)
     n = fan.ambient_rank
     ray_rows = [tuple(fan.rays[i][j] for i in range(r)) for j in range(n)]
     ray_rank = rank_of_rows(ray_rows)
-    if r == 0:
-        return ClassGroupInfo(0, (), 0, n)
-    principal = Sublattice.from_rows(r, ray_rows)
-    _, torsion = cokernel_projection(principal)
-    cl_rank = r - principal.rank
+    torsion = tuple(d for d in smith_normal_form(IntMatrix.from_rows(ray_rows, r)) if d > 1)
+    cl_rank = r - ray_rank
 
     # Cartier divisors: (a, m_sigma per maximal cone) with
     # <m_sigma, v_rho> + a_rho = 0 on each cone's rays

@@ -4,15 +4,17 @@ Everything here works on plain integer data (ray tuples, face keys as
 index sets, coefficient rows) by bounded exhaustive enumeration, checking
 the raw semistability clauses directly.  This module intentionally
 imports nothing from the cone/feasibility engine so that agreement
-between the two is meaningful evidence.
+between the two is meaningful evidence; its dot product and rank are
+those of certcheck, the other engine-free module.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
+
+from .certcheck import _dot, _rank
 
 
 @dataclass(frozen=True)
@@ -24,27 +26,6 @@ class SearchBounds:
     def __post_init__(self):
         if self.n_max <= 0 or self.box <= 0 or self.degree_box <= 0:
             raise ValueError("bounds must be positive")
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _rank(rows) -> int:
-    mat = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for j in range(cols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][j] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][j] != 0:
-                f = mat[i][j] / mat[rank][j]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
 
 
 def _box_vectors(dim: int, box: int):

@@ -1,11 +1,34 @@
 """End-to-end CLI runs: exit codes, JSON determinism, certificate replay."""
 
 import json
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
+import toricgit
+from toricgit import cli
+from toricgit.actions import (
+    git_chambers,
+    mumford_trivial_semistable,
+    obstruction_report,
+    semistable_divisor,
+    semistable_group,
+)
 from toricgit.builtin import intro_problem_data, quadric_problem_data
+from toricgit.certcheck import CheckResult
 from toricgit.cli import run
+from toricgit.fans import DivisorGroup
+
+from genutil import (
+    random_action,
+    random_divisor,
+    random_fan,
+    random_linearization,
+)
 
 
 @pytest.fixture
@@ -249,3 +272,150 @@ def test_input_digest_present(quadric_file, capsys):
     _, rep = _run_json(["class-group", quadric_file], capsys)
     assert isinstance(rep["input_digest"], str)
     assert len(rep["input_digest"]) == 64
+
+
+def test_failed_replay_exits_1(quadric_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_locus",
+                        lambda *a: CheckResult(False, ("chart-is-face",)))
+    code, rep = _run_json(["semistable", quadric_file, "--divisor", "Dss",
+                           "--check"], capsys)
+    assert code == 1
+    assert rep["result"]["check"] == {"ok": False, "failures": ["chart-is-face"]}
+    assert rep["result"]["faces"] == [[], [0], [2]]
+
+
+def test_quotient_of_an_empty_locus_exits_1(quadric_file, capsys):
+    code, rep = _run_json(["quotient", quadric_file, "--divisor", "D1"], capsys)
+    assert code == 1
+    assert rep["result"] == {"faces": [], "error": "empty semistable locus"}
+
+
+def test_hm_without_weights_exits_2(intro_file, capsys):
+    code, rep = _run_json(["hm", "limit", intro_file, "--lam", "1",
+                           "--support", "0"], capsys)
+    assert code == 2
+    assert rep["result"] == {"error": "hm commands need a 'weights' field"}
+
+
+def test_hm_destabilize_into_a_coordinate_set(intro_weights_file, capsys):
+    code, rep = _run_json(["hm", "destabilize", intro_weights_file,
+                           "--support", "0", "--target", "1"], capsys)
+    assert code == 0
+    assert rep["result"] == {"found": True, "lambda": [1]}
+    code, rep = _run_json(["hm", "destabilize", intro_weights_file,
+                           "--support", "0,1", "--target", "0"], capsys)
+    assert code == 1
+    assert rep["result"] == {"found": False, "lambda": None}
+
+
+def test_hm_destabilize_under_a_rank_0_action_exits_0(tmp_path, capsys):
+    # the destabilizer of a rank-0 action is the empty tuple: found, exit 0
+    data = intro_problem_data()
+    data["weights"] = [[], []]
+    f = tmp_path / "rank0.json"
+    f.write_text(json.dumps(data))
+    code, rep = _run_json(["hm", "destabilize", str(f), "--support", "0",
+                           "--target", "0"], capsys)
+    assert code == 0
+    assert rep["result"]["found"] is True
+
+
+def test_malformed_characters_exit_2(intro_file, capsys):
+    code, rep = _run_json(["trivial-bundle", intro_file, "--character", ""],
+                          capsys)
+    assert code == 2
+    assert rep["result"] == {"error": "character has length 0, expected 1"}
+    code, rep = _run_json(["trivial-bundle", intro_file, "--character", "x"],
+                          capsys)
+    assert code == 2
+    assert rep["result"] == {
+        "error": "expected comma-separated integers, got 'x'"}
+
+
+def _module_run(*argv):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(toricgit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "toricgit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point():
+    proc = _module_run("--version")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, toricgit.__version__ + "\n", "")
+    proc = _module_run("verify-examples", "--json")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["result"]["all_passed"] is True
+
+
+def test_text_rendering_of_a_nested_report(intro_file, capsys):
+    code = run(["semistable", intro_file, "--group", "ZD", "--check"])
+    assert code == 0
+    assert capsys.readouterr().out == f"""\
+toricgit {toricgit.__version__} :: semistable {intro_file} --group ZD --check
+certificates:
+  -
+    cartier:
+      - [-1, 0]
+    chart: [0]
+    degree: [-1]
+    invertibles:
+      -
+        degree: [-1]
+        witness: [1, 1]
+    monomial: [1, 1]
+  -
+    cartier:
+      - [0, 0]
+    chart: [1]
+    degree: [1]
+    invertibles:
+      -
+        degree: [1]
+        witness: [0, 0]
+    monomial: [0, 0]
+check:
+  failures: []
+  ok: true
+faces:
+  - []
+  - [0]
+  - [1]
+"""
+
+
+def _in_face_order(ss) -> bool:
+    keys = [k for k, _ in ss.certificates]
+    return keys == sorted(keys, key=lambda k: (len(k), sorted(k)))
+
+
+def test_engine_loci_list_certificates_in_face_order():
+    # the CLI prints certificates in the order the engine lists them
+    rng = random.Random(23)
+    multi = Counter()
+    for _ in range(120):
+        fan = random_fan(rng)
+        act = random_action(rng, fan)
+        D = random_divisor(rng, fan)
+        loci = {"divisor": [semistable_divisor(D, random_linearization(rng, act.d),
+                                               act, fan)]}
+        if any(D.coefficients):
+            loci["group"] = [semistable_group(DivisorGroup((D,)),
+                                              random_linearization(rng, act.d),
+                                              act, fan)]
+        if len(fan.maximal_cones) == 1:
+            chi = tuple(rng.randint(-2, 2) for _ in range(act.d))
+            loci["trivial"] = [mumford_trivial_semistable(chi, act, fan)]
+            loci["chambers"] = [loc for _, _, loc in git_chambers(act, fan)]
+            loci["obstruction"] = [
+                obstruction_report(ss.locus, act, fan).locus
+                for ss in loci["divisor"] + loci["chambers"]]
+        for kind, sss in loci.items():
+            for ss in sss:
+                assert _in_face_order(ss), (kind, ss.certificates)
+                multi[kind] += len(ss.certificates) >= 2
+    # the order is only tested on loci with two or more certificates
+    assert all(multi[k] >= 5 for k in
+               ("divisor", "group", "trivial", "chambers", "obstruction")), multi

@@ -11,6 +11,7 @@ from toricgit import actions, cones, intlinalg
 from toricgit.actions import ActionError, SubtorusAction
 from toricgit.cones import Cone, faces, intersect, meets_in
 from toricgit.fans import (
+    ClassGroupInfo,
     DivisorGroup,
     FanError,
     SubfanLocus,
@@ -404,6 +405,13 @@ def test_class_group_torus_factor():
     info = class_group(f)
     assert info.torus_factor_rank == 1
     assert info.cl_rank == 0
+
+
+@pytest.mark.parametrize("rank", range(4))
+def test_class_group_of_a_rayless_fan(rank):
+    # the torus itself: no divisors, the whole lattice a torus factor
+    info = class_group(validate_fan(rank, [], [[]]))
+    assert info == ClassGroupInfo(0, (), 0, rank)
 
 
 # --- sections / patterns ----------------------------------------------

@@ -111,3 +111,13 @@ def test_every_function_is_referenced():
                 unreferenced.append(name)
     assert not unreferenced, f"functions nothing in src/ references: {unreferenced}"
     assert UNREFERENCED_OK <= defined, "stale allowlist entry"
+
+
+@pytest.mark.parametrize("name", sorted(UNREFERENCED_MODULES))
+def test_checkers_import_no_engine_module(name):
+    # agreement with the engine is evidence only while the checkers share
+    # no code with it; they may share code with each other
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    package = {n.module for n in ast.walk(tree)
+               if isinstance(n, ast.ImportFrom) and n.level > 0}
+    assert package <= UNREFERENCED_MODULES, package

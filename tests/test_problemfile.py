@@ -117,3 +117,15 @@ def test_load_problem_file(tmp_path):
     f.write_text(json.dumps(_base()))
     p = load_problem(str(f))
     assert p.fan.rays == ((1, 0), (0, 1))
+
+
+def test_given_shifts_reach_divisor_and_group_linearizations():
+    data = _base()
+    data["divisors"]["E"] = [0, 1]
+    data["shifts"] = {"D": [3]}
+    data["group"] = {"G": ["D", "E"]}
+    p = parse_problem(data)
+    assert p.shift_for("D", 1) == (3,)
+    assert p.linearization_for("D").shifts == ((3,),)
+    # a divisor without a given shift is linearized by the zero character
+    assert p.group("G")[1].shifts == ((3,), (0,))
