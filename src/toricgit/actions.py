@@ -1,14 +1,16 @@
 """Subtorus actions on toric varieties and their semistable loci.
 
-The acting torus H is given by an injective lattice map phi: Z^d -> N
-(columns are one-parameter subgroups).  A linearization of a divisor
+The acting torus H is given by an injective lattice map phi: Z^d -> N,
+stored as its d columns: the one-parameter subgroups, which are also
+the weight rows of the dual map phi_star.  A linearization of a divisor
 group is a character shift per basis divisor; the canonical
 linearization is the zero shift.  The orbit of a face gamma is
 semistable iff some face tau >= gamma admits an invariant section, a
 single monomial, whose nonvanishing locus is exactly the affine chart of
-tau.  A locus converts one section cone and reads each chart's witness
-off its faces by incidence, walking the faces largest first and
-skipping those under a chart that already passed.
+tau.  A locus converts one section cone (`fans.section_cone` of its
+divisors, columns and shifts) and reads each chart's witness off its
+faces by incidence, walking the faces largest first and skipping those
+under a chart that already passed.
 
 For the trivial bundle on an affine chart sigma, a face gamma has weight
 cone K_gamma = phi_star(sigma_dual ∩ gamma^perp), the locus at chi is
@@ -42,7 +44,6 @@ from .fans import (
 )
 from .intlinalg import (
     IntMatrix,
-    LatticeMap,
     Vec,
     is_zero_vec,
     kernel_basis,
@@ -65,42 +66,37 @@ class NotAffine(Exception):
 
 @dataclass(frozen=True)
 class SubtorusAction:
-    """H = (K*)^d embedded in the big torus via phi: Z^d -> N.
+    """H = (K*)^d embedded in the big torus via phi: Z^d -> N, stored as
+    phi's d columns in N.
 
-    phi is injective iff its d columns are linearly independent, so the
+    phi is injective iff its columns are linearly independent, so the
     check is one rank; a kernel is computed only to word the error."""
 
-    phi: LatticeMap
+    columns: tuple[Vec, ...]
+    ambient_rank: int
 
     def __post_init__(self):
-        if rank_of_rows(self.phi_star_rows()) != self.d:
+        for col in self.columns:
+            if len(col) != self.ambient_rank:
+                raise ActionError(f"action column {col} has length {len(col)}, "
+                                  f"expected {self.ambient_rank}")
+        if rank_of_rows(self.columns) != self.d:
+            phi = IntMatrix.from_rows(zip(*self.columns), self.d)
             raise ActionError(f"phi is not injective; kernel basis "
-                              f"{kernel_basis(self.phi.matrix).basis.entries}")
+                              f"{kernel_basis(phi).basis.entries}")
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], ambient_rank: int) -> "SubtorusAction":
-        rows = [tuple(col[j] for col in columns) for j in range(ambient_rank)]
-        mat = IntMatrix.from_rows(rows, len(columns))
-        return SubtorusAction(LatticeMap(mat, len(columns), ambient_rank))
+        return SubtorusAction(tuple(tuple(int(x) for x in col) for col in columns),
+                              ambient_rank)
 
     @property
     def d(self) -> int:
-        return self.phi.source_rank
-
-    @property
-    def ambient_rank(self) -> int:
-        return self.phi.target_rank
+        return len(self.columns)
 
     def phi_star(self, u: Sequence[int]) -> Vec:
-        """Dual weight map M -> Z^d."""
-        return tuple(sum(self.phi.matrix.entries[j][i] * u[j]
-                         for j in range(self.ambient_rank))
-                     for i in range(self.d))
-
-    def phi_star_rows(self) -> list[Vec]:
-        """The columns of phi: one weight row per factor of H."""
-        return [tuple(self.phi.matrix.entries[j][i] for j in range(self.ambient_rank))
-                for i in range(self.d)]
+        """Dual weight map M -> Z^d: the pairing of u with each column."""
+        return tuple(vdot(col, u) for col in self.columns)
 
 
 @dataclass(frozen=True)
@@ -154,14 +150,6 @@ def _locus_with_certs(fan: Fan, passing: dict) -> SemistableLocus:
     return SemistableLocus(SubfanLocus.closure(fan, passing), tuple(certs))
 
 
-def _chart_rows(fan: Fan, basis, shifts, action: SubtorusAction):
-    """Degree rows (one per ray) and weight rows of the section cone of
-    the divisors in basis, linearized by shifts (one per divisor)."""
-    return ([tuple(d.coefficients[j] for d in basis) for j in range(len(fan.rays))],
-            [(m_row, tuple(s[t] for s in shifts))
-             for t, m_row in enumerate(action.phi_star_rows())])
-
-
 def _divisor_certificate(fan: Fan, key: FaceKey, section):
     """Certificate of the chart of key from one divisor's section cone.
 
@@ -181,8 +169,8 @@ def semistable_divisor(D: ToricDivisor, lin: Linearization,
                        action: SubtorusAction, fan: Fan) -> SemistableLocus:
     """Semistable locus of the single linearized divisor D: charts tau
     realized by an invariant section of some positive multiple nD."""
-    rows = _chart_rows(fan, (D,), (_single_shift(lin, action.d),), action)
-    section = section_cone(fan, *rows, shared_strict=((1,),))
+    section = section_cone(fan, (D,), action.columns, (_single_shift(lin, action.d),),
+                           positive=True)
     return _locus_with_certs(fan, largest_first(
         fan, lambda key: _divisor_certificate(fan, key, section)))
 
@@ -199,8 +187,8 @@ def _invertible_degrees(fan: Fan, group: DivisorGroup, lin: Linearization,
     for i in sorted(key):
         rows.append(tuple(fan.rays[i]) +
                     tuple(d.coefficients[i] for d in group.basis))
-    for t, m_row in enumerate(action.phi_star_rows()):
-        rows.append(tuple(m_row) + tuple(s[t] for s in lin.shifts))
+    for t, col in enumerate(action.columns):
+        rows.append(col + tuple(s[t] for s in lin.shifts))
     gens = kernel_basis(IntMatrix.from_rows(rows, n + k)).basis.entries
     c_parts = [g[n:] for g in gens]
     chosen: list[tuple[Vec, Vec]] = []
@@ -221,7 +209,7 @@ def semistable_group(group: DivisorGroup, lin: Linearization,
     on the chart, and the invertibly-realized degrees must have finite
     index in the group."""
     k = group.rank
-    section = section_cone(fan, *_chart_rows(fan, group.basis, lin.shifts, action))
+    section = section_cone(fan, group.basis, action.columns, lin.shifts)
 
     def certify(key):
         # the witness is incidence only, so it goes before the lattice tests
@@ -313,8 +301,8 @@ def _locus_at(chi: Vec, action: SubtorusAction, fan: Fan, face_gens,
     is a member, so a maximal member is that tau and passes."""
     members = {g for g, c in kcones.items() if c.contains_point(chi)}
     locus = SubfanLocus(frozenset(key for key, g in face_gens.items() if g in members))
-    rows = _chart_rows(fan, (ToricDivisor.zero(fan),), (vneg(chi),), action)
-    section = section_cone(fan, *rows, shared_strict=((1,),))
+    section = section_cone(fan, (ToricDivisor.zero(fan),), action.columns, (vneg(chi),),
+                           positive=True)
     certs = tuple((key, _divisor_certificate(fan, key, section))
                   for key in locus.maximal_keys())
     if any(cert is None for _, cert in certs):

@@ -137,8 +137,7 @@ def verify_examples() -> list[Check]:
 
     pi, torsion = quotient_projection(act2)
     row = primitive(pi.matrix.entries[0])
-    comp = [pi.apply(tuple(act2.phi.matrix.entries[j][i] for j in range(3)))
-            for i in range(2)]
+    comp = [pi.apply(col) for col in act2.columns]
     record("quadric-projection",
            row in ((1, 2, -4), (-1, -2, 4)) and all(c == (0,) for c in comp)
            and torsion == (),

@@ -31,7 +31,7 @@ from .actions import (
 )
 from .certcheck import check_locus
 from .fans import FanError, ample_locus, cartier_locus, class_group
-from .hilbert_mumford import LinearAction, PointPattern, destabilize, limit
+from .hilbert_mumford import LinearAction, destabilize, limit
 from .intlinalg import vneg
 from .problemfile import ParseError, load_problem
 from .quotients import build_quotient
@@ -220,7 +220,7 @@ def _result(problem, args) -> tuple[dict, int]:
             rows, shifts = [(0,) * len(problem.fan.rays)], [vneg(chi)]
         out = _locus_payload(ss)
         if args.check:
-            res = check_locus(problem.fan, rows, shifts, act.phi_star_rows(), ss)
+            res = check_locus(problem.fan, rows, shifts, act.columns, ss)
             out["check"] = {"ok": res.ok, "failures": list(res.failures)}
         return out, 0 if ss.locus.faces and (not args.check or res.ok) else 1
 
@@ -248,17 +248,17 @@ def _result(problem, args) -> tuple[dict, int]:
         if problem.weights is None:
             raise ParseError("hm commands need a 'weights' field")
         lin_act = LinearAction(problem.weights)
-        support = PointPattern.of(_parse_ints(args.support))
+        support = frozenset(_parse_ints(args.support))
         if args.hm_command == "limit":
             lim = limit(_parse_ints(args.lam), support, lin_act)
             return {"exists": lim is not None,
-                    "limit_support": sorted(lim.support) if lim else None
+                    "limit_support": None if lim is None else sorted(lim)
                     }, 0 if lim is not None else 1
         allowed = frozenset() if args.target == "origin" else frozenset(
             _parse_ints(args.target))
-        lam = destabilize(support, lambda q: q.support <= allowed, lin_act)
+        lam = destabilize(support, lambda q: q <= allowed, lin_act)
         return {"found": lam is not None,
-                "lambda": list(lam) if lam else None}, 0 if lam is not None else 1
+                "lambda": None if lam is None else list(lam)}, 0 if lam is not None else 1
 
     if cmd == "obstruction":
         ss, _, _ = _semistable_locus(problem, args)
@@ -285,7 +285,7 @@ def _result(problem, args) -> tuple[dict, int]:
     _, _, rows, shifts = _divisor_rows(problem, args)
     bounds = SearchBounds(args.n_max, args.box, args.degree_box)
     loc = enumerate_witnesses(list(problem.fan.rays), list(problem.fan.face_keys()),
-                              rows, shifts, act.phi_star_rows(), bounds,
+                              rows, shifts, act.columns, bounds,
                               not args.divisor)
     return {"faces": _keys_payload(loc)}, 0 if loc else 1
 

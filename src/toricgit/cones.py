@@ -349,37 +349,31 @@ def image(c: Cone, f: LatticeMap) -> Cone:
     )
 
 
+def cut_closure(top: frozenset, zero_sets) -> set:
+    """top and its intersections with every subfamily of zero_sets.  With
+    top a cone's generators (or rays) and zero_sets the sets of them on
+    each facet, these are the keys of its faces: every face is top cut by
+    the zero sets of the facets that contain it."""
+    keys = {top}
+    for z in zero_sets:
+        keys |= {k & z for k in keys}
+    return keys
+
+
 def faces(c: Cone) -> tuple[Cone, ...]:
     """All faces of c (including c itself and its minimal face), sorted
     by dimension.
 
-    A face is keyed by the set of facets of c containing it and is
-    generated by the generators of c lying on all of them (plus the
-    lineality).  Keys are walked from c by cutting with one more facet,
-    using the generator-facet incidence only; each face is then the cone
-    on those generators, with no conversion."""
-    zero_sets = [frozenset(i for i, u in enumerate(c.facet_normals)
-                           if vdot(u, g) == 0) for g in c.generators]
-    every = frozenset(range(len(c.facet_normals)))
-
-    def gens_on(key):
-        return [j for j, z in enumerate(zero_sets) if key <= z]
-
-    top = every.intersection(*zero_sets)
-    seen = {top}
-    queue = [top]
-    while queue:
-        key = queue.pop()
-        below = gens_on(key)
-        for i in every - key:
-            child = every.intersection(
-                *(zero_sets[j] for j in below if i in zero_sets[j]))
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
+    A face is keyed by the generators of c on it, read off the
+    generator-facet incidence by `cut_closure`, and is the cone on them
+    plus the lineality, with no conversion."""
+    gens = c.generators
+    top = frozenset(range(len(gens)))
+    keys = cut_closure(top, [frozenset(j for j, g in enumerate(gens) if vdot(u, g) == 0)
+                             for u in c.facet_normals])
     out = [c if key == top else Cone(
-        c.ambient_rank, tuple(c.generators[j] for j in gens_on(key)),
-        c.lineality_basis) for key in seen]
+        c.ambient_rank, tuple(gens[j] for j in sorted(key)), c.lineality_basis)
+        for key in keys]
     out.sort(key=lambda f: (f.dim, f.generators, f.lineality_basis))
     return tuple(out)
 

@@ -16,6 +16,10 @@ pair check, by a separating form before any intersection is converted.
 Any other maximal cone is converted once.  A cone's facet normals and
 signed span equalities are evaluated on every fan ray once, and both
 checks read those values.
+
+Every section system, whose solutions are the invariant sections of
+some linearized divisors, is one `section_cone` of the divisor basis,
+the action's columns and one character shift per divisor.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cones import Cone, form_values, meets_in, relative_interior_point
+from .cones import Cone, cut_closure, form_values, meets_in, relative_interior_point
 from .intlinalg import (
     IntMatrix,
     Vec,
@@ -171,11 +175,8 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
     face_map: dict[FaceKey, Cone] = dict(cones)
     own_keys = {}
     for key in cones:
-        own = {key}
-        for on in facet_zeros[key]:
-            own |= {k & on for k in own}
-        own_keys[key] = own
-        for k in own - face_map.keys():
+        own_keys[key] = cut_closure(key, facet_zeros[key])
+        for k in own_keys[key] - face_map.keys():
             face_map[k] = Cone(ambient_rank, tuple(sorted(ray_tuples[i] for i in k)), ())
 
     # two cones must meet in the face on their shared rays, of both
@@ -256,8 +257,6 @@ class SubfanLocus:
 def is_cartier_on(fan: Fan, D: ToricDivisor, key: FaceKey) -> Optional[Vec]:
     """m in M with <m, v_rho> = -a_rho for every ray of the face, if any."""
     idx = sorted(key)
-    if not idx:
-        return tuple(0 for _ in range(fan.ambient_rank))
     A = IntMatrix.from_rows([fan.rays[i] for i in idx], fan.ambient_rank)
     b = tuple(-D.coefficients[i] for i in idx)
     return solve_integer(A, b)
@@ -308,22 +307,22 @@ def class_group(fan: Fan) -> ClassGroupInfo:
     return ClassGroupInfo(cl_rank, torsion, cdiv_rank - ray_rank, n - ray_rank)
 
 
-def section_cone(fan: Fan, degree_rows: Sequence[Vec],
-                 weight_rows: Sequence[tuple[Vec, Vec]] = (),
-                 shared_strict: Sequence[Vec] = ()) -> tuple[Cone, tuple[Vec, ...]]:
-    """The cone P of invariant sections u in M of degree s in Z^k and the
-    forms cutting it out.  The form of ray j, f_j(u, s) = <u, v_j> +
-    deg_j(s) with deg_j = degree_rows[j], is the section's order of
-    vanishing along the ray; the forms are the f_j in ray order, then the
-    shared forms (in s), all >= 0 on P, with the weight rows
-    m_row . u + s_row . s = 0."""
+def section_cone(fan: Fan, basis: Sequence[ToricDivisor], columns: Sequence[Vec] = (),
+                 shifts: Sequence[Vec] = (), positive: bool = False
+                 ) -> tuple[Cone, tuple[Vec, ...]]:
+    """The cone P of invariant sections u in M of degree s in Z^k, over
+    the k divisors of basis, and the forms cutting it out.  The form of
+    ray j, f_j(u, s) = <u, v_j> + sum_i s_i a_i(j), is the section's
+    order of vanishing along the ray; the forms are the f_j in ray order,
+    then, if positive (a single divisor), s >= 0, all >= 0 on P.  Each
+    column of the action gives a weight row, col . u + sum_i s_i
+    shift_i[t] = 0, with one shift per basis divisor."""
     n = fan.ambient_rank
-    # a fan without rays has no degree rows; the shared forms still fix k
-    k = len((degree_rows or shared_strict or [()])[0])
-    forms = tuple(tuple(v) + tuple(deg) for v, deg in zip(fan.rays, degree_rows))
-    forms += tuple((0,) * n + tuple(f) for f in shared_strict)
-    eqs = [tuple(m_row) + tuple(s_row) for m_row, s_row in weight_rows]
-    return Cone.from_inequalities(n + k, forms, eqs), forms
+    forms = tuple(v + tuple(d.coefficients[j] for d in basis) for j, v in enumerate(fan.rays))
+    if positive:
+        forms += ((0,) * n + (1,),)
+    eqs = [tuple(col) + tuple(s[t] for s in shifts) for t, col in enumerate(columns)]
+    return Cone.from_inequalities(n + len(basis), forms, eqs), forms
 
 
 def chart_witness(fan: Fan, section: tuple[Cone, tuple[Vec, ...]],
@@ -359,8 +358,7 @@ def ample_locus(group: DivisorGroup, fan: Fan) -> SubfanLocus:
     """Faces on which the group is Cartier and some divisor in it has a
     section whose nonvanishing locus is exactly the face's affine chart
     (the chart witness with no weight constraint)."""
-    section = section_cone(fan, [tuple(d.coefficients[j] for d in group.basis)
-                                 for j in range(len(fan.rays))])
+    section = section_cone(fan, group.basis)
 
     def chart(key):
         wit = chart_witness(fan, section, key)

@@ -1,8 +1,9 @@
 """Hilbert-Mumford machinery for linear torus actions.
 
-Points of an ambient affine space are abstracted to support patterns
-(which coordinates are nonzero); for a torus action both semistability
-and limits along one-parameter subgroups depend only on the support.
+Points of an ambient affine space are abstracted to their supports, the
+frozensets of their nonzero coordinates; for a torus action both
+semistability and limits along one-parameter subgroups depend only on
+the support.
 cross_validate embeds an affine toric chart via the Hilbert basis of the
 extended section cone and checks that ambient instability matches
 exclusion from the toric semistable locus.
@@ -15,8 +16,8 @@ in facet-value coordinates.  They are reduced degree by degree, each
 against the irreducibles of lower degree only.  The zonotope box of the
 generators holds every parallelepiped; its point count remains only as
 the max_points admission rule, so the budget admits the same inputs as
-when the box was walked.  ambient_semistable reads every support pattern
-off the extreme rays of one invariant cone per action.
+when the box was walked.  ambient_semistable decides every support from
+the extreme rays of one invariant cone per action.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .actions import Linearization, SubtorusAction, semistable_divisor
+from .actions import (Linearization, SubtorusAction, _require_affine, _single_shift,
+                      semistable_divisor)
 from .cones import Cone, double_description, relative_interior_point
 from .fans import Fan, FaceKey, ToricDivisor, section_cone
 from .intlinalg import IntMatrix, Vec, det, kernel_basis, primitive, vdot, vneg
@@ -68,41 +70,31 @@ class LinearAction:
                      if sum(x * w[deg] for x, w in zip(r, self.weights)) > 0)
 
 
-@dataclass(frozen=True)
-class PointPattern:
-    """Support of a point: the set of nonzero coordinate indices (0-based)."""
-
-    support: frozenset
-
-    @staticmethod
-    def of(indices) -> "PointPattern":
-        return PointPattern(frozenset(int(i) for i in indices))
-
-
-def limit(lam: Sequence[int], p: PointPattern, act: LinearAction) -> Optional[PointPattern]:
-    """lim_{t->0} lambda(t).z for any z with the given support: exists iff
-    every supported weight pairs >= 0 with lambda; the limit keeps the
-    coordinates pairing to zero."""
-    pairings = {i: vdot(lam, act.weights[i]) for i in p.support}
+def limit(lam: Sequence[int], support: frozenset, act: LinearAction) -> Optional[frozenset]:
+    """The support of lim_{t->0} lambda(t).z for any z with the given
+    support: the limit exists iff every supported weight pairs >= 0 with
+    lambda, and keeps the coordinates pairing to zero."""
+    pairings = {i: vdot(lam, act.weights[i]) for i in support}
     if any(v < 0 for v in pairings.values()):
         return None
-    return PointPattern(frozenset(i for i, v in pairings.items() if v == 0))
+    return frozenset(i for i, v in pairings.items() if v == 0)
 
 
-def destabilize(p: PointPattern, target: Callable[[PointPattern], bool],
+def destabilize(support: frozenset, target: Callable[[frozenset], bool],
                 act: LinearAction) -> Optional[Vec]:
-    """One-parameter subgroup lambda whose limit of p exists and lands in
-    the target, or None.  The limit exists iff lambda lies in the cone
-    {<w_i, lambda> >= 0 : i in p's support} and keeps the coordinates whose
-    forms vanish at lambda, so a candidate support t is realized iff the
-    relative_interior_point of t's face is positive on the other forms:
-    at most one conversion per call, made at the first candidate the
-    target accepts, and each candidate read off it by incidence."""
-    supp = sorted(p.support)
+    """One-parameter subgroup lambda whose limit from the support exists
+    and lands in the target, or None.  The limit exists iff lambda lies in
+    the cone {<w_i, lambda> >= 0 : i in the support} and keeps the
+    coordinates whose forms vanish at lambda, so a candidate support t is
+    realized iff the relative_interior_point of t's face is positive on
+    the other forms: at most one conversion per call, made at the first
+    candidate the target accepts, and each candidate read off it by
+    incidence."""
+    supp = sorted(support)
     cone = None
     for size in range(len(supp) + 1):
         for sub in itertools.combinations(supp, size):
-            if not target(PointPattern(frozenset(sub))):
+            if not target(frozenset(sub)):
                 continue
             if cone is None:
                 cone = Cone.from_inequalities(act.d, [act.weights[i] for i in supp])
@@ -226,11 +218,7 @@ def hilbert_basis(c: Cone, max_points: int = 200000) -> list[Vec]:
         if count > max_points:
             raise HilbertBasisTooLarge(
                 f"candidate box has more than {max_points} points")
-    if c.span_equalities:
-        basis = kernel_basis(IntMatrix.from_rows(
-            c.span_equalities, ambient)).basis.entries
-    else:
-        basis = IntMatrix.identity(ambient).entries
+    basis = kernel_basis(IntMatrix.from_rows(c.span_equalities, ambient)).basis.entries
     # the HNF pivots of the basis: coordinates that map the span isomorphically
     cols = [next(j for j, x in enumerate(b) if x) for b in basis]
     candidates = set(gens)
@@ -253,31 +241,20 @@ class AmbientModel:
     """Coordinates = Hilbert basis of the extended section cone
     {(u, n) : n >= 0, <u, v_rho> + n a_rho >= 0} in M x Z; the toric chart
     embeds equivariantly with weight (phi_star(u) + n shift, n) on the
-    coordinate (u, n)."""
+    coordinate (u, n).  patterns maps each face key of the fan, in face
+    order, to the support of its orbit's points."""
 
     basis: tuple[Vec, ...]          # elements (u, n) of M x Z
     action: LinearAction            # weights in Z^(d+1)
-    patterns: tuple[tuple[FaceKey, PointPattern], ...]
-
-    @cached_property
-    def _by_key(self) -> dict:
-        return dict(self.patterns)
-
-    def pattern_for(self, key: FaceKey) -> PointPattern:
-        try:
-            return self._by_key[frozenset(key)]
-        except KeyError:
-            raise KeyError(sorted(key)) from None
+    patterns: dict[FaceKey, frozenset]
 
 
 def ambient_model(fan: Fan, action: SubtorusAction, D: ToricDivisor,
                   lin: Linearization, max_points: int = 200000) -> AmbientModel:
-    from .actions import _require_affine, _single_shift
-
     _require_affine(fan)
     n = fan.ambient_rank
     shift = _single_shift(lin, action.d)
-    cd, forms = section_cone(fan, [(a,) for a in D.coefficients], shared_strict=((1,),))
+    cd, forms = section_cone(fan, (D,), positive=True)
     if not cd.lineality_basis:
         # pointed, so sigma, the cone on every ray (validate_fan rejects a
         # ray that no maximal cone lists), is full-dimensional and the
@@ -297,23 +274,22 @@ def ambient_model(fan: Fan, action: SubtorusAction, D: ToricDivisor,
         weights.append(tuple(w) + (deg,))
     act = LinearAction(tuple(weights))
     # a face's coordinates are the basis elements its ray forms vanish on
-    patterns = [(key, PointPattern(frozenset(
-        i for i, h in enumerate(hb) if all(vdot(forms[r], h) == 0 for r in key))))
-        for key in fan.face_keys()]
-    return AmbientModel(tuple(hb), act, tuple(patterns))
+    patterns = {key: frozenset(i for i, h in enumerate(hb)
+                               if all(vdot(forms[r], h) == 0 for r in key))
+                for key in fan.face_keys()}
+    return AmbientModel(tuple(hb), act, patterns)
 
 
-def ambient_semistable(p: PointPattern, act: LinearAction) -> bool:
+def ambient_semistable(support: frozenset, act: LinearAction) -> bool:
     """True iff some invariant monomial in the supported coordinates has
     positive degree: a nonnegative combination of supported weights with
     vanishing character part and positive degree part (the last slot).
 
     Such combinations are the face {x_i = 0 off the support} of the
     invariant cone of act, which is pointed, so they exist iff an extreme
-    ray of positive degree has its support in the pattern.  The rays are
-    converted once per action (LinearAction.invariant_supports)."""
-    return bool(p.support) and any(
-        s <= p.support for s in act.invariant_supports)
+    ray of positive degree has its support in the given one.  The rays
+    are converted once per action (LinearAction.invariant_supports)."""
+    return bool(support) and any(s <= support for s in act.invariant_supports)
 
 
 @dataclass(frozen=True)
@@ -342,7 +318,7 @@ def cross_validate(fan: Fan, action: SubtorusAction, D: ToricDivisor,
     ok = True
     for key in fan.face_keys():
         t = key in toric.locus
-        a = ambient_semistable(model.pattern_for(key), model.action)
+        a = ambient_semistable(model.patterns[key], model.action)
         rows.append((key, t, a))
         ok = ok and (t == a)
     return CrossValidation(model, tuple(rows), ok)

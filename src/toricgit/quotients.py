@@ -64,7 +64,7 @@ class GluedQuotient:
 def quotient_projection(action: SubtorusAction) -> tuple[LatticeMap, tuple[int, ...]]:
     """pi: N -> N/L onto the free part, plus the torsion of N/im(phi)
     (finite isotropy inside the big torus)."""
-    S = Sublattice.from_rows(action.ambient_rank, action.phi_star_rows())
+    S = Sublattice.from_rows(action.ambient_rank, action.columns)
     return cokernel_projection(S)
 
 
@@ -184,7 +184,6 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
     pi, torsion = quotient_projection(action)
     q = pi.target_rank
     max_keys = [k for k, _ in ss.certificates]
-    max_keys.sort(key=lambda k: (len(k), sorted(k)))
 
     proj = {j: pi.apply(fan.rays[j]) for j in frozenset().union(*max_keys)}
     charts = [QuotientChart(key, Cone.from_generators(q, [proj[j] for j in sorted(key)]), pi)

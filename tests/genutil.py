@@ -24,7 +24,7 @@ from toricgit.cones import (
     meets_in,
 )
 from toricgit.fans import Fan, FaceKey, FanError, SubfanLocus, ToricDivisor, validate_fan
-from toricgit.hilbert_mumford import HilbertBasisTooLarge, PointPattern, _box_ranges
+from toricgit.hilbert_mumford import HilbertBasisTooLarge, _box_ranges
 from toricgit.intlinalg import (
     IntMatrix,
     LatticeMap,
@@ -243,8 +243,7 @@ def lattice_contains(S: Sublattice, v) -> bool:
 
 def action_sublattice(action: SubtorusAction) -> Sublattice:
     """Saturation of phi(Z^d) in N."""
-    return saturate(Sublattice.from_rows(action.ambient_rank,
-                                         action.phi_star_rows()))
+    return saturate(Sublattice.from_rows(action.ambient_rank, action.columns))
 
 
 def contains_cone(outer: Cone, inner: Cone) -> bool:
@@ -507,7 +506,7 @@ def weight_cone_by_conversion(gamma, action: SubtorusAction, fan: Fan) -> Cone:
     slab = Cone.from_inequalities(fan.ambient_rank,
                                   [fan.rays[i] for i in sorted(top)],
                                   [fan.rays[i] for i in sorted(gamma)])
-    f = LatticeMap(IntMatrix.from_rows(action.phi_star_rows(), fan.ambient_rank),
+    f = LatticeMap(IntMatrix.from_rows(action.columns, fan.ambient_rank),
                    fan.ambient_rank, action.d)
     return image(slab, f)
 
@@ -554,15 +553,15 @@ def chart_witness_by_system(fan: Fan, tau, degree_rows, weight_rows=(),
     return {"monomial": wit[:n], "degree": wit[n:]}
 
 
-def destabilize_by_candidate(p, target, act):
+def destabilize_by_candidate(support, target, act):
     """Reference for `hilbert_mumford.destabilize`: one strict feasibility
     system, and one conversion, per candidate limit support t (the weights
     of t vanish, every other supported weight is positive)."""
-    supp = sorted(p.support)
+    supp = sorted(support)
     for size in range(len(supp) + 1):
         for sub in itertools.combinations(supp, size):
             t = frozenset(sub)
-            if not target(PointPattern(t)):
+            if not target(t):
                 continue
             eqs = tuple(act.weights[i] for i in sorted(t))
             strict = tuple(act.weights[i] for i in supp if i not in t)
@@ -608,14 +607,14 @@ def hilbert_basis_by_pairs(c: Cone, max_points: int = 200000) -> list:
     return basis
 
 
-def ambient_semistable_by_face(p, act) -> bool:
+def ambient_semistable_by_face(support, act) -> bool:
     """Reference for `hilbert_mumford.ambient_semistable`: one strict
-    feasibility system per pattern.
+    feasibility system per support.
 
     True iff some invariant monomial in the supported coordinates has
     positive degree: a nonnegative combination of supported weights with
     vanishing character part and positive degree part (the last slot)."""
-    supp = sorted(p.support)
+    supp = sorted(support)
     if not supp:
         return False
     dim = len(supp)

@@ -25,7 +25,6 @@ from toricgit.fans import DivisorGroup, ToricDivisor, class_group, validate_fan
 from toricgit.hilbert_mumford import (
     HilbertBasisTooLarge,
     LinearAction,
-    PointPattern,
     cross_validate,
     destabilize,
     limit,
@@ -97,12 +96,6 @@ def _report(num, name, passed, elapsed):
     assert passed, line
 
 
-def _phi_cols(act):
-    n = act.ambient_rank
-    return [tuple(act.phi.matrix.entries[j][i] for j in range(n))
-            for i in range(act.d)]
-
-
 def _random_instance(rng, max_rank=3, coeff_box=3, max_d=2):
     fan = random_fan(rng, max_rank=max_rank)
     act = random_action(rng, fan, max_d=max_d)
@@ -130,8 +123,7 @@ def test_criterion_1_quadric_reproduction():
     pi, torsion = quotient_projection(act)
     row = pi.matrix.entries[0]
     ok &= row in ((1, 2, -4), (-1, -2, 4)) and torsion == ()
-    for i in range(2):
-        col = tuple(act.phi.matrix.entries[j][i] for j in range(3))
+    for col in act.columns:
         ok &= pi.apply(col) == (0,)
 
     elapsed = time.perf_counter() - t0
@@ -197,11 +189,11 @@ def test_criterion_4_certificate_replay():
         ss = semistable_divisor(D, _lin0(act.d), act, fan)
         ok &= check_locus(fan, [D.coefficients],
                           [tuple(0 for _ in range(act.d))],
-                          _phi_cols(act), ss).ok
+                          act.columns, ss).ok
         ssg = semistable_group(DivisorGroup((D,)), _lin0(act.d), act, fan)
         ok &= check_locus(fan, [D.coefficients],
                           [tuple(0 for _ in range(act.d))],
-                          _phi_cols(act), ssg).ok
+                          act.columns, ssg).ok
 
     # 200 randomized instances: rank <= 3, <= 6 rays, coeffs in [-3,3], d <= 2
     for seed in range(200):
@@ -213,7 +205,7 @@ def test_criterion_4_certificate_replay():
             ss = semistable_divisor(D, lin, act, fan)
         else:
             ss = semistable_group(DivisorGroup((D,)), lin, act, fan)
-        res = check_locus(fan, [D.coefficients], shifts, _phi_cols(act), ss)
+        res = check_locus(fan, [D.coefficients], shifts, act.columns, ss)
         if not res.ok:
             ok = False
             _emit(f"  replay failed at seed {seed}: {res.failures}")
@@ -230,14 +222,14 @@ def test_criterion_5_oracle_agreement():
     fan, act, D = _fixture(QUADRIC)
     ss = semistable_divisor(D, _lin0(2), act, fan)
     got = enumerate_witnesses(list(fan.rays), list(fan.face_keys()),
-                              [D.coefficients], [(0, 0)], _phi_cols(act),
+                              [D.coefficients], [(0, 0)], act.columns,
                               SearchBounds(n_max=4, box=16, degree_box=3))
     ok &= got == ss.locus.faces
 
     fan, act, D = _fixture(INTRO)
     ss = semistable_divisor(D, _lin0(1), act, fan)
     got = enumerate_witnesses(list(fan.rays), list(fan.face_keys()),
-                              [D.coefficients], [(0,)], _phi_cols(act),
+                              [D.coefficients], [(0,)], act.columns,
                               SearchBounds(n_max=2, box=4, degree_box=2))
     ok &= got == ss.locus.faces
 
@@ -251,7 +243,7 @@ def test_criterion_5_oracle_agreement():
         got = enumerate_witnesses(list(fan.rays), list(fan.face_keys()),
                                   [D.coefficients],
                                   [tuple(0 for _ in range(act.d))],
-                                  _phi_cols(act), SearchBounds(2, 6, 2))
+                                  act.columns, SearchBounds(2, 6, 2))
         if not got <= ss.locus.faces:
             violations += 1
     ok &= violations == 0
@@ -338,7 +330,7 @@ def test_criterion_6_property_suites():
                             [list(c) for c in fan.maximal_cones])
         if act.d:
             cols = [tuple(vdot(row, col) for row in U)
-                    for col in _phi_cols(act)]
+                    for col in act.columns]
             act2 = SubtorusAction.from_columns(cols, fan.ambient_rank)
         else:
             act2 = act
@@ -370,15 +362,14 @@ def test_criterion_6_property_suites():
         n = rng.randint(1, 4)
         act = LinearAction(tuple(tuple(rng.randint(-2, 2) for _ in range(d))
                                  for _ in range(n)))
-        p = PointPattern(frozenset(i for i in range(n)
-                                   if rng.random() < 0.7))
-        targets = {frozenset(j for j in p.support if rng.random() < 0.5)
+        p = frozenset(i for i in range(n) if rng.random() < 0.7)
+        targets = {frozenset(j for j in p if rng.random() < 0.5)
                    for _ in range(n + 1)}
-        lam = destabilize(p, lambda q: q.support in targets, act)
-        boxed = destabilize_boxed(p.support, act.weights, targets, 4)
+        lam = destabilize(p, lambda q: q in targets, act)
+        boxed = destabilize_boxed(p, act.weights, targets, 4)
         if lam is not None:
             lim = limit(lam, p, act)
-            ok &= lim is not None and lim.support in targets
+            ok &= lim is not None and lim in targets
         else:
             ok &= boxed is None
     suites_ok &= ok

@@ -68,6 +68,14 @@ def test_action_rejects_noninjective():
         SubtorusAction.from_columns([(1, 0), (2, 0)], 2)
 
 
+@pytest.mark.parametrize("columns", [[(1, 0, 0)], [(1,)], [(1, 0), (0,)], [()]])
+def test_action_rejects_a_column_of_the_wrong_length(columns):
+    # a column longer than the lattice rank is not truncated, nor is a
+    # shorter one padded
+    with pytest.raises(ActionError, match="length"):
+        SubtorusAction.from_columns(columns, 2)
+
+
 def test_action_basics(quadric_action):
     assert quadric_action.d == 2
     assert quadric_action.ambient_rank == 3
@@ -183,7 +191,7 @@ def test_certcheck_without_complement_affine():
         else:
             continue
         args = (list(fan.rays), list(fan.face_keys()), [D.coefficients],
-                list(lin.shifts), act.phi_star_rows())
+                list(lin.shifts), act.columns)
         for _, cert in ss.certificates:
             for mutant in _mutants(rng, fan, cert):
                 old = check_certificate_with_complement_affine(*args, mutant)
@@ -343,7 +351,7 @@ def _check_chambers_by_solving(act, fan):
     for _, chi, loc in chams:
         assert loc == mumford_trivial_semistable(chi, act, fan)
         res = check_locus(fan, [zero], [tuple(-x for x in chi)],
-                          act.phi_star_rows(), loc)
+                          act.columns, loc)
         assert res.ok, res.failures
     return chams
 
@@ -438,7 +446,7 @@ def test_obstruction_of_the_empty_locus(plane_fan, hyperbolic_action,
     assert mumford_trivial_semistable(rep.character, quadric_action,
                                       quadric_fan).locus == empty
     assert check_locus(quadric_fan, [(0,) * 4], [vneg(rep.character)],
-                       quadric_action.phi_star_rows(), rep.locus).ok
+                       quadric_action.columns, rep.locus).ok
 
 
 def _vadd(a, b):
@@ -499,7 +507,7 @@ def test_obstruction_matches_git_fan_loci():
                 omega.facet_normals or omega.span_equalities)
             assert rep.verdict == ("not-obstructed" if realizable else "obstructed")
             assert check_locus(fan, [zero], [vneg(rep.character)],
-                               act.phi_star_rows(), rep.locus).ok
+                               act.columns, rep.locus).ok
             if realizable:
                 assert rep.locus.locus == req
             elif req.faces:
@@ -576,10 +584,8 @@ def test_locus_q_cartier_and_replays(seed):
         assert is_cartier_on(fan, nD, key) is not None
     for key in ss.locus.faces:
         assert any(key <= chart for chart, _ in ss.certificates)
-    phi_cols = [tuple(act.phi.matrix.entries[j][i] for j in range(fan.ambient_rank))
-                for i in range(act.d)]
     res = check_locus(fan, [D.coefficients], list(lin.shifts) or [()],
-                      phi_cols, ss)
+                      act.columns, ss)
     assert res.ok, res.failures
 
 
@@ -601,11 +607,7 @@ def test_locus_equivariant_under_lattice_automorphism(seed):
     new_rays = [tuple(vdot(row, v) for row in U) for v in fan.rays]
     fan2 = validate_fan(fan.ambient_rank, new_rays,
                         [list(c) for c in fan.maximal_cones])
-    cols = [tuple(vdot(row,
-                       tuple(act.phi.matrix.entries[j][i]
-                             for j in range(fan.ambient_rank)))
-                  for row in U)
-            for i in range(act.d)]
+    cols = [tuple(vdot(row, col) for row in U) for col in act.columns]
     if act.d:
         act2 = SubtorusAction.from_columns(cols, fan.ambient_rank)
     else:

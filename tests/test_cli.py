@@ -149,6 +149,11 @@ def test_hm_limit(intro_weights_file, capsys):
                            "--lam", "1", "--support", "0"], capsys)
     assert code == 0
     assert rep["result"] == {"exists": True, "limit_support": []}
+    # the empty support's limit is itself: an empty list, not null
+    code, rep = _run_json(["hm", "limit", intro_weights_file,
+                           "--lam", "1", "--support", ""], capsys)
+    assert code == 0
+    assert rep["result"] == {"exists": True, "limit_support": []}
     code, rep = _run_json(["hm", "limit", intro_weights_file,
                            "--lam", "1", "--support", "0,1"], capsys)
     assert code == 1
@@ -309,7 +314,8 @@ def test_hm_destabilize_into_a_coordinate_set(intro_weights_file, capsys):
 
 
 def test_hm_destabilize_under_a_rank_0_action_exits_0(tmp_path, capsys):
-    # the destabilizer of a rank-0 action is the empty tuple: found, exit 0
+    # the destabilizer of a rank-0 action is the empty tuple: found, exit
+    # 0, and reported as an empty list, not as null
     data = intro_problem_data()
     data["weights"] = [[], []]
     f = tmp_path / "rank0.json"
@@ -317,7 +323,7 @@ def test_hm_destabilize_under_a_rank_0_action_exits_0(tmp_path, capsys):
     code, rep = _run_json(["hm", "destabilize", str(f), "--support", "0",
                            "--target", "0"], capsys)
     assert code == 0
-    assert rep["result"]["found"] is True
+    assert rep["result"] == {"found": True, "lambda": []}
 
 
 def test_malformed_characters_exit_2(intro_file, capsys):

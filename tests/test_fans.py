@@ -333,6 +333,17 @@ def test_quadric_divisor_not_cartier_at_top(quadric_fan):
     assert vdot(m, quadric_fan.rays[1]) == 0
 
 
+@pytest.mark.parametrize("rank", range(4))
+def test_every_divisor_is_cartier_on_the_empty_face(rank):
+    # no ray, no equation: the local equation is the zero character, the
+    # solution of a system with no rows, on a fan with rays or without
+    assert intlinalg.solve_integer(intlinalg.IntMatrix.from_rows([], rank), ()) == (0,) * rank
+    rays = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    fan = validate_fan(rank, rays, [list(range(rank))])
+    D = ToricDivisor(tuple(range(2, rank + 2)))
+    assert is_cartier_on(fan, D, frozenset()) == (0,) * rank
+
+
 def test_cartier_locus_quadric(quadric_fan):
     loc = cartier_locus(DivisorGroup((ToricDivisor((-1, 0, 4, 7)),)),
                         quadric_fan)
@@ -449,8 +460,7 @@ def test_open_complement_is_face_closed(seed):
 # --- chart witnesses and ample locus -----------------------------------
 
 def test_chart_witness_quadric_ray0(quadric_fan, quadric_divisor):
-    degree_rows = [(a,) for a in quadric_divisor.coefficients]
-    section = section_cone(quadric_fan, degree_rows, shared_strict=((1,),))
+    section = section_cone(quadric_fan, (quadric_divisor,), positive=True)
     w = chart_witness(quadric_fan, section, frozenset({0}))
     assert w is not None
     (n,) = w["degree"]
@@ -462,28 +472,32 @@ def test_chart_witness_quadric_ray0(quadric_fan, quadric_divisor):
 
 def test_chart_witness_infeasible_with_weight_rows(quadric_fan,
                                                    quadric_divisor):
-    degree_rows = [(a,) for a in quadric_divisor.coefficients]
     # asking the section to be invariant under the rank-2 subtorus kills
     # the rho2 and rho4 charts
-    weight_rows = [((2, 1, 1), (0,)), ((0, 2, 1), (0,))]
-    section = section_cone(quadric_fan, degree_rows, weight_rows,
-                           shared_strict=((1,),))
+    section = section_cone(quadric_fan, (quadric_divisor,), [(2, 1, 1), (0, 2, 1)],
+                           [(0, 0)], positive=True)
     for rho in (1, 3):
         assert chart_witness(quadric_fan, section, frozenset({rho})) is None
     assert chart_witness(quadric_fan, section, frozenset({0})) is not None
 
 
 def _random_section_data(rng, fan):
-    """Degree rows, weight rows and shared forms of a random chart system
-    with k = 1 or 2 degree variables."""
+    """The arguments of `section_cone` for a random chart system (a basis
+    of k = 1 or 2 divisors, up to two action columns, one shift per
+    divisor, and s >= 0 for some single divisors), and the degree rows,
+    weight rows and shared forms of the same system for
+    `chart_witness_by_system`."""
     n, k = fan.ambient_rank, rng.randint(1, 2)
-    degree_rows = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in fan.rays]
-    weight_rows = [(tuple(rng.randint(-2, 2) for _ in range(n)),
-                    tuple(rng.randint(-2, 2) for _ in range(k)))
-                   for _ in range(rng.randint(0, 2))]
-    shared = [tuple(rng.randint(-1, 2) for _ in range(k))
-              for _ in range(rng.randint(0, 2))]
-    return degree_rows, weight_rows, shared
+    basis = tuple(ToricDivisor(tuple(rng.randint(-3, 3) for _ in fan.rays))
+                  for _ in range(k))
+    columns = [tuple(rng.randint(-2, 2) for _ in range(n))
+               for _ in range(rng.randint(0, 2))]
+    shifts = [tuple(rng.randint(-2, 2) for _ in columns) for _ in basis]
+    positive = k == 1 and rng.random() < 0.5
+    rows = ([tuple(d.coefficients[j] for d in basis) for j in range(len(fan.rays))],
+            [(col, tuple(s[t] for s in shifts)) for t, col in enumerate(columns)],
+            [(1,)] if positive else [])
+    return (basis, columns, shifts, positive), rows
 
 
 @pytest.mark.parametrize("seed", range(300))
@@ -492,8 +506,8 @@ def test_chart_witness_matches_face_system(seed):
     # own system gives by conversion, None included
     rng = random.Random(9100 + seed)
     fan = random_fan(rng)
-    rows = _random_section_data(rng, fan)
-    section = section_cone(fan, *rows)
+    args, rows = _random_section_data(rng, fan)
+    section = section_cone(fan, *args)
     for key in fan.face_keys():
         assert chart_witness(fan, section, key) == chart_witness_by_system(
             fan, key, *rows), sorted(key)
@@ -506,7 +520,7 @@ def test_largest_first_keeps_the_maximal_passing_faces(seed):
     # own test result
     rng = random.Random(9500 + seed)
     fan = random_fan(rng)
-    section = section_cone(fan, *_random_section_data(rng, fan))
+    section = section_cone(fan, *_random_section_data(rng, fan)[0])
     every = {key: chart_witness(fan, section, key) for key in fan.face_keys()}
     passing = [key for key, wit in every.items() if wit is not None]
     walked = largest_first(fan, lambda key: every[key])

@@ -1,4 +1,4 @@
-"""Support-pattern limits, destabilizing subgroups, Hilbert bases, and
+"""Limits of supports, destabilizing subgroups, Hilbert bases, and
 the ambient cross-validation of toric semistability."""
 
 import random
@@ -15,7 +15,6 @@ from toricgit.hilbert_mumford import (
     AmbientModel,
     HilbertBasisTooLarge,
     LinearAction,
-    PointPattern,
     ambient_model,
     ambient_semistable,
     cross_validate,
@@ -46,19 +45,19 @@ def _lin0(d):
 
 def test_limit_basic():
     act = LinearAction(((1,), (-1,)))
-    p = PointPattern.of([0, 1])
+    p = frozenset({0, 1})
     assert limit((1,), p, act) is None  # negative pairing on coord 1
     assert limit((0,), p, act) == p     # fixed
-    q = PointPattern.of([0])
-    assert limit((1,), q, act) == PointPattern.of([])
+    q = frozenset({0})
+    assert limit((1,), q, act) == frozenset()
     assert limit((-1,), q, act) is None
 
 
 def test_limit_mixed_weights():
     act = LinearAction(((1, 0), (0, 1), (1, -1)))
-    p = PointPattern.of([0, 2])
+    p = frozenset({0, 2})
     got = limit((1, 1), p, act)
-    assert got == PointPattern.of([2])  # weight (1,-1) pairs to 0
+    assert got == frozenset({2})  # weight (1,-1) pairs to 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -69,13 +68,13 @@ def test_limit_scale_invariance(seed):
     n = rng.randint(1, 5)
     act = LinearAction(tuple(tuple(rng.randint(-3, 3) for _ in range(d))
                              for _ in range(n)))
-    p = PointPattern(frozenset(i for i in range(n) if rng.random() < 0.6))
+    p = frozenset(i for i in range(n) if rng.random() < 0.6)
     lam = tuple(rng.randint(-3, 3) for _ in range(d))
     l1 = limit(lam, p, act)
     l2 = limit(tuple(3 * x for x in lam), p, act)
     assert l1 == l2
     if l1 is not None:
-        assert l1.support <= p.support
+        assert l1 <= p
         # limits are idempotent
         assert limit(lam, l1, act) == l1
 
@@ -84,17 +83,17 @@ def test_limit_scale_invariance(seed):
 
 def test_destabilize_finds_witness():
     act = LinearAction(((1,), (-1,)))
-    p = PointPattern.of([0])
-    lam = destabilize(p, lambda q: not q.support, act)
+    p = frozenset({0})
+    lam = destabilize(p, lambda q: not q, act)
     assert lam is not None
-    assert limit(lam, p, act) == PointPattern.of([])
+    assert limit(lam, p, act) == frozenset()
 
 
 def test_destabilize_infeasible():
     act = LinearAction(((1,), (-1,)))
-    p = PointPattern.of([0, 1])
+    p = frozenset({0, 1})
     # cannot kill both coordinates: weights are opposite
-    assert destabilize(p, lambda q: not q.support, act) is None
+    assert destabilize(p, lambda q: not q, act) is None
 
 
 @settings(max_examples=80, deadline=None)
@@ -105,16 +104,16 @@ def test_destabilize_matches_box_search(seed):
     n = rng.randint(1, 4)
     act = LinearAction(tuple(tuple(rng.randint(-2, 2) for _ in range(d))
                              for _ in range(n)))
-    p = PointPattern(frozenset(i for i in range(n) if rng.random() < 0.7))
+    p = frozenset(i for i in range(n) if rng.random() < 0.7)
     targets = set()
     for i in range(n + 1):
-        t = frozenset(j for j in p.support if rng.random() < 0.5)
+        t = frozenset(j for j in p if rng.random() < 0.5)
         targets.add(t)
-    lam = destabilize(p, lambda q: q.support in targets, act)
-    boxed = destabilize_boxed(p.support, act.weights, targets, 4)
+    lam = destabilize(p, lambda q: q in targets, act)
+    boxed = destabilize_boxed(p, act.weights, targets, 4)
     if lam is not None:
         lim = limit(lam, p, act)
-        assert lim is not None and lim.support in targets
+        assert lim is not None and lim in targets
     else:
         assert boxed is None
 
@@ -133,17 +132,17 @@ def test_destabilize_converts_once_and_matches_per_candidate_systems(monkeypatch
         d, n = rng.randint(1, 3), rng.randint(1, 6)
         act = LinearAction(tuple(tuple(rng.randint(-2, 2) for _ in range(d))
                                  for _ in range(n)))
-        p = PointPattern(frozenset(i for i in range(n) if rng.random() < 0.7))
-        targets = {frozenset(i for i in p.support if rng.random() < 0.4)
+        p = frozenset(i for i in range(n) if rng.random() < 0.7)
+        targets = {frozenset(i for i in p if rng.random() < 0.4)
                    for _ in range(rng.randint(0, 4))}
         with monkeypatch.context() as m:
             m.setattr(cones, "double_description",
                       lambda *a, **k: calls.append(a) or real(*a, **k))
-            lam = destabilize(p, lambda q: q.support in targets, act)
+            lam = destabilize(p, lambda q: q in targets, act)
         # every target is a support under p's, so one is a candidate
         assert len(calls) == (1 if targets else 0)
         calls.clear()
-        assert lam == destabilize_by_candidate(p, lambda q: q.support in targets, act)
+        assert lam == destabilize_by_candidate(p, lambda q: q in targets, act)
         found += lam is not None
         unconverted += not targets
     assert 100 < found < 300 and unconverted > 40
@@ -305,14 +304,14 @@ def test_ambient_model_intro(plane_fan, hyperbolic_action, div_z):
     # the section ring; every weight carries its degree in the last slot
     for h, w in zip(model.basis, model.action.weights):
         assert w[-1] == h[-1]
-    whole = model.pattern_for(frozenset())
-    assert whole.support == frozenset(range(len(model.basis)))
+    whole = model.patterns[frozenset()]
+    assert whole == frozenset(range(len(model.basis)))
 
 
 def test_ambient_semistable_examples(plane_fan, hyperbolic_action, div_z):
     model = ambient_model(plane_fan, hyperbolic_action, div_z, _lin0(1))
-    assert ambient_semistable(model.pattern_for(frozenset()), model.action)
-    assert not ambient_semistable(PointPattern.of([]), model.action)
+    assert ambient_semistable(model.patterns[frozenset()], model.action)
+    assert not ambient_semistable(frozenset(), model.action)
 
 
 def _linear_actions():
@@ -332,13 +331,13 @@ def _linear_actions():
 @example(LinearAction(((0, 0), (0, 1), (1, 1), (-1, 1))), None)
 def test_ambient_semistable_matches_per_face_systems(act, data):
     """The positive-degree rays of the one invariant cone decide every
-    support pattern, the empty one included, as the per-pattern
-    feasibility systems do."""
-    patterns = [PointPattern.of(i for i in range(act.n) if mask >> i & 1)
+    support, the empty one included, as the per-support feasibility
+    systems do."""
+    supports = [frozenset(i for i in range(act.n) if mask >> i & 1)
                 for mask in range(1 << act.n)]
     if data is not None:
-        patterns = data.draw(st.lists(st.sampled_from(patterns), max_size=8))
-    for p in patterns:
+        supports = data.draw(st.lists(st.sampled_from(supports), max_size=8))
+    for p in supports:
         assert ambient_semistable(p, act) == ambient_semistable_by_face(p, act)
 
 
@@ -390,12 +389,26 @@ def test_ambient_model_takes_section_facets_from_its_forms(monkeypatch):
         assert (c.facet_normals, c.span_equalities) == fresh._convert()
 
 
-def test_pattern_for_unknown_face(plane_fan, hyperbolic_action, div_z):
-    model = ambient_model(plane_fan, hyperbolic_action, div_z, _lin0(1))
-    assert model.pattern_for({1}) == model.pattern_for(frozenset({1}))
-    with pytest.raises(KeyError) as info:
-        model.pattern_for(frozenset({2, 0}))
-    assert info.value.args == ([0, 2],)
+def test_model_patterns_key_exactly_the_faces_in_face_order():
+    # one support per face of the fan, in the fan's (size, sorted key)
+    # order; the whole chart's is every coordinate, and supports shrink
+    # as faces grow
+    rng = random.Random(7300)
+    built = 0
+    for _ in range(60):
+        fan = random_affine_fan(rng, rng.randint(1, 3))
+        act = random_action(rng, fan)
+        try:
+            model = ambient_model(fan, act, random_divisor(rng, fan),
+                                  random_linearization(rng, act.d), max_points=20000)
+        except (ValueError, HilbertBasisTooLarge):  # not pointed, or over budget
+            continue
+        built += 1
+        assert list(model.patterns) == list(fan.face_keys())
+        assert model.patterns[frozenset()] == frozenset(range(len(model.basis)))
+        for key, support in model.patterns.items():
+            assert all(model.patterns[k] >= support for k in fan.all_keys_under(key))
+    assert built >= 30
 
 
 def test_cross_validate_intro(plane_fan, hyperbolic_action, div_z):
@@ -456,6 +469,6 @@ def test_cross_validation_needs_q_cartier_divisor():
             toric = semistable_divisor(D, lin, act, fan).locus.faces
             oracle = enumerate_witnesses(
                 list(fan.rays), list(fan.face_keys()), [D.coefficients],
-                list(lin.shifts), act.phi_star_rows(), SearchBounds())
+                list(lin.shifts), act.columns, SearchBounds())
             assert toric == oracle, seed
     assert cartier > 0

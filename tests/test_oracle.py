@@ -28,12 +28,6 @@ QUADRIC_BOUNDS = SearchBounds(n_max=4, box=16, degree_box=3)
 INTRO_BOUNDS = SearchBounds(n_max=2, box=4, degree_box=2)
 
 
-def _phi_cols(act):
-    n = act.ambient_rank
-    return [tuple(act.phi.matrix.entries[j][i] for j in range(n))
-            for i in range(act.d)]
-
-
 def _lin0(d):
     return Linearization.canonical(1, d)
 
@@ -50,7 +44,7 @@ def test_oracle_matches_engine_quadric(quadric_fan, quadric_action,
     got = enumerate_witnesses(list(quadric_fan.rays),
                               list(quadric_fan.face_keys()),
                               [quadric_divisor.coefficients], [(0, 0)],
-                              _phi_cols(quadric_action), QUADRIC_BOUNDS)
+                              quadric_action.columns, QUADRIC_BOUNDS)
     assert got == ss.locus.faces
 
 
@@ -59,7 +53,7 @@ def test_oracle_matches_engine_intro(plane_fan, hyperbolic_action, div_z):
     got = enumerate_witnesses(list(plane_fan.rays),
                               list(plane_fan.face_keys()),
                               [div_z.coefficients], [(0,)],
-                              _phi_cols(hyperbolic_action), INTRO_BOUNDS)
+                              hyperbolic_action.columns, INTRO_BOUNDS)
     assert got == ss.locus.faces
 
 
@@ -70,7 +64,7 @@ def test_oracle_matches_engine_intro_group(plane_fan, hyperbolic_action,
     got = enumerate_witnesses(list(plane_fan.rays),
                               list(plane_fan.face_keys()),
                               [div_z.coefficients], [(0,)],
-                              _phi_cols(hyperbolic_action), INTRO_BOUNDS,
+                              hyperbolic_action.columns, INTRO_BOUNDS,
                               group_case=True)
     assert got == ssg.locus.faces
 
@@ -82,7 +76,7 @@ def test_oracle_matches_engine_quadric_group(quadric_fan, quadric_action,
     got = enumerate_witnesses(list(quadric_fan.rays),
                               list(quadric_fan.face_keys()),
                               [quadric_divisor.coefficients], [(0, 0)],
-                              _phi_cols(quadric_action), QUADRIC_BOUNDS,
+                              quadric_action.columns, QUADRIC_BOUNDS,
                               group_case=True)
     assert got == ssg.locus.faces
 
@@ -91,7 +85,7 @@ def test_trivial_bundle_locus_matches_mumford(plane_fan, hyperbolic_action):
     for chi in [(-1,), (0,), (1,), (2,)]:
         got = trivial_bundle_locus(list(plane_fan.rays),
                                    list(plane_fan.face_keys()), chi,
-                                   _phi_cols(hyperbolic_action),
+                                   hyperbolic_action.columns,
                                    INTRO_BOUNDS)
         want = mumford_trivial_semistable(chi, hyperbolic_action,
                                           plane_fan).locus.faces
@@ -105,7 +99,7 @@ def test_sample_chambers_consistent_with_chamber_decomposition(
     chams = git_chambers(hyperbolic_action, plane_fan)
     samples = sample_chambers(list(plane_fan.rays),
                               list(plane_fan.face_keys()),
-                              _phi_cols(hyperbolic_action), 2, INTRO_BOUNDS)
+                              hyperbolic_action.columns, 2, INTRO_BOUNDS)
     by_chamber = {}
     for chi, oracle_locus in samples:
         engine = mumford_trivial_semistable(chi, hyperbolic_action,
@@ -137,5 +131,5 @@ def test_oracle_within_engine_on_random_instances(seed):
     got = enumerate_witnesses(list(fan.rays), list(fan.face_keys()),
                               [D.coefficients],
                               [tuple(0 for _ in range(act.d))],
-                              _phi_cols(act), bounds)
+                              act.columns, bounds)
     assert got <= ss.locus.faces

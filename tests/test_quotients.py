@@ -148,7 +148,7 @@ def test_cox_quotient_reproduces_fan(name):
     rays, cones = COX_FANS[name]
     orthant, act = cox_data(rays)
     # the anticanonical class, sum of all D_rho, is ample on all four
-    chi = tuple(sum(col) for col in act.phi_star_rows())
+    chi = tuple(sum(col) for col in act.columns)
     ss = mumford_trivial_semistable(chi, act, orthant)
     assert ss.locus.faces == {frozenset(sub) for c in cones
                               for k in range(len(c) + 1)
@@ -348,7 +348,7 @@ def _cox_quotient(name, chi=None):
     """The Cox quotient of a complete fan at chi, by default at its
     anticanonical class."""
     orthant, act = cox_data(COX_FANS[name][0])
-    chi = chi or tuple(sum(col) for col in act.phi_star_rows())
+    chi = chi or tuple(sum(col) for col in act.columns)
     return (build_quotient(mumford_trivial_semistable(chi, act, orthant), act,
                            orthant), act, orthant)
 
