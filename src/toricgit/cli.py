@@ -127,14 +127,19 @@ def _print_tree(value, indent: int) -> None:
             print(f"{pad}{label} {json.dumps(v)}")
 
 
-def _parse_ints(text: str) -> tuple:
+def _parse_ints(text: str, count: int | None = None, below: int | None = None) -> tuple:
+    """Comma-separated integers: exactly count of them, if given, and
+    each in range(below), if given."""
     text = text.strip()
-    if not text:
-        return ()
     try:
-        return tuple(int(x) for x in text.split(","))
+        values = tuple(int(x) for x in text.split(",")) if text else ()
     except ValueError:
         raise ParseError(f"expected comma-separated integers, got {text!r}")
+    if count is not None and len(values) != count:
+        raise ParseError(f"expected {count} integers, got {text!r}")
+    if below is not None and not all(0 <= v < below for v in values):
+        raise ParseError(f"expected indices in range({below}), got {text!r}")
+    return values
 
 
 @functools.cache
@@ -248,14 +253,14 @@ def _result(problem, args) -> tuple[dict, int]:
         if problem.weights is None:
             raise ParseError("hm commands need a 'weights' field")
         lin_act = LinearAction(problem.weights)
-        support = frozenset(_parse_ints(args.support))
+        support = frozenset(_parse_ints(args.support, below=lin_act.n))
         if args.hm_command == "limit":
-            lim = limit(_parse_ints(args.lam), support, lin_act)
+            lim = limit(_parse_ints(args.lam, count=lin_act.d), support, lin_act)
             return {"exists": lim is not None,
                     "limit_support": None if lim is None else sorted(lim)
                     }, 0 if lim is not None else 1
         allowed = frozenset() if args.target == "origin" else frozenset(
-            _parse_ints(args.target))
+            _parse_ints(args.target, below=lin_act.n))
         lam = destabilize(support, lambda q: q <= allowed, lin_act)
         return {"found": lam is not None,
                 "lambda": None if lam is None else list(lam)}, 0 if lam is not None else 1

@@ -22,11 +22,14 @@ question (is some point of a face positive on given forms?) is answered
 by one primitive, relative_interior_point: the sum of the generators on
 the face, read by incidence, so a cone converted once answers it for
 every face.  Whether two cones meet in a common face is settled by a
-separating form built from their facets, read off the forms' values at
-the generators (which a caller that pairs one cone many times evaluates
-once), and only a pair that no facet separates is intersected.  Cones
-are hashable by their generators and are used as dictionary keys by the
-fan and quotient layers.
+separating form built from their facets, with no sum taken: each facet
+form is three bitmasks over one indexed point list, where it is >= 0,
+<= 0 and = 0 (`form_masks`, which a caller that pairs one cone many
+times builds once), a form enters when the other cone's generators lie
+in its <= 0 mask, and the separating form's zero set is the AND of the
+entering forms' = 0 masks.  Only a pair that no such form separates is
+intersected.  Cones are hashable by their generators and are used as
+dictionary keys by the fan and quotient layers.
 """
 
 from __future__ import annotations
@@ -299,44 +302,46 @@ def intersect(c1: Cone, c2: Cone) -> Cone:
     )
 
 
-def form_values(c: Cone, points) -> list[dict]:
+def form_masks(c: Cone, points: Sequence[Vec]) -> list[tuple[int, int, int]]:
     """The facet normals of c, then its span equalities and their
-    negatives, each as a dict of its values at the points."""
-    rows = [{p: vdot(u, p) for p in points}
-            for u in c.facet_normals + c.span_equalities]
-    return rows + [{p: -x for p, x in row.items()}
-                   for row in rows[len(c.facet_normals):]]
+    negatives, each as three bitmasks over the points (bit i for
+    points[i]): where the form is >= 0, <= 0 and = 0."""
+    rows = []
+    for u in c.facet_normals + c.span_equalities:
+        ge = le = 0
+        for i, p in enumerate(points):
+            x = sum(map(mul, u, p))
+            ge |= (x >= 0) << i
+            le |= (x <= 0) << i
+        rows.append((ge, le, ge & le))
+    return rows + [(le, ge, eq) for ge, le, eq in rows[len(c.facet_normals):]]
 
 
-def meets_in(c1: Cone, c2: Cone, f: Cone, values=None) -> bool:
+def meets_in(c1: Cone, c2: Cone, f: Cone, masks) -> bool:
     """intersect(c1, c2) == f, for a cone f that is a face of both.
 
     By the separation lemma (Cox-Little-Schenck, Lemma 1.2.13) a form m
     that is >= 0 on c1 and <= 0 on c2 cuts a face out of each, and
     c1 ∩ c2 = f once both faces are f.  m is the sum of the facet normals
     and signed span equalities of either cone that are <= 0 on the other's
-    generators (negated when they come from c2), read off their values
-    (`form_values`), by default at the generators of both; a caller that
-    reuses one cone in many pairs passes them at a larger set of points.
-    When c1, c2 and f share their lineality, every such form vanishes on
-    it, and each face is read off the generators m kills.  A pair that no
-    such m separates is intersected."""
+    generators (negated when they come from c2).  Each such term is >= 0
+    on c1's generators and <= 0 on c2's, so m vanishes at a generator iff
+    every term does: its zero set is the AND of the terms' = 0 masks, and
+    m is never summed.  masks is ((rows1, gens1), (rows2, gens2), face):
+    each cone's `form_masks` over one point list with the mask of its
+    generators there, and the mask of f's.  When c1, c2 and f share their
+    lineality, every term vanishes on it, and each face is read off the
+    generators m kills.  A pair that no such m separates is intersected."""
     if c1.ambient_rank != c2.ambient_rank:
         raise ValueError("ambient rank mismatch")
-    if c1.lineality_basis == c2.lineality_basis == f.lineality_basis:
-        if values is None:
-            points = set(c1.generators) | set(c2.generators)
-            values = form_values(c1, points), form_values(c2, points)
-        m = dict.fromkeys(c1.generators + c2.generators, 0)
-        for rows, other, sign in ((values[0], c2, 1), (values[1], c1, -1)):
-            for row in rows:
-                if all(row[g] <= 0 for g in other.generators):
-                    for g in m:
-                        m[g] += sign * row[g]
-        face = set(f.generators)
-        if all({g for g in c.generators if m[g] == 0} == face for c in (c1, c2)):
-            return True
-    return intersect(c1, c2) == f
+    (rows1, g1), (rows2, g2), face = masks
+    zero = g1 | g2
+    for rows, other in ((rows1, g2), (rows2, g1)):
+        for _, le, eq in rows:
+            if other & le == other:
+                zero &= eq
+    return (c1.lineality_basis == c2.lineality_basis == f.lineality_basis
+            and zero & g1 == face == zero & g2) or intersect(c1, c2) == f
 
 
 def image(c: Cone, f: LatticeMap) -> Cone:

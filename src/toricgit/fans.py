@@ -14,8 +14,9 @@ validation asks of it, and it is converted only when a check reads its
 facets.  Two checks do: the test of a fan ray outside the cone, and the
 pair check, by a separating form before any intersection is converted.
 Any other maximal cone is converted once.  A cone's facet normals and
-signed span equalities are evaluated on every fan ray once, and both
-checks read those values.
+signed span equalities become bitmasks over the fan rays once (>= 0,
+<= 0 and = 0), and both checks are ANDs and subset tests on those masks
+and on the cones' ray masks.
 
 Every section system, whose solutions are the invariant sections of
 some linearized divisors, is one `section_cone` of the divisor basis,
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cones import Cone, cut_closure, form_values, meets_in, relative_interior_point
+from .cones import Cone, cut_closure, form_masks, meets_in, relative_interior_point
 from .intlinalg import (
     IntMatrix,
     Vec,
@@ -106,11 +107,15 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
     and its rays are extreme.  Its facets are converted on first read, by
     a fan ray outside its key or by the pair check; a fan of one such
     cone listing every ray converts nothing.  Any other maximal cone is
-    one `Cone.from_generators`.  Both checks read one table per cone, its
-    facet normals and signed span equalities on every fan ray
-    (`cones.form_values`).  Face keys are a cone's key cut by the ray
-    zero sets of its facets, and each distinct key becomes one cone on
-    those rays, with no conversion; a maximal cone is its own face."""
+    one `Cone.from_generators`.  Both checks read one table per cone, the
+    >= 0, <= 0 and = 0 masks of its facet normals and signed span
+    equalities over the fan rays (`cones.form_masks`): a fan ray outside
+    a cone's key lies in it iff its bit is in the AND of the >= 0 masks,
+    and `cones.meets_in` decides a pair on the masks.  A fan whose
+    maximal cones list every ray builds no table.  Face keys are a cone's
+    key cut by the ray zero sets of its facets, and each distinct key
+    becomes one cone on those rays, with no conversion; a maximal cone is
+    its own face."""
     ray_tuples: list[Vec] = []
     for r in rays:
         t = tuple(int(x) for x in r)
@@ -150,26 +155,29 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
         facet_zeros[key] = [frozenset(i for i in key if vdot(u, ray_tuples[i]) == 0)
                             for u in c.facet_normals]
 
-    # each cone's facet normals and signed span equalities on every fan
-    # ray, for the cones whose facets a check reads
-    values = {}
+    # each cone's facet forms as masks over the fan rays, for the cones
+    # whose facets a check reads, and each cone's rays as a mask
+    ray_masks = {key: sum(1 << i for i in key) for key in cones}
+    tables = {}
 
-    def table(key):
-        if key not in values:
-            values[key] = form_values(cones[key], ray_tuples)
-        return values[key]
+    def side(key):
+        if key not in tables:
+            tables[key] = form_masks(cones[key], ray_tuples), ray_masks[key]
+        return tables[key]
 
     # the fan rays in each maximal cone are exactly its rays, all extreme;
     # then a face is keyed by its generators, which determine it
+    every = (1 << len(ray_tuples)) - 1
     for key, c in cones.items():
         if len(c.generators) != len(key):
             raise FanError("IntersectionNotFace",
                            f"cone on rays {sorted(key)} has a ray that is not extreme")
-        inside = [i for i, rv in enumerate(ray_tuples)
-                  if i not in key and all(row[rv] >= 0 for row in table(key))]
+        inside = every ^ ray_masks[key]  # the rays outside the key, then those in c
+        for ge, _, _ in side(key)[0] if inside else ():
+            inside &= ge
         if inside:
-            raise FanError("IntersectionNotFace",
-                           f"cone on rays {sorted(key)} contains rays {inside}")
+            raise FanError("IntersectionNotFace", f"cone on rays {sorted(key)} contains "
+                           f"rays {[i for i in range(len(ray_tuples)) if inside >> i & 1]}")
     # a face of a maximal cone is cut out by a set of its facets, and its
     # key is the cone's key cut by those facets' zero sets on the rays
     face_map: dict[FaceKey, Cone] = dict(cones)
@@ -185,7 +193,7 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
             common = k1 & k2
             if (common not in own_keys[k1] or common not in own_keys[k2]
                     or not meets_in(cones[k1], cones[k2], face_map[common],
-                                    (table(k1), table(k2)))):
+                                    (side(k1), side(k2), ray_masks[k1] & ray_masks[k2]))):
                 raise FanError(
                     "IntersectionNotFace",
                     f"cones {sorted(k1)} and {sorted(k2)} do not meet in a common face")

@@ -219,7 +219,10 @@ class LatticeMap:
 def _transformed_hnf(A: IntMatrix) -> tuple[Vec, ...]:
     """HNF of the rows (column_i of A, e_i).  Each row is (A u, u), the u
     run over a basis of Z^cols, and the rows are echelon in their A u
-    part, so the rows whose A u part is zero come last."""
+    part, so the rows whose A u part is zero come last.  With no rows in
+    A these are the e_i, already an HNF, so no Hermite form is taken."""
+    if not A.rows:
+        return IntMatrix.identity(A.cols).entries
     return hermite_normal_form(tuple(
         col + e for col, e in zip(A.transpose().entries, IntMatrix.identity(A.cols).entries)))
 
@@ -269,9 +272,14 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
 
 def cokernel_projection(S: Sublattice) -> tuple[LatticeMap, tuple[int, ...]]:
     """Projection of Z^n onto the free part of Z^n / S, plus the torsion
-    invariant factors of the quotient.  The rows of the projection are
-    the saturated S^perp, so it is onto and its kernel is sat(S)."""
-    n = S.ambient_rank
-    perp = kernel_basis(S.basis).basis
-    torsion = tuple(d for d in smith_normal_form(S.basis) if d > 1)
-    return LatticeMap(perp, n, perp.rows), torsion
+    invariant factors of the quotient, from one transformed HNF of
+    S.basis.  The rows of the projection are the saturated S^perp, the u
+    parts of the rows whose A u part is zero (as in kernel_basis), so it
+    is onto and its kernel is sat(S).  The other rows' A u parts are the
+    column HNF of S.basis, a basis of its column lattice, so they have its
+    invariant factors."""
+    n, m = S.ambient_rank, S.rank
+    rows = _transformed_hnf(S.basis)
+    perp = IntMatrix.from_rows([r[m:] for r in rows if not any(r[:m])], n)
+    columns = IntMatrix.from_rows([r[:m] for r in rows if any(r[:m])], m)
+    return LatticeMap(perp, n, perp.rows), tuple(d for d in smith_normal_form(columns) if d > 1)

@@ -19,9 +19,10 @@ Charts are glued along the images of their shared faces.  The glue cone
 pi(gamma) is the orbit image of gamma when that is pointed and generated
 by the projected rays of gamma, and is converted otherwise.  Whether two
 images meet in their glue cone is settled by a form built from their
-facets (`cones.meets_in`), read off each image's facet values at every
-image generator, taken once; only a pair that no such form separates is
-intersected.  No face lattice is built.
+facets (`cones.meets_in`), read off each image's facet masks (>= 0,
+<= 0 and = 0) over every image generator, built once, and the generator
+masks of the two images and the glue; only a pair that no such form
+separates is intersected.  No face lattice is built.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import SemistableLocus, SubtorusAction
-from .cones import Cone, form_values, image as cone_image, meets_in
+from .cones import Cone, form_masks, image as cone_image, meets_in
 from .fans import Fan, FaceKey
 from .intlinalg import (
     LatticeMap,
@@ -192,9 +193,12 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
                          fan.all_keys_under(ch.source_key)) for ch in charts]
     images = [t.orbit for t in tables]
     orbit_map = [(k, i, F) for i, m in enumerate(images) for k, F in m.items()]
-    # each image's facet forms at every image generator, for the pair checks
-    points = {g for ch in charts for g in ch.image.generators}
-    forms = [form_values(ch.image, points) for ch in charts]
+    # each image's facet forms as masks over every image generator, and
+    # its own generators' mask, for the pair checks
+    points = list(dict.fromkeys(g for ch in charts for g in ch.image.generators))
+    bit = {p: 1 << i for i, p in enumerate(points)}
+    sides = [(form_masks(ch.image, points), sum(bit[g] for g in ch.image.generators))
+             for ch in charts]
 
     gluings = []
     glues: dict[FaceKey, Cone] = {}  # one image per shared face
@@ -217,7 +221,7 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
             separated = separated and (
                 glue == images[i][common] == images[j][common]
                 and meets_in(charts[i].image, charts[j].image, glue,
-                             (forms[i], forms[j])))
+                             (sides[i], sides[j], sum(bit[g] for g in glue.generators))))
 
     # images meeting so form a fan modulo one shared lineality space V
     # (a wall character's charts share a line); images that do not share

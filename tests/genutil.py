@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+from toricgit import cones as cones_module
 from toricgit.actions import ActionError, Linearization, SemistableLocus, SubtorusAction
 from toricgit.certcheck import CheckResult, _dot, _rank
 from toricgit.cones import (
@@ -19,9 +20,9 @@ from toricgit.cones import (
     double_description,
     faces,
     feasible_strict,
+    form_masks,
     image,
     intersect,
-    meets_in,
 )
 from toricgit.fans import Fan, FaceKey, FanError, SubfanLocus, ToricDivisor, validate_fan
 from toricgit.hilbert_mumford import HilbertBasisTooLarge, _box_ranges
@@ -278,6 +279,37 @@ def cone_by_two_conversions(ambient: int, generators, lineality=()):
             tuple(hermite_normal_form(dual_lin)), rank_of_rows(rays + lin))
 
 
+def pair_masks(c1: Cone, c2: Cone, f: Cone):
+    """The masks `cones.meets_in` reads for a pair, over the generators
+    of c1, c2 and f."""
+    points = list(dict.fromkeys(c1.generators + c2.generators + f.generators))
+    bit = {p: 1 << i for i, p in enumerate(points)}
+    g1, g2, face = (sum(bit[g] for g in c.generators) for c in (c1, c2, f))
+    return (form_masks(c1, points), g1), (form_masks(c2, points), g2), face
+
+
+def meets_in_by_sum(c1: Cone, c2: Cone, f: Cone) -> bool:
+    """Reference for `cones.meets_in`: the separating form summed and
+    evaluated at every generator of both cones.  m is the sum of the facet
+    normals and signed span equalities of c1 that are <= 0 on c2's
+    generators, less those of c2 that are <= 0 on c1's; when the three
+    cones share their lineality and m vanishes on exactly f's generators
+    among each cone's, the pair meets in f.  Any other pair is intersected
+    (through the module attribute, so a test can count the fallbacks)."""
+    if c1.lineality_basis == c2.lineality_basis == f.lineality_basis:
+        m = dict.fromkeys(c1.generators + c2.generators, 0)
+        for c, other, sign in ((c1, c2, 1), (c2, c1, -1)):
+            forms = c.facet_normals + c.span_equalities + tuple(map(vneg, c.span_equalities))
+            for u in forms:
+                if all(vdot(u, g) <= 0 for g in other.generators):
+                    for g in m:
+                        m[g] += sign * vdot(u, g)
+        face = set(f.generators)
+        if all({g for g in c.generators if m[g] == 0} == face for c in (c1, c2)):
+            return True
+    return cones_module.intersect(c1, c2) == f
+
+
 def validate_fan_by_conversion(ambient_rank: int, rays, maximal_cones) -> Fan:
     """Reference for `validate_fan`: the same checks in the same order,
     with every maximal cone converted by `Cone.from_generators`, every
@@ -340,7 +372,7 @@ def validate_fan_by_conversion(ambient_rank: int, rays, maximal_cones) -> Fan:
         for k2 in max_keys[i + 1:]:
             common = k1 & k2
             if (common not in own_keys[k1] or common not in own_keys[k2]
-                    or not meets_in(cones[k1], cones[k2], face_map[common])):
+                    or not meets_in_by_sum(cones[k1], cones[k2], face_map[common])):
                 raise FanError(
                     "IntersectionNotFace",
                     f"cones {sorted(k1)} and {sorted(k2)} do not meet in a common face")

@@ -326,6 +326,25 @@ def test_hm_destabilize_under_a_rank_0_action_exits_0(tmp_path, capsys):
     assert rep["result"] == {"found": True, "lambda": []}
 
 
+@pytest.mark.parametrize("argv, error", [
+    # a coordinate past the two weights, or a negative one, is no index
+    (["limit", "--lam", "1", "--support", "5"], "expected indices in range(2), got '5'"),
+    (["limit", "--lam", "1", "--support", "0,-1"], "expected indices in range(2), got '0,-1'"),
+    (["destabilize", "--support", "0", "--target", "1,2"],
+     "expected indices in range(2), got '1,2'"),
+    (["destabilize", "--support", "7", "--target", "origin"],
+     "expected indices in range(2), got '7'"),
+    # one-slot weights take a one-entry subgroup
+    (["limit", "--lam", "1,2", "--support", "0"], "expected 1 integers, got '1,2'"),
+    (["limit", "--lam", "", "--support", "0"], "expected 1 integers, got ''"),
+])
+def test_hm_rejects_bad_indices_and_lengths_with_exit_2(intro_weights_file, capsys,
+                                                        argv, error):
+    code, rep = _run_json(["hm", argv[0], intro_weights_file, *argv[1:]], capsys)
+    assert code == 2
+    assert rep["result"] == {"error": error}
+
+
 def test_malformed_characters_exit_2(intro_file, capsys):
     code, rep = _run_json(["trivial-bundle", intro_file, "--character", ""],
                           capsys)

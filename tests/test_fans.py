@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from toricgit import actions, cones, intlinalg
 from toricgit.actions import ActionError, SubtorusAction
-from toricgit.cones import Cone, faces, intersect, meets_in
+from toricgit.cones import Cone, faces, form_masks, intersect, meets_in
 from toricgit.fans import (
     ClassGroupInfo,
     DivisorGroup,
@@ -30,7 +30,9 @@ from toricgit.intlinalg import rank_of_rows, vdot
 from genutil import (
     COX_FANS,
     chart_witness_by_system,
+    meets_in_by_sum,
     open_complement,
+    pair_masks,
     random_divisor,
     random_fan,
     random_primitive_vector,
@@ -158,6 +160,21 @@ def _random_fan_input(rng):
     return n, rays, maxes
 
 
+def _random_complete_fan_input(rng):
+    """(3, rays, maximal cones) of a complete rank-3 fan (P^3, (P^1)^3 or
+    the cube's face fan) moved by a unimodular map, then with one ray
+    moved or one cone added: every cone is kept, so most of these reach
+    the pair test with many cones."""
+    rays, maxes = rng.choice(_complete_fans(3))
+    U = random_unimodular(rng, 3)
+    rays = [tuple(vdot(row, v) for row in U) for v in rays]
+    if rng.random() < 0.5:
+        rays[rng.randrange(len(rays))] = random_primitive_vector(rng, 3)
+    else:
+        maxes = maxes + [rng.sample(range(len(rays)), rng.randint(1, 4))]
+    return 3, rays, maxes
+
+
 def _validation_outcome(validate, *args):
     """Every field of the validated fan and of each face cone (dim read
     before the facets), or the rejection's kind and message."""
@@ -173,16 +190,20 @@ def _validation_outcome(validate, *args):
 
 def test_validate_matches_conversion_on_random_fans():
     kinds = {}
-    for seed in range(700):
-        args = _random_fan_input(random.Random(seed))
+    complete = {"accepted": 0, "pair": 0}
+    inputs = [(False, _random_fan_input(random.Random(seed))) for seed in range(700)]
+    inputs += [(True, _random_complete_fan_input(random.Random(seed))) for seed in range(300)]
+    for is_complete, args in inputs:
         got = _validation_outcome(validate_fan, *args)
         assert got == _validation_outcome(validate_fan_by_conversion, *args), args
         if isinstance(got[0], str):
             kind = got[0]
+            complete["pair"] += is_complete and "do not meet in a common face" in got[1]
         else:
             simplicial = all(rank_of_rows([args[1][i] for i in set(m)]) == len(set(m))
                              for m in args[2])
             kind = ("one" if len(got[1]) == 1 else "multi", simplicial)
+            complete["accepted"] += is_complete
         kinds[kind] = kinds.get(kind, 0) + 1
     # accepted fans of each shape, and every rejection kind
     assert all(kinds.get((shape, simplicial), 0) >= 5
@@ -190,6 +211,8 @@ def test_validate_matches_conversion_on_random_fans():
     assert all(kinds.get(kind, 0) >= 5 for kind in (
         "NonPrimitiveRay", "DuplicateRay", "IntersectionNotFace", "NotPointed",
         "BadIndex")), kinds
+    # complete fans with many cones, accepted and rejected by the pair test
+    assert complete["accepted"] >= 50 and complete["pair"] >= 15, complete
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -269,9 +292,12 @@ _PAIR_FANS = [
 def test_meets_in_matches_intersect_on_fan_pairs(monkeypatch):
     """On pairs of maximal cones of fans moved by a unimodular map, with
     a random ray moved or a random cone added, and on every face the two
-    share, meets_in answers as the intersection does."""
+    share, the mask rule of meets_in answers as the summed-form reference
+    and the intersection do, by default and with masks over every
+    generator of the fan, and falls back on exactly the reference's
+    pairs."""
     fallbacks = _count_fallbacks(monkeypatch)
-    pairs = 0
+    pairs = mask_fallbacks = 0
     for seed in range(120):
         rng = random.Random(seed)
         rays, maxes = _PAIR_FANS[seed % len(_PAIR_FANS)]
@@ -283,13 +309,43 @@ def test_meets_in_matches_intersect_on_fan_pairs(monkeypatch):
         elif seed % 3 == 2:
             maxes.append(rng.sample(range(len(rays)), rng.randint(1, 4)))
         cs = [Cone.from_generators(3, [rays[i] for i in m]) for m in maxes]
+        points = list(dict.fromkeys(g for c in cs for g in c.generators))
+        bit = {p: 1 << i for i, p in enumerate(points)}
+
+        def gens(c):
+            return sum(bit[g] for g in c.generators)
+        sides = [(form_masks(c, points), gens(c)) for c in cs]
         for i, c1 in enumerate(cs):
-            for c2 in cs[i + 1:]:
+            for j in range(i + 1, len(cs)):
+                c2 = cs[j]
                 for f in set(faces(c1)) & set(faces(c2)):
                     pairs += 1
-                    assert meets_in(c1, c2, f) == (intersect(c1, c2) == f)
+                    n0 = len(fallbacks)
+                    got = meets_in(c1, c2, f, pair_masks(c1, c2, f))
+                    n1 = len(fallbacks)
+                    assert meets_in(c1, c2, f, (sides[i], sides[j], gens(f))) == got
+                    n2 = len(fallbacks)
+                    assert meets_in_by_sum(c1, c2, f) == got == (intersect(c1, c2) == f)
+                    assert n1 - n0 == n2 - n1 == len(fallbacks) - n2
+                    mask_fallbacks += n1 - n0
     # both the certificate and the fallback decide some pairs
-    assert 0 < len(fallbacks) < pairs
+    assert 0 < mask_fallbacks < pairs
+
+
+@pytest.mark.parametrize("gens1, gens2", [
+    ([(-1, -1, 0), (1, 0, 1)], [(0, -1, 0)]),
+    ([(2, 2, -1)], [(0, 2, 1), (2, 1, -2)]),
+])
+def test_meets_in_settles_only_pairs_the_form_cuts_from_both(monkeypatch, gens1, gens2):
+    # the separating form cuts the apex out of one of the two cones but a
+    # larger face out of the other: the pair is intersected, in either
+    # order, as by the summed form
+    fallbacks = _count_fallbacks(monkeypatch)
+    c1, c2 = Cone.from_generators(3, gens1), Cone.from_generators(3, gens2)
+    apex = Cone(3, (), ())
+    for a, b in ((c1, c2), (c2, c1)):
+        assert meets_in(a, b, apex, pair_masks(a, b, apex)) and meets_in_by_sum(a, b, apex)
+    assert len(fallbacks) == 4
 
 
 @settings(max_examples=80, deadline=None)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricgit import intlinalg
 from toricgit.intlinalg import (
     IntMatrix,
     Sublattice,
@@ -228,6 +229,25 @@ def test_kernel_of_no_rows_is_the_identity_basis():
     for n in range(5):
         assert kernel_basis(IntMatrix.from_rows([], n)).basis.entries == \
             IntMatrix.identity(n).entries
+
+
+def test_no_rows_take_no_hermite_form(monkeypatch):
+    # the kernel of no equations is everything and their solution is 0,
+    # both read off with no Hermite form
+    monkeypatch.setattr(intlinalg, "hermite_normal_form", None)
+    for n in range(5):
+        empty = IntMatrix.from_rows([], n)
+        assert kernel_basis(empty) == Sublattice(n, IntMatrix.identity(n))
+        assert solve_integer(empty, ()) == (0,) * n
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices)
+def test_cokernel_torsion_is_the_invariant_factors_of_the_basis(rows):
+    S = Sublattice.from_rows(len(rows[0]), [tuple(r) for r in rows])
+    pi, torsion = cokernel_projection(S)
+    assert torsion == tuple(d for d in invariant_factors_by_minors(S.basis.entries) if d > 1)
+    assert pi.matrix == kernel_basis(S.basis).basis
 
 
 @settings(max_examples=200, deadline=None)

@@ -40,6 +40,7 @@ from genutil import (
     contains_cone,
     cox_data,
     locus_of_faces,
+    pair_masks,
     random_action,
     random_complete_fan2,
     random_divisor,
@@ -300,7 +301,7 @@ def test_meets_in_matches_intersect_on_chart_images(monkeypatch):
         for i, c1 in enumerate(images):
             for c2 in images[i + 1:]:
                 for f in set(cone_faces(c1)) & set(cone_faces(c2)):
-                    got = meets_in(c1, c2, f)
+                    got = meets_in(c1, c2, f, pair_masks(c1, c2, f))
                     assert got == (intersect(c1, c2) == f)
                     met += got
                     missed += not got
