@@ -17,7 +17,9 @@ cone K_gamma = phi_star(sigma_dual ∩ gamma^perp), the locus at chi is
 L(chi) = {gamma : chi in K_gamma}, and lambda_R = ∩ K_gamma over the
 maximal faces of a locus R.  If R = L(chi), lambda_R is the GIT cone of
 chi, L is constant on its relative interior, and the GIT cones form a
-fan (Berchtold-Hausen 2006).
+fan (Berchtold-Hausen 2006).  Its section cones at the characters chi
+differ only in the weight rows, so git_chambers converts none of them:
+each is sigma_dual x R>=0, read off sigma's facets, cut by chi's rows.
 """
 
 from __future__ import annotations
@@ -286,23 +288,47 @@ def _weight_cones(action: SubtorusAction, fan: Fan):
 
 
 def _git_cone(d: int, kcones) -> Cone:
-    """The intersection of the weight cones kcones by one conversion of
-    their facets and span equalities: lambda(chi) over L(chi)'s members,
-    lambda_R over R's maximal faces."""
-    return Cone.from_inequalities(d, [u for c in kcones for u in c.facet_normals],
-                                  [e for c in kcones for e in c.span_equalities])
+    """The intersection of the weight cones kcones, the first cut by the
+    others' facets and span equalities in one conversion (the whole space
+    when there are none): lambda(chi) over L(chi)'s members, lambda_R over
+    R's maximal faces."""
+    if not kcones:
+        return Cone.from_inequalities(d, ())
+    first, *rest = kcones
+    return first.cut([u for c in rest for u in c.facet_normals],
+                     [e for c in rest for e in c.span_equalities])
+
+
+def _section_start(fan: Fan) -> tuple[Cone, tuple[Vec, ...]]:
+    """sigma_dual x R>=0, the trivial bundle's section cone before any
+    weight row, and the forms `fans.section_cone` gives for D = 0: (v_j, 0)
+    in ray order, then (0, 1).  It is generated by (u, 0) for sigma's facet
+    normals u and by (0, 1), its lineality is spanned by (e, 0) for sigma's
+    span equalities e, and, sigma being pointed, the forms are its facets:
+    read off sigma's facets, no conversion.  When sigma = 0, sigma_dual is
+    all of M."""
+    n = fan.ambient_rank
+    sigma = fan.face_cone(_require_affine(fan))
+    forms = tuple(v + (0,) for v in fan.rays) + ((0,) * n + (1,),)
+    start = Cone(n + 1, tuple(sorted([u + (0,) for u in sigma.facet_normals] + [forms[-1]])),
+                 tuple(e + (0,) for e in sigma.span_equalities))
+    start._set_facets(forms, ())
+    return start, forms
 
 
 def _locus_at(chi: Vec, action: SubtorusAction, fan: Fan, face_gens,
-              kcones) -> SemistableLocus:
+              kcones, start: tuple[Cone, tuple[Vec, ...]]) -> SemistableLocus:
     """L(chi) by weight-cone membership, face-closed as K_gamma shrinks
     when gamma grows.  Its maximal faces are certified from one section
     cone: if chi is in K_gamma, some tau >= gamma passes the chart test and
-    is a member, so a maximal member is that tau and passes."""
+    is a member, so a maximal member is that tau and passes.  The section
+    cone is `_section_start`'s cone cut by chi's d weight rows,
+    col . u - chi_t s = 0: the cone `fans.section_cone` converts from the
+    whole space, with the same forms."""
     members = {g for g, c in kcones.items() if c.contains_point(chi)}
     locus = SubfanLocus(frozenset(key for key, g in face_gens.items() if g in members))
-    section = section_cone(fan, (ToricDivisor.zero(fan),), action.columns, (vneg(chi),),
-                           positive=True)
+    cone, forms = start
+    section = cone.cut(equalities=[col + (-c,) for col, c in zip(action.columns, chi)]), forms
     certs = tuple((key, _divisor_certificate(fan, key, section))
                   for key in locus.maximal_keys())
     if any(cert is None for _, cert in certs):
@@ -330,7 +356,10 @@ def git_chambers(action: SubtorusAction, fan: Fan):
     is convex, so its walls join all chambers; member sets key them, and
     each is one conversion, or a member if all members are one cone.  They
     share span(Omega), so its facets are the member normals with maximal
-    zero sets on its generators, read by incidence; the rest are faces."""
+    zero sets on its generators, read by incidence; the rest are faces.
+    Each cone's locus is certified from sigma_dual x R>=0, built once per
+    walk from sigma's facets and cut by its sample's weight rows
+    (`_locus_at`), not converted again from the whole space."""
     face_gens, kcones = _weight_cones(action, fan)
     omega = kcones[face_gens[frozenset()]]
 
@@ -372,7 +401,8 @@ def git_chambers(action: SubtorusAction, fan: Fan):
 
     cones = sorted({f for ch in chambers.values() for f in cone_faces(ch)},
                    key=lambda c: (-c.dim, c.generators, c.lineality_basis))
-    return [(c, chi, _locus_at(chi, action, fan, face_gens, kcones))
+    start = _section_start(fan)
+    return [(c, chi, _locus_at(chi, action, fan, face_gens, kcones, start))
             for c in cones for chi in [relative_interior_point(c)]]
 
 

@@ -2,9 +2,13 @@
 
 The workhorse is a double description conversion over the integers:
 given homogeneous inequalities and equalities we compute a minimal set
-of extreme rays plus a lineality basis.  Each ray carries the set of
-constraints it is tight on, so adjacency, and with it extremality, is
-decided from those sets rather than by re-evaluating every constraint.
+of extreme rays plus a lineality basis.  The conversion is incremental,
+so it starts from the whole space or from a cone already converted:
+`Cone.cut` continues from a cone's generators, lineality and facets,
+and intersect is one cone cut by the other's facets.  Each ray carries
+the set of constraints it is tight on, so adjacency, and with it
+extremality, is decided from those sets rather than by re-evaluating
+every constraint.
 A vector the new constraint vanishes on is kept as it is, since its
 projection is a positive multiple of it and every stored vector is
 primitive; and a pair tight on fewer constraints than the codimension
@@ -96,12 +100,25 @@ def double_description(
     ambient: int,
     inequalities: Sequence[Sequence[int]],
     equalities: Sequence[Sequence[int]] = (),
+    start: Optional["Cone"] = None,
 ) -> tuple[list[Vec], list[Vec]]:
     """Extreme rays and lineality basis of
-    {x : a.x >= 0 for all inequalities, b.x = 0 for all equalities}.
+    {x in start : a.x >= 0 for all inequalities, b.x = 0 for all equalities}.
 
     Rays are primitive and minimal modulo the lineality space.  The
     lineality basis is the HNF of the saturated lattice of that space.
+    Both are canonical, so the result does not depend on the order in
+    which the constraints are taken.
+
+    The conversion is incremental (Fukuda-Prodon 1996): it holds a cone
+    as rays, each with its zero set over the constraints taken so far,
+    and a lineality basis, and cuts it by one constraint at a time.
+    start=None is the whole space, the identity lineality and no rays.
+    A start cone is taken as converted: the loop begins at its generators
+    and lineality basis, its facet normals and signed span equalities
+    are the first constraints, and each generator's zero set over them
+    is read off once; the conversion of the start's facets is run if it
+    has not been.
 
     Two invariants keep the work down without changing the result.  A
     lineality vector or ray that the constraint being added vanishes on
@@ -114,9 +131,19 @@ def double_description(
     both rays.
 
     The lineality vectors left at the end are primitive and span the
-    lineality space, the kernel of the constraints, so its lattice is
-    read off them at rank 0, 1 or full (`_lineality_lattice`)."""
-    constraints: list[Vec] = []
+    lineality space, the kernel of every constraint, the start's forms
+    included, so its lattice is read off them at rank 0, 1 or full
+    (`_lineality_lattice`); when no constraint cut the start's lineality,
+    it is the start's lattice."""
+    # each ray with its zero set over the constraints handled so far (bitmask)
+    if start is None:
+        given, rays = (), {}
+        lin = [(0,) * i + (1,) + (0,) * (ambient - 1 - i) for i in range(ambient)]
+    else:
+        (given, tight), lin = start._dd_start, list(start.lineality_basis)
+        rays = dict(tight)
+    full = len(lin)
+    constraints = list(given)
     for rows, both_signs in ((equalities, True), (inequalities, False)):
         for a in rows:
             g = gcd(*a)
@@ -127,11 +154,7 @@ def double_description(
                     constraints.append(tuple(map(neg, t)))
     constraints = list(dict.fromkeys(constraints))
 
-    lin: list[Vec] = [(0,) * i + (1,) + (0,) * (ambient - 1 - i) for i in range(ambient)]
-    # each ray with its zero set over the constraints handled so far (bitmask)
-    rays: dict[Vec, int] = {}
-
-    for k, a in enumerate(constraints):
+    for k, a in enumerate(constraints[len(given):], len(given)):
         bit = 1 << k
         dots = [sum(map(mul, a, l)) for l in lin]
         if any(dots):
@@ -189,6 +212,9 @@ def double_description(
 
     if not lin:
         return sorted(rays), []
+    if len(lin) == full:
+        # no constraint cut the lineality: it is the start's lattice
+        return sorted(rays), lin
     lin_rows = _lineality_lattice(ambient, lin, constraints)
     reduced = (_reduce_mod_rows(r, lin_rows) for r in rays)
     return sorted({r for r in reduced if any(r)}), list(lin_rows)
@@ -222,6 +248,17 @@ class Cone:
     def _convert(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
         return self._set_facets(*double_description(
             self.ambient_rank, self.generators, self.lineality_basis))
+
+    @cached_property
+    def _dd_start(self) -> tuple[tuple[Vec, ...], dict[Vec, int]]:
+        """The facet normals, span equalities and negated span equalities,
+        and each generator with its zero set over them (bit k for the k-th
+        form): where `double_description` continues from, kept for every
+        cut.  A converted cone's forms are primitive and distinct."""
+        eqs = self.span_equalities
+        forms = self.facet_normals + eqs + tuple(tuple(map(neg, e)) for e in eqs)
+        return forms, {g: sum(1 << k for k, a in enumerate(forms) if not sum(map(mul, a, g)))
+                       for g in self.generators}
 
     def _set_facets(self, normals: Sequence[Vec], dual_lin: Sequence[Vec]):
         """Store both halves of the facet description of one conversion."""
@@ -277,6 +314,17 @@ class Cone:
         rays, lin = double_description(ambient, inequalities, equalities)
         return Cone(ambient, tuple(rays), tuple(lin))
 
+    def cut(self, inequalities: Sequence[Sequence[int]] = (),
+            equalities: Sequence[Sequence[int]] = ()) -> "Cone":
+        """{x in self : a.x >= 0 for all inequalities, b.x = 0 for all
+        equalities}, by one conversion that continues from self's
+        generators, lineality and facets instead of the whole space
+        (`double_description` with start=self).  The result is canonical,
+        so it is the cone that from_inequalities gives on self's facet
+        description and the new constraints together."""
+        rays, lin = double_description(self.ambient_rank, inequalities, equalities, start=self)
+        return Cone(self.ambient_rank, tuple(rays), tuple(lin))
+
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -293,13 +341,10 @@ def dual(c: Cone) -> Cone:
 
 
 def intersect(c1: Cone, c2: Cone) -> Cone:
+    """c1 ∩ c2: c1 cut by c2's facet description."""
     if c1.ambient_rank != c2.ambient_rank:
         raise ValueError("ambient rank mismatch")
-    return Cone.from_inequalities(
-        c1.ambient_rank,
-        list(c1.facet_normals) + list(c2.facet_normals),
-        list(c1.span_equalities) + list(c2.span_equalities),
-    )
+    return c1.cut(c2.facet_normals, c2.span_equalities)
 
 
 def form_masks(c: Cone, points: Sequence[Vec]) -> list[tuple[int, int, int]]:
@@ -331,7 +376,9 @@ def meets_in(c1: Cone, c2: Cone, f: Cone, masks) -> bool:
     each cone's `form_masks` over one point list with the mask of its
     generators there, and the mask of f's.  When c1, c2 and f share their
     lineality, every term vanishes on it, and each face is read off the
-    generators m kills.  A pair that no such m separates is intersected."""
+    generators m kills.  One side settles the pair: c1 ∩ c2 lies in
+    m^perp ∩ c1 and in m^perp ∩ c2, so if either face is f, c1 ∩ c2 = f.
+    A pair that no such m separates is intersected."""
     if c1.ambient_rank != c2.ambient_rank:
         raise ValueError("ambient rank mismatch")
     (rows1, g1), (rows2, g2), face = masks
@@ -341,7 +388,7 @@ def meets_in(c1: Cone, c2: Cone, f: Cone, masks) -> bool:
             if other & le == other:
                 zero &= eq
     return (c1.lineality_basis == c2.lineality_basis == f.lineality_basis
-            and zero & g1 == face == zero & g2) or intersect(c1, c2) == f
+            and face in (zero & g1, zero & g2)) or intersect(c1, c2) == f
 
 
 def image(c: Cone, f: LatticeMap) -> Cone:

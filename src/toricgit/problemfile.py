@@ -65,6 +65,18 @@ def _int_vector(value, where: str) -> tuple:
     return tuple(value)
 
 
+def _container(data: dict, field: str, kind: type):
+    """data[field], which must be a list or a mapping (kind); an absent or
+    null mapping reads as empty."""
+    value = data.get(field)
+    if value is None and kind is dict:
+        return {}
+    if not isinstance(value, kind):
+        what = "a list" if kind is list else "a mapping of names"
+        raise ParseError(f"{field} must be {what}, got {value!r}")
+    return value
+
+
 def parse_problem(data: dict) -> Problem:
     if not isinstance(data, dict):
         raise ParseError("problem file must be a JSON object")
@@ -78,23 +90,21 @@ def parse_problem(data: dict) -> Problem:
     rank = data["lattice_rank"]
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
         raise ParseError(f"lattice_rank must be a nonnegative integer")
-    rays = [_int_vector(r, f"rays[{i}]") for i, r in enumerate(data["rays"])]
-    cones = data["cones"]
-    if not isinstance(cones, list):
-        raise ParseError("cones must be a list of ray-index lists")
+    rays = [_int_vector(r, f"rays[{i}]") for i, r in enumerate(_container(data, "rays", list))]
+    cones = [_int_vector(c, f"cones[{i}]") for i, c in enumerate(_container(data, "cones", list))]
     fan = validate_fan(rank, rays, cones)
 
     action = None
     if "action" in data:
         cols = [_int_vector(c, f"action[{i}]")
-                for i, c in enumerate(data["action"])]
+                for i, c in enumerate(_container(data, "action", list))]
         for c in cols:
             if len(c) != rank:
                 raise ParseError(f"action column {c} has wrong length")
         action = SubtorusAction.from_columns(cols, rank)
 
     divisors = {}
-    for name, coeffs in (data.get("divisors") or {}).items():
+    for name, coeffs in _container(data, "divisors", dict).items():
         v = _int_vector(coeffs, f"divisors[{name!r}]")
         if len(v) != len(rays):
             raise ParseError(
@@ -102,7 +112,7 @@ def parse_problem(data: dict) -> Problem:
         divisors[name] = ToricDivisor(v)
 
     shifts = {}
-    for name, vec in (data.get("shifts") or {}).items():
+    for name, vec in _container(data, "shifts", dict).items():
         if name not in divisors:
             raise ParseError(f"shift given for unknown divisor {name!r}")
         shifts[name] = _int_vector(vec, f"shifts[{name!r}]")
@@ -129,7 +139,7 @@ def parse_problem(data: dict) -> Problem:
     weights = None
     if "weights" in data:
         weights = tuple(_int_vector(w, f"weights[{i}]")
-                        for i, w in enumerate(data["weights"]))
+                        for i, w in enumerate(_container(data, "weights", list)))
 
     return Problem(fan, action, divisors, shifts, groups, weights)
 

@@ -11,7 +11,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from toricgit import cones as cones_module
-from toricgit.actions import ActionError, Linearization, SemistableLocus, SubtorusAction
+from toricgit.actions import (
+    ActionError,
+    Linearization,
+    SemistableLocus,
+    SubtorusAction,
+    _divisor_certificate,
+)
 from toricgit.certcheck import CheckResult, _dot, _rank
 from toricgit.cones import (
     Cone,
@@ -24,7 +30,15 @@ from toricgit.cones import (
     image,
     intersect,
 )
-from toricgit.fans import Fan, FaceKey, FanError, SubfanLocus, ToricDivisor, validate_fan
+from toricgit.fans import (
+    Fan,
+    FaceKey,
+    FanError,
+    SubfanLocus,
+    ToricDivisor,
+    section_cone,
+    validate_fan,
+)
 from toricgit.hilbert_mumford import HilbertBasisTooLarge, _box_ranges
 from toricgit.intlinalg import (
     IntMatrix,
@@ -294,7 +308,7 @@ def meets_in_by_sum(c1: Cone, c2: Cone, f: Cone) -> bool:
     normals and signed span equalities of c1 that are <= 0 on c2's
     generators, less those of c2 that are <= 0 on c1's; when the three
     cones share their lineality and m vanishes on exactly f's generators
-    among each cone's, the pair meets in f.  Any other pair is intersected
+    among either cone's, the pair meets in f.  Any other pair is intersected
     (through the module attribute, so a test can count the fallbacks)."""
     if c1.lineality_basis == c2.lineality_basis == f.lineality_basis:
         m = dict.fromkeys(c1.generators + c2.generators, 0)
@@ -305,7 +319,7 @@ def meets_in_by_sum(c1: Cone, c2: Cone, f: Cone) -> bool:
                     for g in m:
                         m[g] += sign * vdot(u, g)
         face = set(f.generators)
-        if all({g for g in c.generators if m[g] == 0} == face for c in (c1, c2)):
+        if any({g for g in c.generators if m[g] == 0} == face for c in (c1, c2)):
             return True
     return cones_module.intersect(c1, c2) == f
 
@@ -562,6 +576,20 @@ def chambers_by_full_refinement(action: SubtorusAction, fan: Fan) -> list:
         cells = [p for p in dict.fromkeys(halves) if p.dim == cells[0].dim]
     return sorted({f for cell in cells for f in faces(cell)},
                   key=lambda c: (-c.dim, c.generators, c.lineality_basis))
+
+
+def locus_at_by_section_cone(chi, action: SubtorusAction, fan: Fan, face_gens,
+                             kcones, start=None) -> SemistableLocus:
+    """Reference for `actions._locus_at`: the same weight-cone membership
+    locus, each maximal face certified from `fans.section_cone`, which
+    converts the section cone at chi from the whole space instead of
+    cutting the start cone (ignored here)."""
+    members = {g for g, c in kcones.items() if c.contains_point(chi)}
+    locus = SubfanLocus(frozenset(key for key, g in face_gens.items() if g in members))
+    section = section_cone(fan, (ToricDivisor.zero(fan),), action.columns, (vneg(chi),),
+                           positive=True)
+    return SemistableLocus(locus, tuple((key, _divisor_certificate(fan, key, section))
+                                        for key in locus.maximal_keys()))
 
 
 def chart_witness_by_system(fan: Fan, tau, degree_rows, weight_rows=(),

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricgit import actions
 from toricgit.actions import (
     ActionError,
     Linearization,
@@ -30,6 +31,7 @@ from toricgit.fans import (
     SubfanLocus,
     ToricDivisor,
     is_cartier_on,
+    section_cone,
     validate_fan,
 )
 from toricgit.intlinalg import rank_of_rows, vdot, vneg, vsub
@@ -41,6 +43,7 @@ from genutil import (
     check_certificate_with_complement_affine,
     contains_cone,
     cox_data,
+    locus_at_by_section_cone,
     random_action,
     random_affine_fan,
     random_divisor,
@@ -392,6 +395,45 @@ def test_chambers_convert_each_weight_cone_once(monkeypatch, name, distinct):
     git_chambers(act, orthant)
     assert len(converted) == distinct
     assert len(orthant.face_keys()) == 2 ** len(orthant.rays) > distinct
+
+
+def _section_cut_inputs():
+    """The Cox data of P^2, F_1 and the hexagon, seeded affine rank-3
+    cones under subtori of dimension 1-2, and the rayless affine fan."""
+    for rays in (COX_FANS["P2"][0], COX_FANS["F1"][0],
+                 [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]):
+        orthant, act = cox_data(rays)
+        yield act, orthant
+    for seed in range(60):
+        rng = random.Random(f"section-cut/{seed}")
+        fan = random_affine_fan(rng, 3)
+        act = random_action(rng, fan)
+        if act.d == 0:
+            act = SubtorusAction.from_columns([random_primitive_vector(rng, 3)], 3)
+        yield act, fan
+    yield SubtorusAction.from_columns([(1, 0, 2), (0, 1, 1)], 3), validate_fan(3, [], [[]])
+
+
+def test_section_start_is_the_section_cone_before_any_weight_row():
+    # sigma_dual x R>=0 read off sigma's facets: the cone fans.section_cone
+    # converts for D = 0 with no action, its forms, and those as its facets
+    for _, fan in _section_cut_inputs():
+        start, forms = actions._section_start(fan)
+        want, want_forms = section_cone(fan, (ToricDivisor.zero(fan),), positive=True)
+        assert start == want and forms == want_forms
+        assert set(start.facet_normals) == set(want.facet_normals) == set(forms)
+        assert start.span_equalities == want.span_equalities == ()
+
+
+def test_chambers_cut_the_section_cones_that_section_cone_converts(monkeypatch):
+    # each locus certified from the start cone cut by chi's weight rows is
+    # the one the whole-space section cone gives: cones, samples, loci and
+    # certificates
+    inputs = list(_section_cut_inputs())
+    got = [git_chambers(act, fan) for act, fan in inputs]
+    monkeypatch.setattr(actions, "_locus_at", locus_at_by_section_cone)
+    assert got == [git_chambers(act, fan) for act, fan in inputs]
+    assert sum(len(loc.certificates) for chams in got for _, _, loc in chams) > 500
 
 
 def test_chamber_loci_are_weight_cone_members():

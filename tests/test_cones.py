@@ -42,6 +42,7 @@ from genutil import (
     interior_contains,
     lattice_saturated,
     random_primitive_vector,
+    random_unimodular,
     supporting_normal,
 )
 
@@ -223,6 +224,74 @@ def test_intersect_is_glb(c1, c2):
     assert contains_cone(c1, m) and contains_cone(c2, m)
     for g in m.generators:
         assert c1.contains_point(g) and c2.contains_point(g)
+
+
+def _cut_start(rng: random.Random, n: int, kind: int) -> Cone:
+    """A start cone of one of five kinds: pointed, with lineality, not
+    full-dimensional, the zero cone, the whole space."""
+    def vec():
+        return tuple(rng.randint(-3, 3) for _ in range(n))
+    gens = [vec() for _ in range(rng.randint(1, 5))]
+    if kind == 0:
+        return Cone.from_generators(n, gens)
+    if kind == 1:
+        return Cone.from_generators(n, gens, [vec()])
+    if kind == 2:
+        U = random_unimodular(rng, n)
+        flat = [g[:-1] + (0,) for g in gens]
+        return Cone.from_generators(n, [tuple(vdot(row, g) for row in U) for g in flat])
+    return Cone(n, (), ()) if kind == 3 else Cone.from_inequalities(n, ())
+
+
+def test_cut_is_the_conversion_of_all_constraints():
+    """A start cone cut by new rows is the cone that one conversion of its
+    facet description and the rows together gives, whatever the start:
+    pointed, with lineality, not full-dimensional, zero or everything, its
+    facets converted before the cut or by it; and whatever the rows: none,
+    zero rows, a start facet again (scaled), or rows that empty the cone."""
+    kinds = collections.Counter()
+    for seed in range(800):
+        rng = random.Random(f"cut/{seed}")
+        n, kind = rng.randint(1, 4), seed % 5
+        start = _cut_start(rng, n, kind)
+        ineqs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+        eqs = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 2))]
+        if seed % 3 == 0:
+            ineqs.append((0,) * n)
+            eqs.append((0,) * n)
+        if seed % 4 == 1 and start.facet_normals:
+            ineqs.append(vscale(rng.choice((1, 2)), rng.choice(start.facet_normals)))
+        if seed % 7 == 2:
+            eqs += [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        elif seed % 7 == 3:
+            ineqs += [vneg(u) for u in start.facet_normals]
+        if seed % 2:
+            # a copy whose facets the cut itself converts
+            start = Cone(n, start.generators, start.lineality_basis)
+        got = start.cut(ineqs, eqs)
+        want = Cone.from_inequalities(n, list(start.facet_normals) + ineqs,
+                                      list(start.span_equalities) + eqs)
+        assert (got.generators, got.lineality_basis) == (want.generators, want.lineality_basis)
+        assert (got.facet_normals, got.span_equalities, got.dim) == \
+            (want.facet_normals, want.span_equalities, want.dim)
+        kinds[kind, got.is_zero()] += 1
+    # every kind of start is cut, and each but the zero cone also to the apex and past it
+    assert all(kinds[k, False] for k in (0, 1, 2, 4)) and all(kinds[k, True] for k in range(5))
+
+
+def test_cut_of_a_converted_cone_is_one_conversion(monkeypatch):
+    # the cut continues from the start, so a start whose facets are known
+    # costs one double_description call, which starts there
+    c = Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 1)])
+    ray = Cone.from_generators(3, [(1, 1, 1)])
+    calls = []
+    real = cones.double_description
+    monkeypatch.setattr(cones, "double_description",
+                        lambda *a, **kw: calls.append(kw.get("start")) or real(*a, **kw))
+    # the half x >= y: the rays on it, and the midpoints of the edges it crosses
+    assert c.cut([(1, -1, 0)]).generators == ((1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 2))
+    assert intersect(c, ray) == ray
+    assert calls == [c, c]
 
 
 def test_image_projection():

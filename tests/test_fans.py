@@ -336,16 +336,17 @@ def test_meets_in_matches_intersect_on_fan_pairs(monkeypatch):
     ([(-1, -1, 0), (1, 0, 1)], [(0, -1, 0)]),
     ([(2, 2, -1)], [(0, 2, 1), (2, 1, -2)]),
 ])
-def test_meets_in_settles_only_pairs_the_form_cuts_from_both(monkeypatch, gens1, gens2):
+def test_meets_in_settles_pairs_the_form_cuts_from_one_side(monkeypatch, gens1, gens2):
     # the separating form cuts the apex out of one of the two cones but a
-    # larger face out of the other: the pair is intersected, in either
-    # order, as by the summed form
+    # larger face out of the other: c1 ∩ c2 lies in both faces, so the
+    # apex side settles the pair, in either order, with no intersection
     fallbacks = _count_fallbacks(monkeypatch)
     c1, c2 = Cone.from_generators(3, gens1), Cone.from_generators(3, gens2)
     apex = Cone(3, (), ())
     for a, b in ((c1, c2), (c2, c1)):
         assert meets_in(a, b, apex, pair_masks(a, b, apex)) and meets_in_by_sum(a, b, apex)
-    assert len(fallbacks) == 4
+    assert len(fallbacks) == 0
+    assert intersect(c1, c2) == apex
 
 
 @settings(max_examples=80, deadline=None)

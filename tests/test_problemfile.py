@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from toricgit.cli import run
 from toricgit.problemfile import ParseError, load_problem, parse_problem
 
 
@@ -129,3 +130,24 @@ def test_given_shifts_reach_divisor_and_group_linearizations():
     assert p.linearization_for("D").shifts == ((3,),)
     # a divisor without a given shift is linearized by the zero character
     assert p.group("G")[1].shifts == ((3,), (0,))
+
+
+@pytest.mark.parametrize("field, value, named", [
+    # each once raised an uncaught exception (a traceback, exit 1)
+    ("divisors", [None], "divisors"),
+    ("cones", [-1], "cones[0]"),
+    ("rays", 5, "rays"),
+    ("weights", 3, "weights"),
+    ("action", 3, "action"),
+    # and each was once read silently as the cone [0, 1] or [1]
+    ("cones", ["01"], "cones[0]"),
+    ("cones", [[0.5, 1]], "cones[0]"),
+    ("cones", [[True, 1]], "cones[0]"),
+])
+def test_malformed_field_is_exit_2_naming_it(tmp_path, capsys, field, value, named):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"lattice_rank": 2, "rays": [[1, 0], [0, 1]],
+                             "cones": [[0, 1]], field: value}))
+    assert run(["class-group", str(f), "--json"]) == 2
+    error = json.loads(capsys.readouterr().out)["result"]["error"]
+    assert error.startswith(named + (":" if "[" in named else " "))
