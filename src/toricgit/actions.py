@@ -9,8 +9,8 @@ semistable iff some face tau >= gamma admits an invariant section, a
 single monomial, whose nonvanishing locus is exactly the affine chart of
 tau.  A locus converts one section cone (`fans.section_cone` of its
 divisors, columns and shifts) and reads each chart's witness off its
-faces by incidence, walking the faces largest first and skipping those
-under a chart that already passed.
+generators' zero sets, walking the faces largest first and skipping
+those under a chart that already passed.
 
 For the trivial bundle on an affine chart sigma, a face gamma has weight
 cone K_gamma = phi_star(sigma_dual ∩ gamma^perp), the locus at chi is
@@ -20,6 +20,9 @@ chi, L is constant on its relative interior, and the GIT cones form a
 fan (Berchtold-Hausen 2006).  Its section cones at the characters chi
 differ only in the weight rows, so git_chambers converts none of them:
 each is sigma_dual x R>=0, read off sigma's facets, cut by chi's rows.
+L(chi) is read off that section cone, not tested against any K_gamma:
+gamma is a member iff some generator (u, s) with s > 0 vanishes on its
+rays.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .fans import (
     is_cartier_on,
     largest_first,
     section_cone,
+    zero_sets,
 )
 from .intlinalg import (
     IntMatrix,
@@ -316,21 +320,30 @@ def _section_start(fan: Fan) -> tuple[Cone, tuple[Vec, ...]]:
     return start, forms
 
 
-def _locus_at(chi: Vec, action: SubtorusAction, fan: Fan, face_gens,
-              kcones, start: tuple[Cone, tuple[Vec, ...]]) -> SemistableLocus:
-    """L(chi) by weight-cone membership, face-closed as K_gamma shrinks
-    when gamma grows.  Its maximal faces are certified from one section
-    cone: if chi is in K_gamma, some tau >= gamma passes the chart test and
-    is a member, so a maximal member is that tau and passes.  The section
-    cone is `_section_start`'s cone cut by chi's d weight rows,
-    col . u - chi_t s = 0: the cone `fans.section_cone` converts from the
-    whole space, with the same forms."""
-    members = {g for g, c in kcones.items() if c.contains_point(chi)}
-    locus = SubfanLocus(frozenset(key for key, g in face_gens.items() if g in members))
+def _locus_at(chi: Vec, action: SubtorusAction, fan: Fan,
+              start: tuple[Cone, tuple[Vec, ...]]) -> SemistableLocus:
+    """L(chi) and its certificates, read off one section cone S: the start
+    cone cut by chi's d weight rows, col . u - chi_t s = 0, which is the
+    cone `fans.section_cone` converts from the whole space, with the same
+    forms, and its generators' zero sets over them (`fans.zero_sets`).
+    gamma is in L(chi) iff chi is in K_gamma, iff the face of S on which
+    gamma's forms vanish holds a point with s > 0, iff some generator
+    (u, s) with s > 0 vanishes on gamma's rays (lineality vectors have
+    s = 0).  Such a u is in sigma_dual, so the rays it vanishes on key
+    the face u^perp ∩ sigma: L(chi) is the closure of those keys and its
+    maximal faces are the maximal keys, with no weight cone tested.  Each
+    maximal face passes its chart test, the AND of the zero sets holding
+    it being its own key, and is certified from the same table."""
     cone, forms = start
     section = cone.cut(equalities=[col + (-c,) for col, c in zip(action.columns, chi)]), forms
-    certs = tuple((key, _divisor_certificate(fan, key, section))
-                  for key in locus.maximal_keys())
+    # the last form is s >= 0, so a generator with s > 0 misses its bit
+    positive = 1 << len(fan.rays)
+    tops = {z for _, z in zero_sets(section) if not z & positive}
+    maxes = sorted((frozenset(j for j in range(len(fan.rays)) if z >> j & 1)
+                    for z in tops if not any(z & z2 == z != z2 for z2 in tops)),
+                   key=lambda k: (len(k), sorted(k)))
+    locus = SubfanLocus(frozenset(k for k in fan.face_keys() if any(k <= m for m in maxes)))
+    certs = tuple((key, _divisor_certificate(fan, key, section)) for key in maxes)
     if any(cert is None for _, cert in certs):
         raise RuntimeError(f"weight-cone locus at {chi}: a maximal face fails")
     return SemistableLocus(locus, certs)
@@ -357,9 +370,11 @@ def git_chambers(action: SubtorusAction, fan: Fan):
     each is one conversion, or a member if all members are one cone.  They
     share span(Omega), so its facets are the member normals with maximal
     zero sets on its generators, read by incidence; the rest are faces.
-    Each cone's locus is certified from sigma_dual x R>=0, built once per
-    walk from sigma's facets and cut by its sample's weight rows
-    (`_locus_at`), not converted again from the whole space."""
+    Each cone's locus is read off sigma_dual x R>=0, built once per walk
+    from sigma's facets and cut by its sample's weight rows (`_locus_at`):
+    the members and maximal faces come from the cut's zero-set table and
+    are certified from it, with no weight-cone membership test and no
+    conversion from the whole space."""
     face_gens, kcones = _weight_cones(action, fan)
     omega = kcones[face_gens[frozenset()]]
 
@@ -402,7 +417,7 @@ def git_chambers(action: SubtorusAction, fan: Fan):
     cones = sorted({f for ch in chambers.values() for f in cone_faces(ch)},
                    key=lambda c: (-c.dim, c.generators, c.lineality_basis))
     start = _section_start(fan)
-    return [(c, chi, _locus_at(chi, action, fan, face_gens, kcones, start))
+    return [(c, chi, _locus_at(chi, action, fan, start))
             for c in cones for chi in [relative_interior_point(c)]]
 
 

@@ -8,7 +8,10 @@ so it starts from the whole space or from a cone already converted:
 and intersect is one cone cut by the other's facets.  Each ray carries
 the set of constraints it is tight on, so adjacency, and with it
 extremality, is decided from those sets rather than by re-evaluating
-every constraint.
+every constraint.  An equality is one constraint, taken in one pass
+that keeps the rays on it and the combinations of adjacent pairs across
+it, rather than two opposite inequalities, the second of which would only
+delete rays.
 A vector the new constraint vanishes on is kept as it is, since its
 projection is a positive multiple of it and every stored vector is
 primitive; and a pair tight on fewer constraints than the codimension
@@ -23,17 +26,19 @@ exactly that one conversion: its canonical generators are read off the
 generator-facet zero sets.  Faces are cut from the generators by
 ray-facet incidence, with no conversion.  Every strict-feasibility
 question (is some point of a face positive on given forms?) is answered
-by one primitive, relative_interior_point: the sum of the generators on
+by one witness, relative_interior_point: the sum of the generators on
 the face, read by incidence, so a cone converted once answers it for
-every face.  Whether two cones meet in a common face is settled by a
-separating form built from their facets, with no sum taken: each facet
-form is three bitmasks over one indexed point list, where it is >= 0,
-<= 0 and = 0 (`form_masks`, which a caller that pairs one cone many
-times builds once), a form enters when the other cone's generators lie
-in its <= 0 mask, and the separating form's zero set is the AND of the
-entering forms' = 0 masks.  Only a pair that no such form separates is
-intersected.  Cones are hashable by their generators and are used as
-dictionary keys by the fan and quotient layers.
+every face (a section cone reads the same sum off its generators' zero
+sets over its forms, `fans.zero_sets`, for every chart).  Whether two
+cones meet in a common face is settled by a separating form built from
+their facets, with no sum taken: each facet form is three bitmasks over
+one indexed point list, where it is >= 0, <= 0 and = 0 (`form_masks`,
+which a caller that pairs one cone many times builds once), a form
+enters when the other cone's generators lie in its <= 0 mask, and the
+separating form's zero set is the AND of the entering forms' = 0 masks.
+Only a pair that no such form separates is intersected.  Cones are
+hashable by their generators and are used as dictionary keys by the fan
+and quotient layers.
 """
 
 from __future__ import annotations
@@ -113,6 +118,16 @@ def double_description(
     The conversion is incremental (Fukuda-Prodon 1996): it holds a cone
     as rays, each with its zero set over the constraints taken so far,
     and a lineality basis, and cuts it by one constraint at a time.
+    An equality is one constraint with one zero-set bit, taken in one
+    pass: when it is nonzero on a lineality vector l0 it projects along
+    l0 and does not add l0 as a ray; otherwise it keeps the rays it
+    vanishes on and the combinations of adjacent pairs of opposite sign,
+    and drops every other ray.  That is the cut by a >= 0 and then by
+    -a >= 0, whose second pass only deletes rays, and the adjacency
+    filter below holds for it, as an equality is one constraint tight on
+    a face.  New rows are taken once each, equalities up to sign; an
+    inequality that repeats a start form is dropped, but an equality is
+    kept even then, as the start's form alone does not enforce it.
     start=None is the whole space, the identity lineality and no rays.
     A start cone is taken as converted: the loop begins at its generators
     and lineality basis, its facet normals and signed span equalities
@@ -143,18 +158,21 @@ def double_description(
         (given, tight), lin = start._dd_start, list(start.lineality_basis)
         rays = dict(tight)
     full = len(lin)
-    constraints = list(given)
-    for rows, both_signs in ((equalities, True), (inequalities, False)):
-        for a in rows:
+    # each new row, primitive, once: an inequality that repeats a start form
+    # is dropped, an equality is kept even then, and is taken up to sign
+    rows = {}
+    for group, is_eq in ((equalities, True), (inequalities, False)):
+        for a in group:
             g = gcd(*a)
             if g:
                 t = tuple(a) if g == 1 else tuple(x // g for x in a)
-                constraints.append(t)
-                if both_signs:
-                    constraints.append(tuple(map(neg, t)))
-    constraints = list(dict.fromkeys(constraints))
+                if is_eq and next(x for x in t if x) < 0:
+                    t = tuple(map(neg, t))
+                rows.setdefault(t, is_eq)
+    rows = [(a, is_eq) for a, is_eq in rows.items() if is_eq or a not in given]
+    constraints = list(given) + [a for a, _ in rows]
 
-    for k, a in enumerate(constraints[len(given):], len(given)):
+    for k, (a, is_eq) in enumerate(rows, len(given)):
         bit = 1 << k
         dots = [sum(map(mul, a, l)) for l in lin]
         if any(dots):
@@ -166,7 +184,8 @@ def double_description(
             # is extreme, and so is l0: the earlier constraints vanish on
             # it and cut out the face lineality + cone(l0).  Projection
             # keeps each ray's zero set and adds k; l0 is tight on all
-            # but k.  A vector a vanishes on is its own projection.
+            # but k.  A vector a vanishes on is its own projection.  An
+            # equality keeps C ∩ a^perp alone, so l0 is not a ray.
             l0, p = lin.pop(i0), dots.pop(i0)
             if p < 0:
                 l0, p = tuple(map(neg, l0)), -p
@@ -178,7 +197,8 @@ def double_description(
                     r = _primitive_combination(p, r, c, l0)
                 if any(r):
                     new[r] = z | bit
-            new[l0] = bit - 1
+            if not is_eq:
+                new[l0] = bit - 1
             rays = new
             continue
         vals = [sum(map(mul, a, r)) for r in rays]
@@ -187,9 +207,12 @@ def double_description(
         # each, with exact zero sets, so two of them are adjacent iff no
         # third ray is tight on every constraint both are tight on
         # (Fukuda-Prodon 1996), and a new ray is extreme iff it comes
-        # from an adjacent pair.
+        # from an adjacent pair.  An equality keeps only the rays on it
+        # and the new ones: the cut by a and then by -a, in one pass.
         items = list(zip(rays, rays.values(), vals))
-        new = {r: z if v else z | bit for r, z, v in items if v >= 0}
+        new = {r: z | bit for r, z, v in items if not v}
+        if not is_eq:
+            new.update((r, z) for r, z, v in items if v > 0)
         negative = [t for t in items if t[2] < 0]
         if negative:
             zs = list(rays.values())

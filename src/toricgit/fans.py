@@ -20,15 +20,21 @@ and on the cones' ray masks.
 
 Every section system, whose solutions are the invariant sections of
 some linearized divisors, is one `section_cone` of the divisor basis,
-the action's columns and one character shift per divisor.
+the action's columns and one character shift per divisor.  A section
+cone keeps one table, built on its first chart test: each generator's
+zero set over the forms as a bitmask (`zero_sets`).  `chart_witness`
+decides every chart from it with no dot product: a chart passes iff the
+AND of the zero sets that hold its rays is exactly its rays, and its
+witness is the sum of those generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Optional, Sequence
 
-from .cones import Cone, cut_closure, form_masks, meets_in, relative_interior_point
+from .cones import Cone, cut_closure, form_masks, meets_in
 from .intlinalg import (
     IntMatrix,
     Vec,
@@ -315,6 +321,23 @@ def class_group(fan: Fan) -> ClassGroupInfo:
     return ClassGroupInfo(cl_rank, torsion, cdiv_rank - ray_rank, n - ray_rank)
 
 
+def zero_sets(section: tuple[Cone, tuple[Vec, ...]]) -> tuple[tuple[Vec, int], ...]:
+    """Each generator of a section cone with its zero set over the
+    section's forms, as a bitmask (bit j where forms[j] vanishes on it):
+    the table that `chart_witness` reads every chart off.  It is built on
+    first use and kept on the cone with its forms, as the cone's facets
+    are, so a section cone builds it once however many charts it tests,
+    and a section whose charts are never tested never builds it."""
+    cone, forms = section
+    kept = cone.__dict__.get("_zero_sets")
+    if kept is None or kept[0] != forms:
+        kept = forms, tuple((g, sum(1 << j for j, f in enumerate(forms)
+                                    if not sum(map(mul, f, g))))
+                            for g in cone.generators)
+        object.__setattr__(cone, "_zero_sets", kept)
+    return kept[1]
+
+
 def section_cone(fan: Fan, basis: Sequence[ToricDivisor], columns: Sequence[Vec] = (),
                  shifts: Sequence[Vec] = (), positive: bool = False
                  ) -> tuple[Cone, tuple[Vec, ...]]:
@@ -339,12 +362,21 @@ def chart_witness(fan: Fan, section: tuple[Cone, tuple[Vec, ...]],
     vanishes exactly on the rays of the face tau (f_j = 0 for j in tau,
     every other form > 0), so its nonvanishing locus is tau's chart; or
     None.  Each f_j is >= 0 on P, so the f_j with j in tau cut out a face
-    of P, and its relative_interior_point p, read by incidence, is the
-    witness iff any point of that face is: p is the strict-feasibility
-    witness of tau's own system, as feasible_strict gives it."""
+    of P, generated by the generators G whose zero sets (`zero_sets`)
+    hold tau and by P's lineality, on which every form vanishes.  A form
+    is positive somewhere on that face iff it is positive on some member
+    of G, so tau passes iff the AND of G's zero sets is exactly tau
+    (every form when G is empty), and the witness is the sum of G: the
+    face's relative_interior_point, the strict-feasibility witness of
+    tau's own system, as feasible_strict gives it."""
     cone, forms = section
-    p = relative_interior_point(cone, [forms[j] for j in tau])
-    if any(vdot(f, p) <= 0 for j, f in enumerate(forms) if j not in tau):
+    t = sum(1 << j for j in tau)
+    common, p = (1 << len(forms)) - 1, (0,) * cone.ambient_rank
+    for g, z in zero_sets(section):
+        if z & t == t:
+            common &= z
+            p = tuple(map(add, p, g))
+    if common != t:
         return None
     return {"monomial": p[:fan.ambient_rank], "degree": p[fan.ambient_rank:]}
 

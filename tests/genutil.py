@@ -4,8 +4,12 @@ random.Random so runs are reproducible."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import json
 import math
+import os
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -17,8 +21,11 @@ from toricgit.actions import (
     SemistableLocus,
     SubtorusAction,
     _divisor_certificate,
+    _weight_cones,
 )
+from toricgit.builtin import intro_problem_data, quadric_problem_data
 from toricgit.certcheck import CheckResult, _dot, _rank
+from toricgit.cli import run as cli_run
 from toricgit.cones import (
     Cone,
     FeasibilitySystem,
@@ -578,12 +585,14 @@ def chambers_by_full_refinement(action: SubtorusAction, fan: Fan) -> list:
                   key=lambda c: (-c.dim, c.generators, c.lineality_basis))
 
 
-def locus_at_by_section_cone(chi, action: SubtorusAction, fan: Fan, face_gens,
-                             kcones, start=None) -> SemistableLocus:
-    """Reference for `actions._locus_at`: the same weight-cone membership
-    locus, each maximal face certified from `fans.section_cone`, which
-    converts the section cone at chi from the whole space instead of
-    cutting the start cone (ignored here)."""
+def locus_at_by_section_cone(chi, action: SubtorusAction, fan: Fan,
+                             start=None) -> SemistableLocus:
+    """Reference for `actions._locus_at`: the locus by membership of chi
+    in every weight cone K_gamma (`actions._weight_cones`), each maximal
+    face certified from `fans.section_cone`, which converts the section
+    cone at chi from the whole space instead of cutting the start cone
+    (ignored here)."""
+    face_gens, kcones = _weight_cones(action, fan)
     members = {g for g, c in kcones.items() if c.contains_point(chi)}
     locus = SubfanLocus(frozenset(key for key, g in face_gens.items() if g in members))
     section = section_cone(fan, (ToricDivisor.zero(fan),), action.columns, (vneg(chi),),
@@ -760,3 +769,70 @@ def check_certificate_with_complement_affine(
             failures.append("finite-index")
 
     return CheckResult(not failures, tuple(failures))
+
+
+# junk for the malformed-file fuzz: values of every JSON type but the
+# expected one, a huge integer, and empty and nested containers
+FUZZ_JUNK = (None, True, 1.5, "x", 10 ** 40, [], [[]], {})
+
+
+def mutated_problem_run(rng: random.Random) -> tuple[dict, list]:
+    """A built-in problem file (the quadric or the plane of the intro, each
+    with weights for the hm commands) with one or two fields, or one entry
+    of one field, replaced by FUZZ_JUNK, and the arguments of one of the
+    12 subcommands, "FILE" standing for the file's path.  A character
+    doubles as the one-parameter subgroup of `hm limit`."""
+    if rng.random() < 0.5:
+        data, div, grp, chi = quadric_problem_data(), "Dss", "ZDss", "1,0"
+        data["weights"] = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    else:
+        data, div, grp, chi = intro_problem_data(), "D", "ZD", "1"
+        data["weights"] = [[1], [-1]]
+    mode = rng.randrange(3)
+    for field in rng.sample(sorted(data), 2 if mode == 1 else 1):
+        value = data[field]
+        if mode == 2 and isinstance(value, (list, dict)) and value:
+            key = rng.randrange(len(value)) if isinstance(value, list) else rng.choice(
+                sorted(value))
+            value[key] = rng.choice(FUZZ_JUNK)
+        else:
+            data[field] = rng.choice(FUZZ_JUNK)
+    argv = rng.choice([
+        ["cartier-locus", "FILE", "--group", grp],
+        ["ample-locus", "FILE", "--group", grp],
+        ["semistable", "FILE", "--divisor", div, "--check"],
+        ["trivial-bundle", "FILE", "--character", chi, "--check"],
+        ["chambers", "FILE"],
+        ["quotient", "FILE", "--divisor", div],
+        ["class-group", "FILE"],
+        ["hm", "limit", "FILE", "--lam", chi, "--support", "0"],
+        ["hm", "destabilize", "FILE", "--support", "0", "--target", "origin"],
+        ["obstruction", "FILE", "--divisor", div],
+        ["verify-examples"],
+        ["oracle", "FILE", "--divisor", div, "--n-max", "2", "--box", "3"],
+    ])
+    return data, argv + (["--json"] if rng.random() < 0.5 else [])
+
+
+def fuzz_cli(seed, count: int, directory: str) -> tuple[dict, list]:
+    """Run count mutated problem files (`mutated_problem_run`, drawn from
+    random.Random(seed)) through cli.run, each written to directory.
+    Returns the exit codes counted and the runs that raised, as (argv,
+    file contents, exception)."""
+    rng = random.Random(f"fuzz/{seed}")
+    codes, raised = {}, []
+    path = os.path.join(directory, "mutated.json")
+    for _ in range(count):
+        data, argv = mutated_problem_run(rng)
+        text = json.dumps(data)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [path if a == "FILE" else a for a in argv]
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_run(argv)
+        except Exception as e:  # every failure must be a documented exit code
+            raised.append((argv, text, repr(e)))
+            continue
+        codes[code] = codes.get(code, 0) + 1
+    return codes, raised

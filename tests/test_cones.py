@@ -279,6 +279,52 @@ def test_cut_is_the_conversion_of_all_constraints():
     assert all(kinds[k, False] for k in (0, 1, 2, 4)) and all(kinds[k, True] for k in range(5))
 
 
+def test_equality_is_the_pair_of_opposite_inequalities():
+    """An equality, taken in one pass, cuts the cone that its two
+    inequalities a >= 0 and -a >= 0 cut on the kernel's inequality path,
+    from the whole space or from a start cone of each kind: with
+    lineality, not full-dimensional, the zero cone.  The equalities
+    include a start facet (which must still be enforced), its negation,
+    one given twice, a zero row, one that empties the cone down to its
+    lineality and one that cuts the lineality.  The reference's facets
+    come from inequalities alone too."""
+    edits = collections.Counter()
+    for seed in range(600):
+        rng = random.Random(f"equality/{seed}")
+        n, kind = rng.randint(1, 4), seed % 5
+        start = _cut_start(rng, n, kind)
+        ineqs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+        eqs = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 2))]
+        picks = {
+            "facet": list(start.facet_normals[:1]),
+            "negated facet": [vneg(u) for u in start.facet_normals[-1:]],
+            "twice": eqs[:1],
+            "zero row": [(0,) * n],
+            "empties": [tuple(map(sum, zip(*start.facet_normals)))] if start.facet_normals else [],
+            "cuts lineality": list(start.lineality_basis[:1]),
+        }
+        for name, rows in picks.items():
+            if rows and rng.random() < 0.4:
+                eqs += rows
+                edits[name] += 1
+        pairs = ineqs + eqs + [vneg(e) for e in eqs]
+        assert double_description(n, ineqs, eqs) == double_description(n, pairs)
+        if kind == 4:
+            got, want = Cone.from_inequalities(n, ineqs, eqs), Cone.from_inequalities(n, pairs)
+        else:
+            got, want = start.cut(ineqs, eqs), start.cut(pairs)
+        assert (got.generators, got.lineality_basis) == (want.generators, want.lineality_basis)
+        lin = list(want.lineality_basis)
+        normals, dual_lin = double_description(
+            n, list(want.generators) + lin + [vneg(l) for l in lin])
+        span = tuple(hermite_normal_form(dual_lin)) if dual_lin else ()
+        assert (got.facet_normals, got.span_equalities, got.dim) == \
+            (tuple(normals), span, n - len(span))
+        edits["apex", got.generators == ()] += 1
+    assert all(edits[name] > 50 for name in picks), edits
+    assert edits["apex", True] > 100 and edits["apex", False] > 100, edits
+
+
 def test_cut_of_a_converted_cone_is_one_conversion(monkeypatch):
     # the cut continues from the start, so a start whose facets are known
     # costs one double_description call, which starts there

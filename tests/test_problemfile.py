@@ -7,6 +7,8 @@ import pytest
 from toricgit.cli import run
 from toricgit.problemfile import ParseError, load_problem, parse_problem
 
+from genutil import fuzz_cli
+
 
 def _base():
     return {
@@ -151,3 +153,12 @@ def test_malformed_field_is_exit_2_naming_it(tmp_path, capsys, field, value, nam
     assert run(["class-group", str(f), "--json"]) == 2
     error = json.loads(capsys.readouterr().out)["result"]["error"]
     assert error.startswith(named + (":" if "[" in named else " "))
+
+
+def test_mutated_files_exit_with_a_documented_code(tmp_path):
+    # the built-in problems with one or two fields, or one entry, replaced
+    # by junk, through every subcommand: an answer, a negative verdict or
+    # an input error, never a traceback and never an engine error (3)
+    codes, raised = fuzz_cli(1, 300, str(tmp_path))
+    assert raised == []
+    assert set(codes) <= {0, 1, 2} and codes[2] > 200 and codes[0] > 10, codes
