@@ -302,9 +302,9 @@ def run(argv) -> int:
     try:
         problem = None
         if getattr(args, "file", None):
-            with open(args.file, "rb") as fh:
-                report["input_digest"] = hashlib.sha256(fh.read()).hexdigest()
-            problem = load_problem(args.file)
+            with open(args.file, "rb") as fh:  # read once, hashed and parsed
+                report["input_digest"] = hashlib.sha256(raw := fh.read()).hexdigest()
+            problem = load_problem(raw)
             if args.command in _NEEDS_ACTION and problem.action is None:
                 raise ParseError("this command needs an 'action' field in the problem file")
         report["result"], exit_code = _result(problem, args)

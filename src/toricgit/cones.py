@@ -385,8 +385,10 @@ def form_masks(c: Cone, points: Sequence[Vec]) -> list[tuple[int, int, int]]:
     return rows + [(le, ge, eq) for ge, le, eq in rows[len(c.facet_normals):]]
 
 
-def meets_in(c1: Cone, c2: Cone, f: Cone, masks) -> bool:
-    """intersect(c1, c2) == f, for a cone f that is a face of both.
+def meets_in(c1: Cone, c2: Cone, f, masks) -> bool:
+    """intersect(c1, c2) == f, for a cone f that is a face of both, given
+    as the cone or as a function of no arguments that builds it: f is read
+    only when the pair is intersected.
 
     By the separation lemma (Cox-Little-Schenck, Lemma 1.2.13) a form m
     that is >= 0 on c1 and <= 0 on c2 cuts a face out of each, and
@@ -397,10 +399,11 @@ def meets_in(c1: Cone, c2: Cone, f: Cone, masks) -> bool:
     every term does: its zero set is the AND of the terms' = 0 masks, and
     m is never summed.  masks is ((rows1, gens1), (rows2, gens2), face):
     each cone's `form_masks` over one point list with the mask of its
-    generators there, and the mask of f's.  When c1, c2 and f share their
-    lineality, every term vanishes on it, and each face is read off the
-    generators m kills.  One side settles the pair: c1 ∩ c2 lies in
-    m^perp ∩ c1 and in m^perp ∩ c2, so if either face is f, c1 ∩ c2 = f.
+    generators there, and the mask of f's.  A face has its cone's
+    lineality, so when c1 and c2 share theirs, so does f, every term
+    vanishes on it, and each face is read off the generators m kills.
+    One side settles the pair: c1 ∩ c2 lies in m^perp ∩ c1 and in
+    m^perp ∩ c2, so if either face is f, c1 ∩ c2 = f.
     A pair that no such m separates is intersected."""
     if c1.ambient_rank != c2.ambient_rank:
         raise ValueError("ambient rank mismatch")
@@ -410,8 +413,8 @@ def meets_in(c1: Cone, c2: Cone, f: Cone, masks) -> bool:
         for _, le, eq in rows:
             if other & le == other:
                 zero &= eq
-    return (c1.lineality_basis == c2.lineality_basis == f.lineality_basis
-            and face in (zero & g1, zero & g2)) or intersect(c1, c2) == f
+    return (c1.lineality_basis == c2.lineality_basis and face in (zero & g1, zero & g2)
+            ) or intersect(c1, c2) == (f() if callable(f) else f)
 
 
 def image(c: Cone, f: LatticeMap) -> Cone:

@@ -6,17 +6,20 @@ other fan ray lies in it, so each face is keyed by the frozenset of the
 indices of its generators, which are also exactly the fan rays it
 contains.  For a valid pointed fan this keying is faithful and subset
 order on keys is exactly the face order, which the locus bookkeeping
-relies on.  Every face key is read off a maximal cone's facet zero sets
-on its rays.  A maximal cone on linearly independent rays is simplicial:
-it is pointed, its rays are extreme and its facets are the cones on all
-rays but one (Cox-Little-Schenck, Section 1.2), so one rank settles what
-validation asks of it, and it is converted only when a check reads its
-facets.  Two checks do: the test of a fan ray outside the cone, and the
-pair check, by a separating form before any intersection is converted.
-Any other maximal cone is converted once.  A cone's facet normals and
-signed span equalities become bitmasks over the fan rays once (>= 0,
-<= 0 and = 0), and both checks are ANDs and subset tests on those masks
-and on the cones' ray masks.
+relies on.  A fan is its face keys: the cone of a face that is not
+maximal is the cone on its rays, built when it is read.  A maximal cone
+on linearly independent rays is simplicial: it is pointed, its rays are
+extreme, its facets are the cones on all rays but one, and its faces
+are the cones on the subsets of its rays (Cox-Little-Schenck, Section
+1.2), so one rank settles what validation asks of it, its face keys are
+those subsets, and it is converted only when a check reads its facets.
+Two checks do: the test of a fan ray outside the cone, and the pair
+check, by a separating form before any intersection is converted.  Any
+other maximal cone is converted once, and its face keys are read off
+its facet zero sets on its rays.  A cone's facet normals and signed
+span equalities become bitmasks over the fan rays once (>= 0, <= 0 and
+= 0), and both checks are ANDs and subset tests on those masks and on
+the cones' ray masks.
 
 Every section system, whose solutions are the invariant sections of
 some linearized divisors, is one `section_cone` of the divisor basis,
@@ -31,6 +34,7 @@ witness is the sum of those generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from operator import add, mul
 from typing import Optional, Sequence
 
@@ -67,19 +71,27 @@ class FanError(Exception):
 
 @dataclass(frozen=True)
 class Fan:
+    """A validated fan: its face keys, in (size, sorted indices) order,
+    each with its kept cone or None.  `validate_fan` keeps the maximal
+    cones, so a maximal cone is always the same object and facets
+    converted once stay converted.  Any other face's cone is the cone on
+    its rays, all extreme in it, which `face_cone` builds when it is
+    read."""
+
     ambient_rank: int
     rays: tuple[Vec, ...]
     maximal_cones: tuple[tuple[int, ...], ...]
-    _faces: dict[FaceKey, Cone]  # in (size, sorted indices) order
+    _faces: dict[FaceKey, Optional[Cone]]
 
     def face_keys(self) -> tuple[FaceKey, ...]:
         return tuple(self._faces)
 
     def face_cone(self, key: FaceKey) -> Cone:
         try:
-            return self._faces[key]
+            cone = self._faces[key]
         except KeyError:
             raise KeyError(f"not a face of the fan: {sorted(key)}") from None
+        return cone or Cone(self.ambient_rank, tuple(sorted(self.rays[i] for i in key)), ())
 
     def has_face(self, key: FaceKey) -> bool:
         return key in self._faces
@@ -117,11 +129,15 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
     >= 0, <= 0 and = 0 masks of its facet normals and signed span
     equalities over the fan rays (`cones.form_masks`): a fan ray outside
     a cone's key lies in it iff its bit is in the AND of the >= 0 masks,
-    and `cones.meets_in` decides a pair on the masks.  A fan whose
-    maximal cones list every ray builds no table.  Face keys are a cone's
-    key cut by the ray zero sets of its facets, and each distinct key
-    becomes one cone on those rays, with no conversion; a maximal cone is
-    its own face."""
+    and `cones.meets_in` decides a pair on the masks; the cone of the
+    pair's common face is built only if the pair is intersected.  A fan
+    whose maximal cones list every ray builds no table.  A simplicial
+    cone's face keys are the subsets of its key, and any other cone's
+    are its key cut by the ray zero sets of its facets.  A fan of one
+    simplicial cone generates its keys in (size, sorted indices) order;
+    any other fan sorts their union.  No face cone is built: the Fan
+    keeps the maximal cones, and `Fan.face_cone` builds any other when it
+    is read."""
     ray_tuples: list[Vec] = []
     for r in rays:
         t = tuple(int(x) for x in r)
@@ -143,7 +159,8 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
     if not max_keys:
         max_keys.append(frozenset())  # the fan of the big torus alone
 
-    # each maximal cone with the zero sets of its facets on its rays
+    # each maximal cone, and the zero sets of its facets on its rays for
+    # a cone that is not simplicial
     cones, facet_zeros = {}, {}
     for key in max_keys:
         gens = [ray_tuples[i] for i in sorted(key)]
@@ -151,7 +168,6 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
             # simplicial: pointed, every ray extreme, and each facet is
             # the cone on all rays but one, so nothing here is converted
             cones[key] = Cone(ambient_rank, tuple(sorted(gens)), ())
-            facet_zeros[key] = [key - {i} for i in key]
             continue
         c = Cone.from_generators(ambient_rank, gens)
         if c.lineality_rank != 0:
@@ -184,22 +200,23 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
         if inside:
             raise FanError("IntersectionNotFace", f"cone on rays {sorted(key)} contains "
                            f"rays {[i for i in range(len(ray_tuples)) if inside >> i & 1]}")
-    # a face of a maximal cone is cut out by a set of its facets, and its
-    # key is the cone's key cut by those facets' zero sets on the rays
-    face_map: dict[FaceKey, Cone] = dict(cones)
-    own_keys = {}
-    for key in cones:
-        own_keys[key] = cut_closure(key, facet_zeros[key])
-        for k in own_keys[key] - face_map.keys():
-            face_map[k] = Cone(ambient_rank, tuple(sorted(ray_tuples[i] for i in k)), ())
+    # every subset of a simplicial cone's rays keys a face, taken in (size,
+    # sorted indices) order; a face of any other maximal cone is cut out
+    # by a set of its facets, and its key is the cone's key cut by those
+    # facets' zero sets on the rays
+    own_keys = {key: cut_closure(key, facet_zeros[key]) if key in facet_zeros else dict.fromkeys(
+        frozenset(s) for n in range(len(key) + 1) for s in combinations(sorted(key), n))
+        for key in cones}
 
-    # two cones must meet in the face on their shared rays, of both
-    for i, k1 in enumerate(max_keys):
-        for k2 in max_keys[i + 1:]:
+    # two cones must meet in the face on their shared rays, of both; that
+    # face's cone is built only if the pair is intersected
+    for n, k1 in enumerate(max_keys):
+        for k2 in max_keys[n + 1:]:
             common = k1 & k2
             if (common not in own_keys[k1] or common not in own_keys[k2]
-                    or not meets_in(cones[k1], cones[k2], face_map[common],
-                                    (side(k1), side(k2), ray_masks[k1] & ray_masks[k2]))):
+                    or not meets_in(cones[k1], cones[k2], lambda: Cone(
+                        ambient_rank, tuple(sorted(ray_tuples[i] for i in common)), ()),
+                        (side(k1), side(k2), ray_masks[k1] & ray_masks[k2]))):
                 raise FanError(
                     "IntersectionNotFace",
                     f"cones {sorted(k1)} and {sorted(k2)} do not meet in a common face")
@@ -207,10 +224,11 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
     if unused:
         raise FanError("UnusedRay", f"rays {unused} lie in no maximal cone")
 
-    ordered = dict(sorted(face_map.items(),
-                          key=lambda kv: (len(kv[0]), sorted(kv[0]))))
+    # one simplicial cone's keys are in order already
+    keys = own_keys[max_keys[0]] if len(cones) == 1 and not facet_zeros else sorted(
+        set().union(*own_keys.values()), key=lambda k: (len(k), sorted(k)))
     return Fan(ambient_rank, tuple(ray_tuples),
-               tuple(tuple(sorted(k)) for k in max_keys), ordered)
+               tuple(tuple(sorted(k)) for k in max_keys), {**dict.fromkeys(keys), **cones})
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Problem file parsing: a single JSON tree describing a fan, an acting
 subtorus, named divisors with optional character shifts, and optional
 divisor groups.  Unknown fields and non-integer data are rejected with
-messages naming the offending entry."""
+messages naming the offending entry, and a fan that `validate_fan`
+rejects keeps its `FanError` kind and message after the field at fault,
+`rays` or `cones`."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .actions import Linearization, SubtorusAction
-from .fans import DivisorGroup, Fan, ToricDivisor, validate_fan
+from .fans import DivisorGroup, Fan, FanError, ToricDivisor, validate_fan
 
 
 class ParseError(Exception):
@@ -92,7 +94,14 @@ def parse_problem(data: dict) -> Problem:
         raise ParseError(f"lattice_rank must be a nonnegative integer")
     rays = [_int_vector(r, f"rays[{i}]") for i, r in enumerate(_container(data, "rays", list))]
     cones = [_int_vector(c, f"cones[{i}]") for i, c in enumerate(_container(data, "cones", list))]
-    fan = validate_fan(rank, rays, cones)
+    try:
+        fan = validate_fan(rank, rays, cones)
+    except FanError as e:  # name the field; the rays are checked first, and
+        # an index out of range points past them
+        on_rays = e.kind in ("NonPrimitiveRay", "DuplicateRay") or any(len(r) != rank for r in rays)
+        e.args = (f"rays: {e}" if on_rays else f"cones: {e}"
+                  + f" for {len(rays)} rays" * (e.kind == "BadIndex"),)
+        raise
 
     action = None
     if "action" in data:
@@ -144,10 +153,12 @@ def parse_problem(data: dict) -> Problem:
     return Problem(fan, action, divisors, shifts, groups, weights)
 
 
-def load_problem(path: str) -> Problem:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON at line {e.lineno}: {e.msg}")
+def load_problem(raw: bytes) -> Problem:
+    """The problem in the bytes of a problem file, read as a text file is
+    read: UTF-8 with universal newlines.  The CLI reads a file once, and
+    hashes and parses the same bytes."""
+    try:  # newlines translated as in text mode, for the line numbers
+        data = json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON at line {e.lineno}: {e.msg}")
     return parse_problem(data)

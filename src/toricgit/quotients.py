@@ -4,7 +4,9 @@ glued fan charts.
 Each maximal face sigma of a locus gives a chart pi(sigma) in the
 quotient lattice N/L, where pi is the cokernel projection of the acting
 sublattice.  Each fan ray under some chart is projected once, and each
-chart image is one conversion, on the projected rays of its face.
+chart image is the cone on the projected rays of its face: built from
+them when they are linearly independent, its facets converted on first
+read, and converted from them otherwise.
 Everything else is read off one ray-facet incidence table per chart: the
 set of image facets vanishing on each projected ray, as a bitmask, and
 the same for each image generator.  A face gamma under sigma is tight on
@@ -38,6 +40,7 @@ from .intlinalg import (
     Vec,
     cokernel_projection,
     primitive,
+    rank_of_rows,
     vdot,
 )
 
@@ -162,6 +165,18 @@ def _glue_cone(key: FaceKey, orbit: Cone, proj: dict[int, Vec], fan: Fan,
     return cone_image(fan.face_cone(key), pi)
 
 
+def _chart_image(q: int, rays: list[Vec]) -> Cone:
+    """The cone on a chart's projected rays.  On linearly independent
+    rays (one `rank_of_rows`) it is simplicial and pointed, and its
+    canonical generators are the rays made primitive, so it is built
+    from them with no conversion, as `fans.validate_fan` builds a
+    simplicial cone, and its facets are converted on first read.  Any
+    other image is one `Cone.from_generators`."""
+    if rank_of_rows(rays) == len(rays):
+        return Cone(q, tuple(sorted(map(primitive, rays))), ())
+    return Cone.from_generators(q, rays)
+
+
 def build_quotient(ss: SemistableLocus, action: SubtorusAction,
                    fan: Fan) -> GluedQuotient:
     """The charts of the locus's maximal faces (the keys of
@@ -187,7 +202,7 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
     max_keys = [k for k, _ in ss.certificates]
 
     proj = {j: pi.apply(fan.rays[j]) for j in frozenset().union(*max_keys)}
-    charts = [QuotientChart(key, Cone.from_generators(q, [proj[j] for j in sorted(key)]), pi)
+    charts = [QuotientChart(key, _chart_image(q, [proj[j] for j in sorted(key)]), pi)
               for key in max_keys]
     tables = [_incidence(ch.image, {j: proj[j] for j in ch.source_key},
                          fan.all_keys_under(ch.source_key)) for ch in charts]

@@ -12,7 +12,7 @@ import math
 import os
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from toricgit import cones as cones_module
 from toricgit.actions import (
@@ -335,7 +335,10 @@ def validate_fan_by_conversion(ambient_rank: int, rays, maximal_cones) -> Fan:
     """Reference for `validate_fan`: the same checks in the same order,
     with every maximal cone converted by `Cone.from_generators`, every
     fan ray tested against it, and its face keys cut by its facet zero
-    sets, simplicial or not."""
+    sets, simplicial or not.  The Fan it returns keeps the cone of every
+    face, built here, where `validate_fan` keeps the maximal cones only
+    and builds the others when `Fan.face_cone` reads them, so reading
+    each face's cone from both compares those builds."""
     ray_tuples: list[Vec] = []
     for r in rays:
         t = tuple(int(x) for x in r)
@@ -401,8 +404,8 @@ def validate_fan_by_conversion(ambient_rank: int, rays, maximal_cones) -> Fan:
     if unused:
         raise FanError("UnusedRay", f"rays {unused} lie in no maximal cone")
 
-    ordered = dict(sorted(face_map.items(),
-                          key=lambda kv: (len(kv[0]), sorted(kv[0]))))
+    ordered: dict[FaceKey, Optional[Cone]] = dict(
+        sorted(face_map.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))))
     return Fan(ambient_rank, tuple(ray_tuples),
                tuple(tuple(sorted(k)) for k in max_keys), ordered)
 
@@ -776,12 +779,13 @@ def check_certificate_with_complement_affine(
 FUZZ_JUNK = (None, True, 1.5, "x", 10 ** 40, [], [[]], {})
 
 
-def mutated_problem_run(rng: random.Random) -> tuple[dict, list]:
+def mutated_problem_run(rng: random.Random) -> tuple[dict, list, list]:
     """A built-in problem file (the quadric or the plane of the intro, each
     with weights for the hm commands) with one or two fields, or one entry
-    of one field, replaced by FUZZ_JUNK, and the arguments of one of the
-    12 subcommands, "FILE" standing for the file's path.  A character
-    doubles as the one-parameter subgroup of `hm limit`."""
+    of one field, replaced by FUZZ_JUNK, the arguments of one of the 12
+    subcommands, "FILE" standing for the file's path, and the fields
+    mutated.  A character doubles as the one-parameter subgroup of `hm
+    limit`."""
     if rng.random() < 0.5:
         data, div, grp, chi = quadric_problem_data(), "Dss", "ZDss", "1,0"
         data["weights"] = [[1, 0], [0, 1], [-1, 0], [0, -1]]
@@ -789,7 +793,8 @@ def mutated_problem_run(rng: random.Random) -> tuple[dict, list]:
         data, div, grp, chi = intro_problem_data(), "D", "ZD", "1"
         data["weights"] = [[1], [-1]]
     mode = rng.randrange(3)
-    for field in rng.sample(sorted(data), 2 if mode == 1 else 1):
+    fields = rng.sample(sorted(data), 2 if mode == 1 else 1)
+    for field in fields:
         value = data[field]
         if mode == 2 and isinstance(value, (list, dict)) and value:
             key = rng.randrange(len(value)) if isinstance(value, list) else rng.choice(
@@ -811,28 +816,34 @@ def mutated_problem_run(rng: random.Random) -> tuple[dict, list]:
         ["verify-examples"],
         ["oracle", "FILE", "--divisor", div, "--n-max", "2", "--box", "3"],
     ])
-    return data, argv + (["--json"] if rng.random() < 0.5 else [])
+    return data, argv + (["--json"] if rng.random() < 0.5 else []), sorted(fields)
 
 
-def fuzz_cli(seed, count: int, directory: str) -> tuple[dict, list]:
+def fuzz_cli(seed, count: int, directory: str) -> tuple[dict, list, list]:
     """Run count mutated problem files (`mutated_problem_run`, drawn from
     random.Random(seed)) through cli.run, each written to directory.
-    Returns the exit codes counted and the runs that raised, as (argv,
-    file contents, exception)."""
+    Returns the exit codes counted, the runs that raised, as (argv, file
+    contents, exception), and the input errors (exit 2), as (fields
+    mutated, the report's error text)."""
     rng = random.Random(f"fuzz/{seed}")
-    codes, raised = {}, []
+    codes, raised, errors = {}, [], []
     path = os.path.join(directory, "mutated.json")
     for _ in range(count):
-        data, argv = mutated_problem_run(rng)
+        data, argv, fields = mutated_problem_run(rng)
         text = json.dumps(data)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         argv = [path if a == "FILE" else a for a in argv]
+        out = io.StringIO()
         try:
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(out):
                 code = cli_run(argv)
         except Exception as e:  # every failure must be a documented exit code
             raised.append((argv, text, repr(e)))
             continue
         codes[code] = codes.get(code, 0) + 1
-    return codes, raised
+        if code == 2:
+            out = out.getvalue()
+            errors.append((fields, json.loads(out)["result"]["error"] if "--json" in argv
+                           else json.loads(out.split("\nerror: ", 1)[1].splitlines()[0])))
+    return codes, raised, errors

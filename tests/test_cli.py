@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, JSON determinism, certificate replay."""
 
+import hashlib
 import json
 import os
 import random
@@ -229,7 +230,62 @@ def test_exit_2_on_a_ray_in_no_cone(tmp_path, capsys):
     f.write_text(json.dumps(data))
     code, rep = _run_json(["semistable", str(f), "--divisor", "D"], capsys)
     assert code == 2
-    assert rep["result"]["error"].startswith("UnusedRay")
+    assert rep["result"]["error"] == "cones: UnusedRay: rays [2] lie in no maximal cone"
+
+
+@pytest.mark.parametrize("data, error", [
+    ({"rays": [[1, 0], [1, 0]]}, "rays: DuplicateRay: ray (1, 0) listed twice"),
+    ({"rays": [[2, 0], [0, 1]]}, "rays: NonPrimitiveRay: ray (2, 0) is not primitive"),
+    ({"rays": [[1, 0], []]}, "rays: BadIndex: ray () has wrong length"),
+    ({"rays": []}, "cones: BadIndex: ray index 0 out of range for 0 rays"),
+    ({"cones": [[0, 2]]}, "cones: BadIndex: ray index 2 out of range for 2 rays"),
+    ({"rays": [[1, 0], [-1, 0]]}, "cones: NotPointed: cone on rays [0, 1] contains a line"),
+    ({"cones": [[0, 1], [0]]}, None),  # a face listed as maximal is accepted
+    ({"rays": [[1, 0], [0, 1], [1, 1]], "cones": [[0, 1], [2]]},
+     "cones: IntersectionNotFace: cone on rays [0, 1] contains rays [2]"),
+])
+def test_fan_errors_name_their_field(tmp_path, capsys, data, error):
+    # the rejection keeps validate_fan's kind and message, after the field
+    f = tmp_path / "fan.json"
+    f.write_text(json.dumps({"lattice_rank": 2, "rays": [[1, 0], [0, 1]],
+                             "cones": [[0, 1]], **data}))
+    code, rep = _run_json(["class-group", str(f)], capsys)
+    assert (code, rep["result"].get("error")) == ((0, None) if error is None else (2, error))
+
+
+def test_the_problem_file_is_read_once(tmp_path, capsys, monkeypatch):
+    # the digest is the SHA-256 of the bytes that were parsed, read in one
+    # open; a second open would find the file rewritten
+    f = tmp_path / "quadric.json"
+    f.write_text(json.dumps(quadric_problem_data()))
+    raw = f.read_bytes()
+    real_open, opened = open, []
+
+    def open_counted(path, *args, **kwargs):
+        if path == str(f):
+            opened.append(path)
+            if len(opened) > 1:
+                f.write_text("{not json")
+        return real_open(path, *args, **kwargs)
+    monkeypatch.setattr("builtins.open", open_counted)
+    code, rep = _run_json(["class-group", str(f)], capsys)
+    assert (code, opened) == (0, [str(f)])
+    assert rep["input_digest"] == hashlib.sha256(raw).hexdigest()
+    assert rep["result"]["cl_rank"] == 1
+
+
+@pytest.mark.parametrize("raw, error", [
+    (b'{"lattice_rank": 2,\r\r"rays": x}', "invalid JSON at line 3: Expecting value"),
+    (b'{"lattice_rank": 2,\r\n"rays": x}', "invalid JSON at line 2: Expecting value"),
+    (b'{"lattice_rank": 2, \xff}', "'utf-8' codec can't decode byte 0xff in position 20: "
+                                   "invalid start byte"),
+])
+def test_unreadable_files_keep_their_error_text(tmp_path, capsys, raw, error):
+    # a lone carriage return ends a line, as in a file read as text
+    f = tmp_path / "bad.json"
+    f.write_bytes(raw)
+    code, rep = _run_json(["class-group", str(f)], capsys)
+    assert (code, rep["result"]["error"]) == (2, error)
 
 
 def test_exit_3_on_internal_error(quadric_file, capsys, monkeypatch):

@@ -374,6 +374,61 @@ def test_face_cone_of_a_non_face(quadric_fan):
         quadric_fan.face_cone(frozenset({0, 2}))
 
 
+def _size_order(keys):
+    return sorted(keys, key=lambda k: (len(k), sorted(k)))
+
+
+def test_one_simplicial_cone_builds_one_cone(monkeypatch):
+    # a fan of one simplicial cone keeps its face keys, the 64 subsets of
+    # its rays in (size, sorted) order, and builds the cone and nothing else
+    rng = random.Random(6)
+    rays = []
+    while len(rays) < 6:
+        v = random_primitive_vector(rng, 6)
+        if rank_of_rows(rays + [v]) == len(rays) + 1:
+            rays.append(v)
+    built, real = [], Cone.__init__
+    monkeypatch.setattr(Cone, "__init__", lambda self, *a: built.append(a) or real(self, *a))
+    conversions = _count_calls(monkeypatch, cones, "double_description")
+    fan = validate_fan(6, rays, [range(6)])
+    keys = fan.face_keys()
+    assert len(built) == 1 and conversions == []
+    assert len(keys) == 64 and list(keys) == _size_order(keys)
+    assert set(keys) == {frozenset(s) for n in range(7)
+                         for s in itertools.combinations(range(6), n)}
+    # a face's cone is the cone on its rays, built when it is read
+    face = fan.face_cone(frozenset({1, 4}))
+    assert (face.generators, face.lineality_basis) == (tuple(sorted([rays[1], rays[4]])), ())
+    assert fan.face_cone(keys[-1]) is fan.face_cone(keys[-1]) and len(built) == 2
+
+
+def test_face_lookups_match_a_per_key_reference():
+    """On accepted fans of several cones, a set of rays is a face iff it
+    holds the generators of a face of some converted maximal cone, and
+    has_face and all_keys_under answer so for every set of rays."""
+    rng = random.Random(9)
+    checked = 0
+    while checked < 60:
+        n, rays, maxes = (_random_fan_input(rng) if rng.random() < 0.5
+                          else _random_complete_fan_input(rng))
+        try:
+            fan = validate_fan(n, rays, maxes)
+        except FanError:
+            continue
+        if len(fan.maximal_cones) < 2:
+            continue
+        index = {v: i for i, v in enumerate(fan.rays)}
+        ref = {frozenset(index[g] for g in f.generators)
+               for m in fan.maximal_cones
+               for f in faces(Cone.from_generators(n, [fan.rays[i] for i in m]))}
+        assert list(fan.face_keys()) == _size_order(ref)
+        for size in range(len(rays) + 1):
+            for s in map(frozenset, itertools.combinations(range(len(rays)), size)):
+                assert fan.has_face(s) == (s in ref)
+                assert list(fan.all_keys_under(s)) == _size_order(k for k in ref if k <= s)
+        checked += 1
+
+
 def test_empty_fan_is_torus():
     f = validate_fan(2, [], [])
     assert f.face_keys() == (frozenset(),)

@@ -112,13 +112,13 @@ def test_load_problem_bad_json(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text("{not json")
     with pytest.raises(ParseError, match="invalid JSON"):
-        load_problem(str(f))
+        load_problem(f.read_bytes())
 
 
 def test_load_problem_file(tmp_path):
     f = tmp_path / "ok.json"
     f.write_text(json.dumps(_base()))
-    p = load_problem(str(f))
+    p = load_problem(f.read_bytes())
     assert p.fan.rays == ((1, 0), (0, 1))
 
 
@@ -159,6 +159,15 @@ def test_mutated_files_exit_with_a_documented_code(tmp_path):
     # the built-in problems with one or two fields, or one entry, replaced
     # by junk, through every subcommand: an answer, a negative verdict or
     # an input error, never a traceback and never an engine error (3)
-    codes, raised = fuzz_cli(1, 300, str(tmp_path))
+    codes, raised, errors = fuzz_cli(1, 300, str(tmp_path))
     assert raised == []
     assert set(codes) <= {0, 1, 2} and codes[2] > 200 and codes[0] > 10, codes
+    # an input error from junk in the rays alone or the cones alone names
+    # that field: first, or as the ray count a cone index points past
+    named = {"rays": 0, "cones": 0}
+    for fields, error in errors:
+        if fields in (["rays"], ["cones"]):
+            (field,) = fields
+            assert error.startswith(field) or error.endswith(f" {field}"), (field, error)
+            named[field] += 1
+    assert min(named.values()) >= 10, named

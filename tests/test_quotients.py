@@ -469,6 +469,35 @@ def _random_locus_quotient(rng):
     return ss, act, fan
 
 
+def test_chart_images_have_the_conversions_facets():
+    """Each chart image has the facet normals, span equalities and dim of
+    `Cone.from_generators` on its projected rays, read before or after
+    its dim; Cone equality reads generators and lineality only.  The
+    images include simplicial ones, built with no conversion, and others,
+    among them the wall characters' images with lineality."""
+    rng = random.Random(11)
+    drawn = [(q, fan) for q, _, fan in [_cox_quotient(*wall) for wall in _WALLS]
+             + [_half_plane_quotient()]]
+    while len(drawn) < 400:
+        ss, act, fan = _random_locus_quotient(rng)
+        drawn.append((build_quotient(ss, act, fan), fan))
+    shapes = {"simplicial": 0, "other": 0, "lineality": 0}
+    for n, (q, fan) in enumerate(drawn):
+        for ch in q.charts:
+            rays = [ch.projection.apply(fan.rays[j]) for j in sorted(ch.source_key)]
+            want = Cone.from_generators(q.quotient_rank, rays)
+            got = ch.image
+            first = got.dim if n % 2 else None
+            assert (got.generators, got.lineality_basis, got.facet_normals,
+                    got.span_equalities, got.dim) == (
+                want.generators, want.lineality_basis, want.facet_normals,
+                want.span_equalities, want.dim)
+            assert first in (None, want.dim)
+            shapes["simplicial" if rank_of_rows(rays) == len(rays) else "other"] += 1
+            shapes["lineality"] += bool(got.lineality_basis)
+    assert min(shapes.values()) >= 5, shapes
+
+
 def test_build_quotient_matches_per_face_reference():
     """The incidence tables give the per-face reference's quotient on
     random face-closed sets, many of which have no good quotient, and on
