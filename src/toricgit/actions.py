@@ -17,8 +17,12 @@ cone K_gamma = phi_star(sigma_dual ∩ gamma^perp), the locus at chi is
 L(chi) = {gamma : chi in K_gamma}, and lambda_R = ∩ K_gamma over the
 maximal faces of a locus R.  If R = L(chi), lambda_R is the GIT cone of
 chi, L is constant on its relative interior, and the GIT cones form a
-fan (Berchtold-Hausen 2006).  Its section cones at the characters chi
-differ only in the weight rows, so git_chambers converts none of them:
+fan (Berchtold-Hausen 2006).  As in Keicher's GIT-fan algorithm
+("Computing the GIT-fan", 2012), git_chambers converts and walks only
+the full-dimensional K_gamma: a point inside each of those that holds
+it lies in no lower-dimensional one, or its GIT cone would be a proper
+face of the chamber holding it inside.  Its section cones at the
+characters chi differ only in the weight rows, so it converts none:
 each is sigma_dual x R>=0, read off sigma's facets, cut by chi's rows.
 L(chi) is read off that section cone, not tested against any K_gamma:
 gamma is a member iff some generator (u, s) with s > 0 vanishes on its
@@ -284,13 +288,6 @@ def achievable_weight_cone(gamma: FaceKey, action: SubtorusAction,
     return Cone.from_generators(action.d, sorted(face_gens[gamma]), lineality)
 
 
-def _weight_cones(action: SubtorusAction, fan: Fan):
-    """Each face's K_gamma generator set, and one cone per distinct set."""
-    lineality, face_gens = _weight_generators(action, fan)
-    return face_gens, {g: Cone.from_generators(action.d, sorted(g), lineality)
-                       for g in dict.fromkeys(face_gens.values())}
-
-
 def _git_cone(d: int, kcones) -> Cone:
     """The intersection of the weight cones kcones, the first cut by the
     others' facets and span equalities in one conversion (the whole space
@@ -354,11 +351,16 @@ def git_chambers(action: SubtorusAction, fan: Fan):
     interior sample chi, certified L(chi)) per cone.  L is constant on each
     relative interior, and no two cones share a locus.
 
-    A point q of span(Omega), Omega = K_empty the support, is interior when
-    each weight cone holding it (a member; Omega is one) holds it off its
-    facets.  The members then have dim Omega (points near q miss a lower
-    one, and L is constant on the relative interior of lambda(q)), so they
-    cut out the chamber around q.  The walk starts at q = sum_i k^i x_i
+    Only the full-dimensional weight cones are converted, as in Keicher's
+    GIT-fan algorithm (2012): the distinct generator sets of rank d with
+    the lineality images.  Omega = K_empty, the support, is one, sigma
+    being pointed.  A point q is interior when each of them holding it (a
+    member) holds it off its facets.  No lower-dimensional K_gamma then
+    holds q: points near q off the lower ones have q's members, so these
+    cut out a chamber with q inside, and lambda(q), lying in the lower
+    K_gamma, would be a proper face of it holding q, which the fan forbids.
+    So the members are the weight cones of L(q) and cut out the chamber
+    around q.  The walk starts at q = sum_i k^i x_i
     over Omega's generators and lineality basis x_i, and crosses each wall
     inside Omega once, to q = k*p - g interior with members among p's, p
     the sum of the chamber's generators on the wall and g one off it.
@@ -375,7 +377,10 @@ def git_chambers(action: SubtorusAction, fan: Fan):
     the members and maximal faces come from the cut's zero-set table and
     are certified from it, with no weight-cone membership test and no
     conversion from the whole space."""
-    face_gens, kcones = _weight_cones(action, fan)
+    lineality, face_gens = _weight_generators(action, fan)
+    kcones = {g: Cone.from_generators(action.d, sorted(g), lineality)
+              for g in dict.fromkeys(face_gens.values())
+              if rank_of_rows([*g, *lineality]) == action.d}
     omega = kcones[face_gens[frozenset()]]
 
     def members(q):

@@ -3,7 +3,8 @@ subtorus, named divisors with optional character shifts, and optional
 divisor groups.  Unknown fields and non-integer data are rejected with
 messages naming the offending entry, and a fan that `validate_fan`
 rejects keeps its `FanError` kind and message after the field at fault,
-`rays` or `cones`."""
+`rays` or `cones`; a ray of the wrong length also names `lattice_rank`,
+and a divisor name that `divisors` lacks names `divisors`."""
 
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ class Problem:
 
     def divisor(self, name: str) -> ToricDivisor:
         if name not in self.divisors:
-            raise ParseError(f"unknown divisor name: {name!r}")
+            raise ParseError(f"unknown divisor name: {name!r} is not in divisors")
         return self.divisors[name]
 
     def group(self, name: str) -> tuple[DivisorGroup, Linearization]:
@@ -97,10 +98,11 @@ def parse_problem(data: dict) -> Problem:
     try:
         fan = validate_fan(rank, rays, cones)
     except FanError as e:  # name the field; the rays are checked first, and
-        # an index out of range points past them
+        # a bad index names what it misses: the rank for a ray of the wrong
+        # length, the ray count for a cone's index out of range
         on_rays = e.kind in ("NonPrimitiveRay", "DuplicateRay") or any(len(r) != rank for r in rays)
-        e.args = (f"rays: {e}" if on_rays else f"cones: {e}"
-                  + f" for {len(rays)} rays" * (e.kind == "BadIndex"),)
+        miss = f"lattice_rank {rank}" if on_rays else f"{len(rays)} rays"
+        e.args = (f"{'rays' if on_rays else 'cones'}: {e}" + f" for {miss}" * (e.kind == "BadIndex"),)
         raise
 
     action = None
@@ -117,7 +119,7 @@ def parse_problem(data: dict) -> Problem:
         v = _int_vector(coeffs, f"divisors[{name!r}]")
         if len(v) != len(rays):
             raise ParseError(
-                f"divisor {name!r} has {len(v)} coefficients for {len(rays)} rays")
+                f"divisors[{name!r}]: {len(v)} coefficients for {len(rays)} rays")
         divisors[name] = ToricDivisor(v)
 
     shifts = {}
@@ -143,7 +145,8 @@ def parse_problem(data: dict) -> Problem:
             for nm in names:
                 if nm not in divisors:
                     raise ParseError(
-                        f"group {gname!r} references unknown divisor {nm!r}")
+                        f"group {gname!r} references unknown divisor {nm!r}, "
+                        "which is not in divisors")
 
     weights = None
     if "weights" in data:

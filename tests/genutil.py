@@ -21,7 +21,7 @@ from toricgit.actions import (
     SemistableLocus,
     SubtorusAction,
     _divisor_certificate,
-    _weight_cones,
+    _weight_generators,
 )
 from toricgit.builtin import intro_problem_data, quadric_problem_data
 from toricgit.certcheck import CheckResult, _dot, _rank
@@ -588,14 +588,23 @@ def chambers_by_full_refinement(action: SubtorusAction, fan: Fan) -> list:
                   key=lambda c: (-c.dim, c.generators, c.lineality_basis))
 
 
+def distinct_weight_cones(action: SubtorusAction, fan: Fan):
+    """Each face's K_gamma generator set, and one cone per distinct set,
+    lower-dimensional ones included (`actions.git_chambers` converts only
+    the full-dimensional ones)."""
+    lineality, face_gens = _weight_generators(action, fan)
+    return face_gens, {g: Cone.from_generators(action.d, sorted(g), lineality)
+                       for g in dict.fromkeys(face_gens.values())}
+
+
 def locus_at_by_section_cone(chi, action: SubtorusAction, fan: Fan,
                              start=None) -> SemistableLocus:
     """Reference for `actions._locus_at`: the locus by membership of chi
-    in every weight cone K_gamma (`actions._weight_cones`), each maximal
+    in every weight cone K_gamma (`distinct_weight_cones`), each maximal
     face certified from `fans.section_cone`, which converts the section
     cone at chi from the whole space instead of cutting the start cone
     (ignored here)."""
-    face_gens, kcones = _weight_cones(action, fan)
+    face_gens, kcones = distinct_weight_cones(action, fan)
     members = {g for g, c in kcones.items() if c.contains_point(chi)}
     locus = SubfanLocus(frozenset(key for key, g in face_gens.items() if g in members))
     section = section_cone(fan, (ToricDivisor.zero(fan),), action.columns, (vneg(chi),),

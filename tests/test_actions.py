@@ -43,6 +43,7 @@ from genutil import (
     check_certificate_with_complement_affine,
     contains_cone,
     cox_data,
+    distinct_weight_cones,
     locus_at_by_section_cone,
     random_action,
     random_affine_fan,
@@ -376,6 +377,32 @@ def test_cox_chamber_loci_match_chart_solves(name):
     assert len(_check_chambers_by_solving(act, orthant)) > 1
 
 
+HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+
+
+def test_full_dimensional_chambers_are_cut_by_the_full_dimensional_weight_cones():
+    # the walk converts only the K_gamma of full dimension: at each
+    # full-dimensional GIT cone's sample no lower-dimensional K_gamma holds
+    # the point, and the cone is the intersection of the full-dimensional
+    # K_gamma that do, converted here from the whole space
+    cox = [cox_data(rays) for rays in (COX_FANS["P2"][0], COX_FANS["F1"][0], HEXAGON)]
+    chambers = lower = 0
+    for fan, act in [*_affine_instances(250), *cox]:
+        kcones = distinct_weight_cones(act, fan)[1].values()
+        full = [c for c in kcones if c.dim == act.d]
+        lower += len(kcones) - len(full)
+        for cone, chi, _ in git_chambers(act, fan):
+            if cone.dim < act.d:
+                continue
+            assert not any(c.contains_point(chi) for c in kcones if c.dim < act.d)
+            holding = [c for c in full if c.contains_point(chi)]
+            assert cone == Cone.from_inequalities(
+                act.d, [u for c in holding for u in c.facet_normals],
+                [e for c in holding for e in c.span_equalities])
+            chambers += 1
+    assert chambers > 300 and lower > 250, (chambers, lower)
+
+
 def test_weight_cones_match_conversion():
     # the slab read off sigma's facets by incidence is the converted one
     for fan, act in _affine_instances(200):
@@ -384,24 +411,31 @@ def test_weight_cones_match_conversion():
                 weight_cone_by_conversion(key, act, fan)
 
 
-@pytest.mark.parametrize("name, distinct", [("P2", 2), ("P1xP1", 4), ("F1", 8)])
+# the full-dimensional orbit cones among each orthant's distinct K_gamma
+FULL_WEIGHT_CONES = {"P2": 1, "P1xP1": 1, "F1": 4, "hexagon": 19}
+
+
+@pytest.mark.parametrize("name, distinct", [("P2", 2), ("P1xP1", 4), ("F1", 8), ("hexagon", 64)])
 def test_chambers_convert_each_weight_cone_once(monkeypatch, name, distinct):
-    # the 8 or 16 faces of the orthant share these few generator sets
-    orthant, act = cox_data(COX_FANS[name][0])
+    # the 8 to 64 faces of the orthant share these few generator sets, and
+    # only the full-dimensional K_gamma among them are converted, once each
+    orthant, act = cox_data(HEXAGON if name == "hexagon" else COX_FANS[name][0])
+    assert len(distinct_weight_cones(act, orthant)[1]) == distinct
     converted = []
     real = Cone.from_generators
     monkeypatch.setattr(Cone, "from_generators", staticmethod(
         lambda *args: converted.append(args) or real(*args)))
     git_chambers(act, orthant)
-    assert len(converted) == distinct
-    assert len(orthant.face_keys()) == 2 ** len(orthant.rays) > distinct
+    assert len(converted) == len({tuple(gens) for _, gens, _ in converted}) == \
+        FULL_WEIGHT_CONES[name]
+    assert all(real(*args).dim == act.d for args in converted)
+    assert len(orthant.face_keys()) == 2 ** len(orthant.rays) >= distinct
 
 
 def _section_cut_inputs():
     """The Cox data of P^2, F_1 and the hexagon, seeded affine rank-3
     cones under subtori of dimension 1-2, and the rayless affine fan."""
-    for rays in (COX_FANS["P2"][0], COX_FANS["F1"][0],
-                 [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]):
+    for rays in (COX_FANS["P2"][0], COX_FANS["F1"][0], HEXAGON):
         orthant, act = cox_data(rays)
         yield act, orthant
     for seed in range(60):

@@ -236,7 +236,7 @@ def test_exit_2_on_a_ray_in_no_cone(tmp_path, capsys):
 @pytest.mark.parametrize("data, error", [
     ({"rays": [[1, 0], [1, 0]]}, "rays: DuplicateRay: ray (1, 0) listed twice"),
     ({"rays": [[2, 0], [0, 1]]}, "rays: NonPrimitiveRay: ray (2, 0) is not primitive"),
-    ({"rays": [[1, 0], []]}, "rays: BadIndex: ray () has wrong length"),
+    ({"rays": [[1, 0], []]}, "rays: BadIndex: ray () has wrong length for lattice_rank 2"),
     ({"rays": []}, "cones: BadIndex: ray index 0 out of range for 0 rays"),
     ({"cones": [[0, 2]]}, "cones: BadIndex: ray index 2 out of range for 2 rays"),
     ({"rays": [[1, 0], [-1, 0]]}, "cones: NotPointed: cone on rays [0, 1] contains a line"),

@@ -1,6 +1,7 @@
 """JSON problem-file parsing and rejection messages."""
 
 import json
+import re
 
 import pytest
 
@@ -162,12 +163,16 @@ def test_mutated_files_exit_with_a_documented_code(tmp_path):
     codes, raised, errors = fuzz_cli(1, 300, str(tmp_path))
     assert raised == []
     assert set(codes) <= {0, 1, 2} and codes[2] > 200 and codes[0] > 10, codes
-    # an input error from junk in the rays alone or the cones alone names
-    # that field: first, or as the ray count a cone index points past
-    named = {"rays": 0, "cones": 0}
+    # an input error from junk in one of these fields alone names that
+    # field: the rays or the cones first, or as the ray count a cone index
+    # points past; the rank or the divisors as a word of the report
+    named = dict.fromkeys(["rays", "cones", "lattice_rank", "divisors"], 0)
     for fields, error in errors:
-        if fields in (["rays"], ["cones"]):
+        if len(fields) == 1 and fields[0] in named:
             (field,) = fields
-            assert error.startswith(field) or error.endswith(f" {field}"), (field, error)
+            if field in ("rays", "cones"):
+                assert error.startswith(field) or error.endswith(f" {field}"), (field, error)
+            else:
+                assert re.search(rf"\b{field}\b", error), (field, error)
             named[field] += 1
     assert min(named.values()) >= 10, named
