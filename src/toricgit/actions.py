@@ -254,7 +254,8 @@ def mumford_trivial_semistable(chi: Sequence[int], action: SubtorusAction,
     _require_affine(fan)
     chi = tuple(chi)
     if len(chi) != action.d:
-        raise ActionError(f"character has length {len(chi)}, expected {action.d}")
+        raise ActionError(f"character has length {len(chi)}, expected {action.d}, "
+                          "the number of action columns")
     return semistable_divisor(ToricDivisor.zero(fan),
                               Linearization((vneg(chi),)), action, fan)
 

@@ -36,9 +36,14 @@ one indexed point list, where it is >= 0, <= 0 and = 0 (`form_masks`,
 which a caller that pairs one cone many times builds once), a form
 enters when the other cone's generators lie in its <= 0 mask, and the
 separating form's zero set is the AND of the entering forms' = 0 masks.
-Only a pair that no such form separates is intersected.  Cones are
-hashable by their generators and are used as dictionary keys by the fan
-and quotient layers.
+Only a pair that no such form separates is intersected.  Any facet
+description serves, canonical or not: a cone on linearly independent
+rays is simplicial, and `simplicial_masks` reads its masks off one
+fraction-free elimination of the rays against the points, with no
+conversion, returning None on dependent rays, so it is also the rank
+test that tells a simplicial cone.  Cones are hashable by their
+generators and are used as dictionary keys by the fan and quotient
+layers.
 """
 
 from __future__ import annotations
@@ -385,6 +390,78 @@ def form_masks(c: Cone, points: Sequence[Vec]) -> list[tuple[int, int, int]]:
     return rows + [(le, ge, eq) for ge, le, eq in rows[len(c.facet_normals):]]
 
 
+def simplicial_masks(ambient: int, points: Sequence[Vec],
+                     basis: Sequence[int]) -> Optional[list[tuple[int, int, int]]]:
+    """`form_masks` of the cone on the rays points[i], i in basis, over
+    the points, or None when those rays are linearly dependent.
+
+    One fraction-free Gauss-Jordan elimination (Bareiss 1968) of
+    [V^T | P^T], V the k rays and P the other points, takes the place of
+    the facet conversion.  Its row operations turn V^T into d times the
+    first k unit rows, so row i of the result holds the values on P of a
+    form that is d on ray i and 0 on the others, and each of the last
+    n - k rows those of a form that vanishes on every ray; together they
+    span the dual.  A cone on independent rays is simplicial: those k
+    forms, signed by d, are its facet normals up to the span, the n - k
+    others span its equalities, and a point lies in it iff they give it
+    no negative coordinate and no span value.  The masks are these forms'
+    over the points, in `form_masks`' layout: facet rows in basis order,
+    span rows, negated span rows.  A ray's bits are set by index, with no
+    product, and with no other point only the rank is read, by one
+    forward elimination of the rays (`rank_of_rows`).  No canonical
+    normal is built, so the rows read as a facet description only
+    through these sign tables."""
+    k = len(basis)
+    on_rays = 0
+    for i in basis:
+        on_rays |= 1 << i
+    if len(points) == k:
+        # every point is a ray (a repeated index makes the rays dependent):
+        # the elimination would give the rank alone, which one forward
+        # elimination of the rays decides at less cost, and each ray's
+        # signs are known by index
+        if rank_of_rows([points[i] for i in basis]) < k:
+            return None
+        return ([(on_rays, on_rays ^ (1 << i), on_rays ^ (1 << i)) for i in basis]
+                + [(on_rays,) * 3] * (2 * (ambient - k)))
+    if k > ambient:
+        return None
+    rest = [i for i in range(len(points)) if i not in basis]
+    # row r: coordinate r of each ray, then of each other point
+    m = [list(r) for r in zip(*[points[i] for i in basis], *[points[i] for i in rest])]
+    d = 1
+    for j in range(k):
+        for piv in range(j, ambient):
+            if m[piv][j]:
+                break
+        else:
+            return None
+        m[j], m[piv] = m[piv], m[j]
+        top = m[j]
+        p = top[j]
+        # every other row is scaled by p and cleared in column j, then
+        # divided by the last pivot, exactly: its entries stay minors of
+        # [V^T | P^T]; a row with 0 there is only rescaled, if at all
+        for a in m:
+            c = a[j]
+            if a is not top and (c or p != d):
+                for t in range(j + 1, len(a)):
+                    a[t] = (p * a[t] - c * top[t]) // d
+        d = p
+    rows = []
+    for r, a in enumerate(m):
+        ge = le = on_rays
+        if r < k:
+            le ^= 1 << basis[r]
+        # a facet row is read with the sign of d, so that it is d > 0 on its ray
+        flip = r < k and d < 0
+        for i, x in zip(rest, a[k:]):
+            ge |= (x <= 0 if flip else x >= 0) << i
+            le |= (x >= 0 if flip else x <= 0) << i
+        rows.append((ge, le, ge & le))
+    return rows + [(le, ge, eq) for ge, le, eq in rows[k:]]
+
+
 def meets_in(c1: Cone, c2: Cone, f, masks) -> bool:
     """intersect(c1, c2) == f, for a cone f that is a face of both, given
     as the cone or as a function of no arguments that builds it: f is read
@@ -398,10 +475,13 @@ def meets_in(c1: Cone, c2: Cone, f, masks) -> bool:
     on c1's generators and <= 0 on c2's, so m vanishes at a generator iff
     every term does: its zero set is the AND of the terms' = 0 masks, and
     m is never summed.  masks is ((rows1, gens1), (rows2, gens2), face):
-    each cone's `form_masks` over one point list with the mask of its
-    generators there, and the mask of f's.  A face has its cone's
-    lineality, so when c1 and c2 share theirs, so does f, every term
-    vanishes on it, and each face is read off the generators m kills.
+    each cone's `form_masks` over one point list, or `simplicial_masks`
+    for a simplicial cone, with the mask of its generators there, and the
+    mask of f's.  The argument asks of a term only that it be >= 0 on its
+    own cone, so any facet description serves, canonical or not.  A face
+    has its cone's lineality, so when c1 and c2 share theirs, so does f,
+    every term vanishes on it, and each face is read off the generators
+    m kills.
     One side settles the pair: c1 ∩ c2 lies in m^perp ∩ c1 and in
     m^perp ∩ c2, so if either face is f, c1 ∩ c2 = f.
     A pair that no such m separates is intersected."""

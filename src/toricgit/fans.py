@@ -11,15 +11,17 @@ maximal is the cone on its rays, built when it is read.  A maximal cone
 on linearly independent rays is simplicial: it is pointed, its rays are
 extreme, its facets are the cones on all rays but one, and its faces
 are the cones on the subsets of its rays (Cox-Little-Schenck, Section
-1.2), so one rank settles what validation asks of it, its face keys are
-those subsets, and it is converted only when a check reads its facets.
-Two checks do: the test of a fan ray outside the cone, and the pair
-check, by a separating form before any intersection is converted.  Any
-other maximal cone is converted once, and its face keys are read off
-its facet zero sets on its rays.  A cone's facet normals and signed
-span equalities become bitmasks over the fan rays once (>= 0, <= 0 and
-= 0), and both checks are ANDs and subset tests on those masks and on
-the cones' ray masks.
+1.2).  So its face keys are those subsets, and it is never converted:
+one elimination of its rays against the other fan rays
+(`cones.simplicial_masks`) is both the rank test that finds it
+simplicial and the sign table of a facet description over the fan
+rays.  Any other maximal cone is converted once, its face keys are read
+off its facet zero sets on its rays, and its facet normals and signed
+span equalities become the same table (`cones.form_masks`) when a check
+first reads it.  Each table is three bitmasks per form (>= 0, <= 0 and
+= 0), and both checks that read facets, the test of a fan ray outside
+a cone and the pair check by a separating form, are ANDs and subset
+tests on those masks and on the cones' ray masks.
 
 Every section system, whose solutions are the invariant sections of
 some linearized divisors, is one `section_cone` of the divisor basis,
@@ -38,7 +40,7 @@ from itertools import combinations
 from operator import add, mul
 from typing import Optional, Sequence
 
-from .cones import Cone, cut_closure, form_masks, meets_in
+from .cones import Cone, cut_closure, form_masks, meets_in, simplicial_masks
 from .intlinalg import (
     IntMatrix,
     Vec,
@@ -120,24 +122,23 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
       meet in more than that face (`cones.meets_in`);
     - UnusedRay: a fan ray that no maximal cone lists.
 
-    A maximal cone whose rays are linearly independent (one
-    `rank_of_rows`) is built from them with no conversion: it is pointed
-    and its rays are extreme.  Its facets are converted on first read, by
-    a fan ray outside its key or by the pair check; a fan of one such
-    cone listing every ray converts nothing.  Any other maximal cone is
-    one `Cone.from_generators`.  Both checks read one table per cone, the
-    >= 0, <= 0 and = 0 masks of its facet normals and signed span
-    equalities over the fan rays (`cones.form_masks`): a fan ray outside
-    a cone's key lies in it iff its bit is in the AND of the >= 0 masks,
-    and `cones.meets_in` decides a pair on the masks; the cone of the
-    pair's common face is built only if the pair is intersected.  A fan
-    whose maximal cones list every ray builds no table.  A simplicial
-    cone's face keys are the subsets of its key, and any other cone's
-    are its key cut by the ray zero sets of its facets.  A fan of one
-    simplicial cone generates its keys in (size, sorted indices) order;
-    any other fan sorts their union.  No face cone is built: the Fan
-    keeps the maximal cones, and `Fan.face_cone` builds any other when it
-    is read."""
+    A maximal cone whose rays are linearly independent is simplicial:
+    it is pointed, its rays are extreme, and it is built from them with
+    no conversion.  One `cones.simplicial_masks` of its rays against the
+    fan rays outside its key (against none when it lists every ray) is
+    the rank test and gives the >= 0, <= 0 and = 0 masks of a facet
+    description over the fan rays.  Any other maximal cone is one
+    `Cone.from_generators`, and its facet normals and signed span
+    equalities give the same table (`cones.form_masks`) on first read.
+    A fan ray outside a cone's key lies in it iff its bit is in the AND
+    of the >= 0 masks, and `cones.meets_in` decides a pair on the
+    masks; the cone of the pair's common face is built only if the pair
+    is intersected.  A simplicial cone's face keys are the subsets of
+    its key, and any other cone's are its key cut by the ray zero sets
+    of its facets.  A fan of one simplicial cone generates its keys in
+    (size, sorted indices) order; any other fan sorts their union.  No
+    face cone is built: the Fan keeps the maximal cones, and
+    `Fan.face_cone` builds any other when it is read."""
     ray_tuples: list[Vec] = []
     for r in rays:
         t = tuple(int(x) for x in r)
@@ -159,15 +160,19 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
     if not max_keys:
         max_keys.append(frozenset())  # the fan of the big torus alone
 
-    # each maximal cone, and the zero sets of its facets on its rays for
-    # a cone that is not simplicial
-    cones, facet_zeros = {}, {}
+    # each maximal cone; a simplicial one's masks over the fan rays, and the
+    # zero sets on its rays of the facets of any other
+    ray_masks = {key: sum(1 << i for i in key) for key in max_keys}
+    cones, facet_zeros, tables = {}, {}, {}
     for key in max_keys:
-        gens = [ray_tuples[i] for i in sorted(key)]
-        if rank_of_rows(gens) == len(gens):
+        idx = sorted(key)
+        gens = [ray_tuples[i] for i in idx]
+        rows = simplicial_masks(ambient_rank, ray_tuples, idx)
+        if rows is not None:
             # simplicial: pointed, every ray extreme, and each facet is
             # the cone on all rays but one, so nothing here is converted
             cones[key] = Cone(ambient_rank, tuple(sorted(gens)), ())
+            tables[key] = rows, ray_masks[key]
             continue
         c = Cone.from_generators(ambient_rank, gens)
         if c.lineality_rank != 0:
@@ -177,12 +182,9 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
         facet_zeros[key] = [frozenset(i for i in key if vdot(u, ray_tuples[i]) == 0)
                             for u in c.facet_normals]
 
-    # each cone's facet forms as masks over the fan rays, for the cones
-    # whose facets a check reads, and each cone's rays as a mask
-    ray_masks = {key: sum(1 << i for i in key) for key in cones}
-    tables = {}
-
     def side(key):
+        # any other cone's facet forms as masks over the fan rays, built
+        # when a check first reads them
         if key not in tables:
             tables[key] = form_masks(cones[key], ray_tuples), ray_masks[key]
         return tables[key]

@@ -152,6 +152,10 @@ def parse_problem(data: dict) -> Problem:
     if "weights" in data:
         weights = tuple(_int_vector(w, f"weights[{i}]")
                         for i, w in enumerate(_container(data, "weights", list)))
+        for i, w in enumerate(weights):
+            if len(w) != len(weights[0]):
+                raise ParseError(f"weights[{i}]: length {len(w)}, expected "
+                                 f"{len(weights[0])} as in weights[0]")
 
     return Problem(fan, action, divisors, shifts, groups, weights)
 

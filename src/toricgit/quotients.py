@@ -4,35 +4,43 @@ glued fan charts.
 Each maximal face sigma of a locus gives a chart pi(sigma) in the
 quotient lattice N/L, where pi is the cokernel projection of the acting
 sublattice.  Each fan ray under some chart is projected once, and each
-chart image is the cone on the projected rays of its face: built from
-them when they are linearly independent, its facets converted on first
-read, and converted from them otherwise.
-Everything else is read off one ray-facet incidence table per chart: the
-set of image facets vanishing on each projected ray, as a bitmask, and
-the same for each image generator.  A face gamma under sigma is tight on
-the AND of its rays' masks, and its orbit image, the smallest face of
-the chart image holding pi(gamma), is the image generators on all of
-those facets plus the image lineality.  Faces with one tight set share
-one orbit image, so the table also gives each chart's fibres (orbit
-image to the faces over it), and the good and geometric flags are read
-off the fibres.
+chart image is the cone on the projected rays of its face.
+On linearly independent projected rays the image is simplicial, built
+from them with no conversion, and read by index: each ray is a
+generator and lies on every facet but the one opposite it, so the faces
+under the chart are the subsets of its key, each its own fibre, with the
+cone on its rays as orbit image.  One elimination of its rays against every
+projected ray (`cones.simplicial_masks`) is the rank test that finds it
+and the sign table its pair checks read.
+Any other image is converted from the rays and read off one ray-facet
+incidence table: the set of image facets vanishing on each projected
+ray, as a bitmask, and the same for each image generator.  A face gamma
+under sigma is tight on the AND of its rays' masks, and its orbit image,
+the smallest face of the chart image holding pi(gamma), is the image
+generators on all of those facets plus the image lineality.  Faces with
+one tight set share one orbit image, so the table also gives the
+chart's fibres (orbit image to the faces over it).  The good and
+geometric flags are read off the fibres.
 
 Charts are glued along the images of their shared faces.  The glue cone
 pi(gamma) is the orbit image of gamma when that is pointed and generated
 by the projected rays of gamma, and is converted otherwise.  Whether two
 images meet in their glue cone is settled by a form built from their
 facets (`cones.meets_in`), read off each image's facet masks (>= 0,
-<= 0 and = 0) over every image generator, built once, and the generator
-masks of the two images and the glue; only a pair that no such form
-separates is intersected.  No face lattice is built.
+<= 0 and = 0) over every image generator, built once (by the
+elimination for a simplicial image, from the converted facets for any
+other), and the generator masks of the two images and the glue; only a
+pair that no such form separates is intersected.  No face lattice is
+built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .actions import SemistableLocus, SubtorusAction
-from .cones import Cone, form_masks, image as cone_image, meets_in
+from .cones import Cone, form_masks, image as cone_image, meets_in, simplicial_masks
 from .fans import Fan, FaceKey
 from .intlinalg import (
     LatticeMap,
@@ -40,7 +48,6 @@ from .intlinalg import (
     Vec,
     cokernel_projection,
     primitive,
-    rank_of_rows,
     vdot,
 )
 
@@ -165,16 +172,29 @@ def _glue_cone(key: FaceKey, orbit: Cone, proj: dict[int, Vec], fan: Fan,
     return cone_image(fan.face_cone(key), pi)
 
 
-def _chart_image(q: int, rays: list[Vec]) -> Cone:
-    """The cone on a chart's projected rays.  On linearly independent
-    rays (one `rank_of_rows`) it is simplicial and pointed, and its
-    canonical generators are the rays made primitive, so it is built
-    from them with no conversion, as `fans.validate_fan` builds a
-    simplicial cone, and its facets are converted on first read.  Any
-    other image is one `Cone.from_generators`."""
-    if rank_of_rows(rays) == len(rays):
-        return Cone(q, tuple(sorted(map(primitive, rays))), ())
-    return Cone.from_generators(q, rays)
+def _simplicial_incidence(img: Cone, rays: dict[int, Vec]) -> _Incidence:
+    """The orbit map of a chart image on linearly independent projected
+    rays (primitive, keyed by fan ray), read by index.  The image is
+    simplicial and its generators are the rays: ray j is generator b,
+    on every facet but the one opposite it, bit b.  So the faces under
+    the chart, in the fan's (size, sorted indices) order, are the subsets
+    of its key, each tight on the facets opposite the generators it
+    lacks, and each is its own fibre, with the cone on its generators as
+    orbit image.  A ray that is not a generator of the image is a failed
+    engine invariant (RuntimeError), as in `_incidence`."""
+    at = {g: b for b, g in enumerate(img.generators)}
+    if not all(r in at for r in rays.values()):
+        raise RuntimeError("projected face escapes the chart image")
+    every = (1 << len(at)) - 1
+    orbit, tight, reach = {}, {}, {}
+    for n in range(len(rays) + 1):
+        for sub in combinations(sorted(rays), n):
+            k, on = frozenset(sub), sum(1 << at[rays[j]] for j in sub)
+            orbit[k] = Cone(img.ambient_rank, tuple(g for g in img.generators if on >> at[g] & 1),
+                            img.lineality_basis)
+            tight[k] = t = every ^ on
+            reach[t] = k
+    return _Incidence(orbit, tight, reach)
 
 
 def build_quotient(ss: SemistableLocus, action: SubtorusAction,
@@ -183,8 +203,10 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
     ss.certificates), glued along the images of their shared faces, with
     every fan face under a chart sent to its orbit image there.
 
-    Each ray under a chart is projected once.  Each chart's orbit map
-    and fibres are read off its ray-facet incidence table, and the flags
+    Each ray under a chart is projected once.  A chart on independent
+    projected rays is simplicial, and its orbit map and fibres are read
+    by index (`_simplicial_incidence`); any other chart's are read off
+    its ray-facet incidence table (`_incidence`).  The flags are read
     off the fibres:
 
     - good: the intersection of every two charts, the orbits over the
@@ -202,18 +224,39 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
     max_keys = [k for k, _ in ss.certificates]
 
     proj = {j: pi.apply(fan.rays[j]) for j in frozenset().union(*max_keys)}
-    charts = [QuotientChart(key, _chart_image(q, [proj[j] for j in sorted(key)]), pi)
-              for key in max_keys]
-    tables = [_incidence(ch.image, {j: proj[j] for j in ch.source_key},
-                         fan.all_keys_under(ch.source_key)) for ch in charts]
+    # every primitive projected ray is a point of the pair masks, and one
+    # elimination against them finds a chart on independent rays, which is
+    # simplicial, and gives its masks; its incidence is read by index
+    prim = {j: primitive(p) for j, p in proj.items()}
+    points = list(dict.fromkeys(prim[j] for key in max_keys for j in sorted(key)))
+    index = {p: i for i, p in enumerate(points)}
+    charts, tables, own_masks = [], [], []
+    for key in max_keys:
+        masks = simplicial_masks(q, points, [index[prim[j]] for j in sorted(key)])
+        own_masks.append(masks)
+        if masks is not None:
+            charts.append(QuotientChart(key, Cone(q, tuple(sorted(prim[j] for j in key)), ()), pi))
+            tables.append(_simplicial_incidence(charts[-1].image, {j: prim[j] for j in key}))
+        else:
+            charts.append(QuotientChart(key, Cone.from_generators(
+                q, [proj[j] for j in sorted(key)]), pi))
+            tables.append(_incidence(charts[-1].image, {j: proj[j] for j in key},
+                                     fan.all_keys_under(key)))
     images = [t.orbit for t in tables]
     orbit_map = [(k, i, F) for i, m in enumerate(images) for k, F in m.items()]
-    # each image's facet forms as masks over every image generator, and
-    # its own generators' mask, for the pair checks
-    points = list(dict.fromkeys(g for ch in charts for g in ch.image.generators))
-    bit = {p: 1 << i for i, p in enumerate(points)}
-    sides = [(form_masks(ch.image, points), sum(bit[g] for g in ch.image.generators))
-             for ch in charts]
+    # any other image's facet forms as masks over every image generator,
+    # which may add points past the projected rays, and each image's
+    # generators as a mask.  A simplicial image is pointed, and meets_in
+    # reads its masks only against an image of the same lineality, whose
+    # generators are projected rays
+    for ch in charts:
+        for g in ch.image.generators:
+            if g not in index:
+                index[g] = len(points)
+                points.append(g)
+    sides = [(masks if masks is not None else form_masks(ch.image, points),
+              sum(1 << index[g] for g in ch.image.generators))
+             for ch, masks in zip(charts, own_masks)]
 
     gluings = []
     glues: dict[FaceKey, Cone] = {}  # one image per shared face
@@ -236,7 +279,7 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
             separated = separated and (
                 glue == images[i][common] == images[j][common]
                 and meets_in(charts[i].image, charts[j].image, glue,
-                             (sides[i], sides[j], sum(bit[g] for g in glue.generators))))
+                             (sides[i], sides[j], sum(1 << index[g] for g in glue.generators))))
 
     # images meeting so form a fan modulo one shared lineality space V
     # (a wall character's charts share a line); images that do not share

@@ -396,16 +396,18 @@ def test_hm_destabilize_under_a_rank_0_action_exits_0(tmp_path, capsys):
 ])
 def test_hm_rejects_bad_indices_and_lengths_with_exit_2(intro_weights_file, capsys,
                                                         argv, error):
+    # each text ends with the shape of the weights that bounds it
     code, rep = _run_json(["hm", argv[0], intro_weights_file, *argv[1:]], capsys)
     assert code == 2
-    assert rep["result"] == {"error": error}
+    assert rep["result"] == {"error": error + ", for weights of 2 rows of length 1"}
 
 
 def test_malformed_characters_exit_2(intro_file, capsys):
     code, rep = _run_json(["trivial-bundle", intro_file, "--character", ""],
                           capsys)
     assert code == 2
-    assert rep["result"] == {"error": "character has length 0, expected 1"}
+    assert rep["result"] == {
+        "error": "character has length 0, expected 1, the number of action columns"}
     code, rep = _run_json(["trivial-bundle", intro_file, "--character", "x"],
                           capsys)
     assert code == 2

@@ -19,8 +19,10 @@ from toricgit.cones import (
     feasible_strict,
     image,
     intersect,
+    meets_in,
     product_feasible_strict,
     relative_interior_point,
+    simplicial_masks,
 )
 from toricgit.intlinalg import (
     IntMatrix,
@@ -817,3 +819,91 @@ def test_lineality_read_off_the_elimination(monkeypatch, ambient, ineqs, eqs,
     got = double_description(ambient, ineqs, eqs)
     assert got[1] == lineality and len(calls) == kernels
     assert got == double_description_by_projection(ambient, ineqs, eqs)
+
+
+# -- sign tables of simplicial cones by one elimination -------------------
+
+def _independent_rays(rng, n, k):
+    while True:
+        rays = [random_primitive_vector(rng, n) for _ in range(k)]
+        if fraction_rank(rays) == k:
+            return rays
+
+
+def test_simplicial_masks_are_a_facet_description():
+    """On k independent rays in ambient n (k <= n, lower-dimensional cones
+    included): each facet row is > 0 on its own ray and 0 on the others,
+    each span row is 0 on every ray, a point's bit is in every >= 0 mask
+    iff the cone holds it, and dependent rays give None."""
+    seen = collections.Counter()
+    for seed in range(600):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        k = rng.randint(0, n)
+        rays = _independent_rays(rng, n, k)
+        # each ray again at a positive multiple, combinations of the rays
+        # with coefficients of either sign, and points of the whole space
+        again = [vscale(rng.randint(1, 3), r) for r in rays]
+        combos = [tuple(map(sum, zip((0,) * n, *(vscale(rng.randint(-1, 2), r) for r in rays))))
+                  for _ in range(4)]
+        points = rays + again + combos + [tuple(rng.randint(-3, 3) for _ in range(n))
+                                          for _ in range(4)]
+        rows = simplicial_masks(n, points, range(k))
+        assert len(rows) == k + 2 * (n - k)
+        for i, (ge, le, eq) in enumerate(rows[:k]):
+            for j in range(k):
+                at = k + j  # ray j's multiple, outside the basis
+                assert (ge >> at & 1, le >> at & 1, eq >> at & 1) == (1, int(i != j), int(i != j))
+        for ge, le, eq in rows[k:]:
+            assert all(eq >> (k + j) & 1 for j in range(k))
+        inside = (1 << len(points)) - 1
+        for ge, _, _ in rows:
+            inside &= ge
+        cone = Cone.from_generators(n, rays)
+        for i, p in enumerate(points):
+            assert bool(inside >> i & 1) == cone.contains_point(p), (rays, p)
+            seen["in" if inside >> i & 1 else "out"] += 1
+        # the rays alone give the same masks on them
+        on_rays = (1 << k) - 1
+        assert simplicial_masks(n, rays, range(k)) == [
+            tuple(x & on_rays for x in row) for row in rows]
+        # one more ray in their span, or the zero vector when there are
+        # none, with other points or without
+        extra = combos[0] if k else (0,) * n
+        assert simplicial_masks(n, rays + [extra], range(k + 1)) is None
+        assert simplicial_masks(n, rays + [extra] + points, range(k + 1)) is None
+        seen["lower" if k < n else "full"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_meets_in_reads_simplicial_masks_as_intersect_does():
+    """For pairs of simplicial cones on rays drawn from one small pool,
+    and every face the two share (the cone on a set of common rays),
+    meets_in on `simplicial_masks` over the pair's rays answers as
+    intersect does."""
+    met = missed = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 4)
+        pool = [random_primitive_vector(rng, n) for _ in range(n + 2)]
+        pool = list(dict.fromkeys(pool))
+        picks = []
+        for _ in range(2):
+            k = rng.randint(1, n)
+            sub = rng.sample(range(len(pool)), min(k, len(pool)))
+            if fraction_rank([pool[i] for i in sub]) < len(sub):
+                break
+            picks.append(sub)
+        if len(picks) < 2:
+            continue
+        c1, c2 = (Cone(n, tuple(sorted(pool[i] for i in sub)), ()) for sub in picks)
+        sides = [(simplicial_masks(n, pool, sub), sum(1 << i for i in sub)) for sub in picks]
+        common = sorted(set(picks[0]) & set(picks[1]))
+        for size in range(len(common) + 1):
+            for face in itertools.combinations(common, size):
+                f = Cone(n, tuple(sorted(pool[i] for i in face)), ())
+                got = meets_in(c1, c2, f, (*sides, sum(1 << i for i in face)))
+                assert got == (intersect(c1, c2) == f), (picks, face)
+                met += got
+                missed += not got
+    assert met >= 50 and missed >= 50, (met, missed)

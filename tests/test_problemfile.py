@@ -156,6 +156,20 @@ def test_malformed_field_is_exit_2_naming_it(tmp_path, capsys, field, value, nam
     assert error.startswith(named + (":" if "[" in named else " "))
 
 
+def test_weights_rows_of_mixed_length_name_the_row(tmp_path, capsys):
+    # once the bare "weight vectors have mixed dimensions" of LinearAction
+    data = {**_base(), "weights": [[1, 0], [0, 1], [2]]}
+    with pytest.raises(ParseError, match=re.escape(
+            "weights[2]: length 1, expected 2 as in weights[0]")):
+        parse_problem(data)
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    assert run(["hm", "destabilize", str(f), "--support", "0", "--target", "origin",
+                "--json"]) == 2
+    error = json.loads(capsys.readouterr().out)["result"]["error"]
+    assert error == "weights[2]: length 1, expected 2 as in weights[0]"
+
+
 def test_mutated_files_exit_with_a_documented_code(tmp_path):
     # the built-in problems with one or two fields, or one entry, replaced
     # by junk, through every subcommand: an answer, a negative verdict or
@@ -165,8 +179,10 @@ def test_mutated_files_exit_with_a_documented_code(tmp_path):
     assert set(codes) <= {0, 1, 2} and codes[2] > 200 and codes[0] > 10, codes
     # an input error from junk in one of these fields alone names that
     # field: the rays or the cones first, or as the ray count a cone index
-    # points past; the rank or the divisors as a word of the report
-    named = dict.fromkeys(["rays", "cones", "lattice_rank", "divisors"], 0)
+    # points past; the rank, the divisors, the action or the weights as a
+    # word of the report
+    named = dict.fromkeys(["rays", "cones", "lattice_rank", "divisors", "action",
+                           "weights"], 0)
     for fields, error in errors:
         if len(fields) == 1 and fields[0] in named:
             (field,) = fields
