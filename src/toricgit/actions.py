@@ -50,6 +50,7 @@ from .fans import (
     is_cartier_on,
     largest_first,
     section_cone,
+    size_order,
     zero_sets,
 )
 from .intlinalg import (
@@ -337,10 +338,9 @@ def _locus_at(chi: Vec, action: SubtorusAction, fan: Fan,
     # the last form is s >= 0, so a generator with s > 0 misses its bit
     positive = 1 << len(fan.rays)
     tops = {z for _, z in zero_sets(section) if not z & positive}
-    maxes = sorted((frozenset(j for j in range(len(fan.rays)) if z >> j & 1)
-                    for z in tops if not any(z & z2 == z != z2 for z2 in tops)),
-                   key=lambda k: (len(k), sorted(k)))
-    locus = SubfanLocus(frozenset(k for k in fan.face_keys() if any(k <= m for m in maxes)))
+    maxes = size_order(frozenset(j for j in range(len(fan.rays)) if z >> j & 1)
+                       for z in tops if not any(z & z2 == z != z2 for z2 in tops))
+    locus = SubfanLocus.closure(fan, maxes)
     certs = tuple((key, _divisor_certificate(fan, key, section)) for key in maxes)
     if any(cert is None for _, cert in certs):
         raise RuntimeError(f"weight-cone locus at {chi}: a maximal face fails")

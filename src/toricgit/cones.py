@@ -1,58 +1,27 @@
 """Rational polyhedral cones with exact dual descriptions.
 
-The workhorse is a double description conversion over the integers:
-given homogeneous inequalities and equalities we compute a minimal set
-of extreme rays plus a lineality basis.  The conversion is incremental,
-so it starts from the whole space or from a cone already converted:
-`Cone.cut` continues from a cone's generators, lineality and facets,
-and intersect is one cone cut by the other's facets.  Each ray carries
-the set of constraints it is tight on, so adjacency, and with it
-extremality, is decided from those sets rather than by re-evaluating
-every constraint.  An equality is one constraint, taken in one pass
-that keeps the rays on it and the combinations of adjacent pairs across
-it, rather than two opposite inequalities, the second of which would only
-delete rays.
-A vector the new constraint vanishes on is kept as it is, since its
-projection is a positive multiple of it and every stored vector is
-primitive; and a pair tight on fewer constraints than the codimension
-of a face two above the lineality is never scanned, since such a face
-is cut out by the constraints tight on it.  The saturated lineality
-lattice is read off the elimination at rank 0, 1 and full rank; only a
-rank in between takes one Hermite-form kernel (kernel_basis).
-A cone is its canonical generators and lineality basis; its facet
-description is one more conversion, run on first read (or kept from the
-conversion that built the cone).  A cone built from generators makes
-exactly that one conversion: its canonical generators are read off the
-generator-facet zero sets.  Faces are cut from the generators by
-ray-facet incidence, with no conversion.  Every strict-feasibility
-question (is some point of a face positive on given forms?) is answered
-by one witness, relative_interior_point: the sum of the generators on
-the face, read by incidence, so a cone converted once answers it for
-every face (a section cone reads the same sum off its generators' zero
-sets over its forms, `fans.zero_sets`, for every chart).  Whether two
-cones meet in a common face is settled by a separating form built from
-their facets, with no sum taken: each facet form is three bitmasks over
-one indexed point list, where it is >= 0, <= 0 and = 0 (`form_masks`,
-which a caller that pairs one cone many times builds once), a form
-enters when the other cone's generators lie in its <= 0 mask, and the
-separating form's zero set is the AND of the entering forms' = 0 masks.
-Only a pair that no such form separates is intersected.  Any facet
-description serves, canonical or not: a cone on linearly independent
-rays is simplicial, and `simplicial_masks` reads its masks off one
-fraction-free elimination of the rays against the points, with no
-conversion, returning None on dependent rays, so it is also the rank
-test that tells a simplicial cone.  Cones are hashable by their
-generators and are used as dictionary keys by the fan and quotient
-layers.
+A cone is its canonical generators and lineality basis.  Every facet
+description comes from `double_description`, an incremental conversion
+that can continue from a cone already converted (`Cone.cut`), or, for a
+cone on linearly independent rays, from one elimination of the rays
+(`simplicial_masks`); `sign_table` is the one place that chooses
+between the two.  A sign table holds each form of a facet description
+as three bitmasks over an indexed point list, where it is >= 0, <= 0
+and = 0, and the fan and quotient layers decide containment, faces and
+pairs of cones by ANDs and subset tests on those masks.  Faces are cut
+from the generators by ray-facet incidence, and every strict-feasibility
+question is answered by one witness, `relative_interior_point`, with no
+further conversion.  Cones are hashable by their generators and are
+used as dictionary keys by the fan and quotient layers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd
 from operator import mul, neg
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .intlinalg import (
     IntMatrix,
@@ -402,33 +371,17 @@ def simplicial_masks(ambient: int, points: Sequence[Vec],
     form that is d on ray i and 0 on the others, and each of the last
     n - k rows those of a form that vanishes on every ray; together they
     span the dual.  A cone on independent rays is simplicial: those k
-    forms, signed by d, are its facet normals up to the span, the n - k
-    others span its equalities, and a point lies in it iff they give it
-    no negative coordinate and no span value.  The masks are these forms'
-    over the points, in `form_masks`' layout: facet rows in basis order,
-    span rows, negated span rows.  A ray's bits are set by index, with no
-    product, and with no other point only the rank is read, by one
-    forward elimination of the rays (`rank_of_rows`).  No canonical
-    normal is built, so the rows read as a facet description only
-    through these sign tables."""
+    forms, signed by d, are its facet normals up to the span, and the
+    n - k others span its equalities.  A ray's bits are set by index,
+    with no product.  No canonical normal is built, so the rows read as
+    a facet description only through these sign tables."""
     k = len(basis)
     on_rays = 0
     for i in basis:
         on_rays |= 1 << i
-    if len(points) == k:
-        # every point is a ray (a repeated index makes the rays dependent):
-        # the elimination would give the rank alone, which one forward
-        # elimination of the rays decides at less cost, and each ray's
-        # signs are known by index
-        if rank_of_rows([points[i] for i in basis]) < k:
-            return None
-        return ([(on_rays, on_rays ^ (1 << i), on_rays ^ (1 << i)) for i in basis]
-                + [(on_rays,) * 3] * (2 * (ambient - k)))
-    if k > ambient:
-        return None
     rest = [i for i in range(len(points)) if i not in basis]
     # row r: coordinate r of each ray, then of each other point
-    m = [list(r) for r in zip(*[points[i] for i in basis], *[points[i] for i in rest])]
+    m = [list(r) for r in zip(*[points[i] for i in [*basis, *rest]])] or [[]] * ambient
     d = 1
     for j in range(k):
         for piv in range(j, ambient):
@@ -462,6 +415,38 @@ def simplicial_masks(ambient: int, points: Sequence[Vec],
     return rows + [(le, ge, eq) for ge, le, eq in rows[k:]]
 
 
+def sign_table(ambient: int, points: Sequence[Vec], basis: Sequence[int]
+               ) -> tuple[Cone, Callable[[], list[tuple[int, int, int]]]]:
+    """The cone on the rays points[i], i in basis, and a function of no
+    arguments that returns its sign table over the points, in
+    `form_masks`' layout.  This is the one place that tells a simplicial
+    cone from any other.
+
+    Linearly independent rays span a simplicial cone (Cox-Little-Schenck,
+    Section 1.2): it is pointed, its rays are extreme, and it is built
+    from them with no conversion, with dim read off the ray count.  One
+    `simplicial_masks` against the other points is both its rank test
+    and its table; when every point is a ray, `rank_of_rows`, a forward
+    elimination that costs less, is the test, and the elimination runs
+    only when the table is read.  Dependent rays are converted
+    (`Cone.from_generators`), and the table is `form_masks` of the facets,
+    built on the first read and kept, over the points the list holds
+    then, so a caller may first append the converted cone's generators."""
+    rays = [points[i] for i in basis]
+    if len(points) != len(rays):
+        rows = simplicial_masks(ambient, points, basis)
+        table = None if rows is None else lambda: rows
+    else:
+        table = None if rank_of_rows(rays) < len(rays) else (
+            lambda: simplicial_masks(ambient, points, basis))
+    if table is None:
+        cone = Cone.from_generators(ambient, rays)
+        return cone, cache(lambda: form_masks(cone, points))
+    cone = Cone(ambient, tuple(sorted(rays)), ())
+    object.__setattr__(cone, "dim", len(rays))
+    return cone, table
+
+
 def meets_in(c1: Cone, c2: Cone, f, masks) -> bool:
     """intersect(c1, c2) == f, for a cone f that is a face of both, given
     as the cone or as a function of no arguments that builds it: f is read
@@ -475,10 +460,10 @@ def meets_in(c1: Cone, c2: Cone, f, masks) -> bool:
     on c1's generators and <= 0 on c2's, so m vanishes at a generator iff
     every term does: its zero set is the AND of the terms' = 0 masks, and
     m is never summed.  masks is ((rows1, gens1), (rows2, gens2), face):
-    each cone's `form_masks` over one point list, or `simplicial_masks`
-    for a simplicial cone, with the mask of its generators there, and the
-    mask of f's.  The argument asks of a term only that it be >= 0 on its
-    own cone, so any facet description serves, canonical or not.  A face
+    each cone's sign table over one point list (`sign_table`), with the
+    mask of its generators there, and the mask of f's.  The argument asks
+    of a term only that it be >= 0 on its own cone, so any facet
+    description serves, canonical or not.  A face
     has its cone's lineality, so when c1 and c2 share theirs, so does f,
     every term vanishes on it, and each face is read off the generators
     m kills.

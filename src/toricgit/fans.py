@@ -6,31 +6,13 @@ other fan ray lies in it, so each face is keyed by the frozenset of the
 indices of its generators, which are also exactly the fan rays it
 contains.  For a valid pointed fan this keying is faithful and subset
 order on keys is exactly the face order, which the locus bookkeeping
-relies on.  A fan is its face keys: the cone of a face that is not
-maximal is the cone on its rays, built when it is read.  A maximal cone
-on linearly independent rays is simplicial: it is pointed, its rays are
-extreme, its facets are the cones on all rays but one, and its faces
-are the cones on the subsets of its rays (Cox-Little-Schenck, Section
-1.2).  So its face keys are those subsets, and it is never converted:
-one elimination of its rays against the other fan rays
-(`cones.simplicial_masks`) is both the rank test that finds it
-simplicial and the sign table of a facet description over the fan
-rays.  Any other maximal cone is converted once, its face keys are read
-off its facet zero sets on its rays, and its facet normals and signed
-span equalities become the same table (`cones.form_masks`) when a check
-first reads it.  Each table is three bitmasks per form (>= 0, <= 0 and
-= 0), and both checks that read facets, the test of a fan ray outside
-a cone and the pair check by a separating form, are ANDs and subset
-tests on those masks and on the cones' ray masks.
+relies on.  A fan is its face keys: each maximal cone keeps its own,
+and the cone of a face that is not maximal is built when it is read.
 
 Every section system, whose solutions are the invariant sections of
 some linearized divisors, is one `section_cone` of the divisor basis,
-the action's columns and one character shift per divisor.  A section
-cone keeps one table, built on its first chart test: each generator's
-zero set over the forms as a bitmask (`zero_sets`).  `chart_witness`
-decides every chart from it with no dot product: a chart passes iff the
-AND of the zero sets that hold its rays is exactly its rays, and its
-witness is the sum of those generators.
+the action's columns and one character shift per divisor, and every
+chart is decided off its generators' zero sets (`chart_witness`).
 """
 
 from __future__ import annotations
@@ -40,7 +22,7 @@ from itertools import combinations
 from operator import add, mul
 from typing import Optional, Sequence
 
-from .cones import Cone, cut_closure, form_masks, meets_in, simplicial_masks
+from .cones import Cone, cut_closure, meets_in, sign_table
 from .intlinalg import (
     IntMatrix,
     Vec,
@@ -50,7 +32,6 @@ from .intlinalg import (
     rank_of_rows,
     smith_normal_form,
     solve_integer,
-    vdot,
 )
 
 FaceKey = frozenset
@@ -71,19 +52,26 @@ class FanError(Exception):
         self.kind = kind
 
 
+def size_order(keys) -> list:
+    """Face keys in (size, sorted indices) order: sorted by their indices,
+    then stably by size."""
+    return sorted(sorted(keys, key=sorted), key=len)
+
+
 @dataclass(frozen=True)
 class Fan:
     """A validated fan: its face keys, in (size, sorted indices) order,
-    each with its kept cone or None.  `validate_fan` keeps the maximal
-    cones, so a maximal cone is always the same object and facets
-    converted once stay converted.  Any other face's cone is the cone on
-    its rays, all extreme in it, which `face_cone` builds when it is
-    read."""
+    each with its kept cone or None, and each maximal cone's own face
+    keys in the same order.  `validate_fan` keeps the maximal cones, so a
+    maximal cone is always the same object and facets converted once stay
+    converted.  Any other face's cone is the cone on its rays, all
+    extreme in it, which `face_cone` builds when it is read."""
 
     ambient_rank: int
     rays: tuple[Vec, ...]
     maximal_cones: tuple[tuple[int, ...], ...]
     _faces: dict[FaceKey, Optional[Cone]]
+    _own_keys: dict[FaceKey, dict[FaceKey, None]]
 
     def face_keys(self) -> tuple[FaceKey, ...]:
         return tuple(self._faces)
@@ -100,9 +88,17 @@ class Fan:
 
     @property
     def maximal_keys(self) -> tuple[FaceKey, ...]:
-        return tuple(frozenset(c) for c in self.maximal_cones)
+        return tuple(self._own_keys)
 
     def all_keys_under(self, key: FaceKey) -> tuple[FaceKey, ...]:
+        """The face keys under key, in order: a maximal cone's own keys, or
+        the own keys of the first maximal cone holding key that lie under
+        it (a face under key is a face of that cone, as two cones of a fan
+        meet in a face of each), or, when no maximal cone holds key, every
+        face key under it."""
+        for top, own in self._own_keys.items():
+            if key <= top:
+                return tuple(own) if key == top else tuple(k for k in own if k <= key)
         return tuple(k for k in self._faces if k <= key)
 
 
@@ -122,23 +118,19 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
       meet in more than that face (`cones.meets_in`);
     - UnusedRay: a fan ray that no maximal cone lists.
 
-    A maximal cone whose rays are linearly independent is simplicial:
-    it is pointed, its rays are extreme, and it is built from them with
-    no conversion.  One `cones.simplicial_masks` of its rays against the
-    fan rays outside its key (against none when it lists every ray) is
-    the rank test and gives the >= 0, <= 0 and = 0 masks of a facet
-    description over the fan rays.  Any other maximal cone is one
-    `Cone.from_generators`, and its facet normals and signed span
-    equalities give the same table (`cones.form_masks`) on first read.
-    A fan ray outside a cone's key lies in it iff its bit is in the AND
-    of the >= 0 masks, and `cones.meets_in` decides a pair on the
-    masks; the cone of the pair's common face is built only if the pair
-    is intersected.  A simplicial cone's face keys are the subsets of
-    its key, and any other cone's are its key cut by the ray zero sets
-    of its facets.  A fan of one simplicial cone generates its keys in
-    (size, sorted indices) order; any other fan sorts their union.  No
-    face cone is built: the Fan keeps the maximal cones, and
-    `Fan.face_cone` builds any other when it is read."""
+    A listed cone that repeats another or lies in another is then dropped:
+    the fan keeps each inclusion-maximal key once, in the order listed.
+
+    Each maximal cone and its sign table over the fan rays come from one
+    `cones.sign_table`, read only by a check that needs it: a fan ray
+    outside a cone's key lies in it iff its bit is in the AND of the >= 0
+    masks, and `cones.meets_in` decides a pair on the masks; the cone of
+    the pair's common face is built only if the pair is intersected.  A
+    simplicial cone's face keys are the subsets of its key, in (size,
+    sorted indices) order, and any other cone's are its key cut by the
+    = 0 masks of its facets.  No face cone is built: the Fan keeps the
+    maximal cones, and `Fan.face_cone` builds any other when it is
+    read."""
     ray_tuples: list[Vec] = []
     for r in rays:
         t = tuple(int(x) for x in r)
@@ -160,77 +152,61 @@ def validate_fan(ambient_rank: int, rays: Sequence[Sequence[int]],
     if not max_keys:
         max_keys.append(frozenset())  # the fan of the big torus alone
 
-    # each maximal cone; a simplicial one's masks over the fan rays, and the
-    # zero sets on its rays of the facets of any other
-    ray_masks = {key: sum(1 << i for i in key) for key in max_keys}
-    cones, facet_zeros, tables = {}, {}, {}
+    cones, tables = {}, {}
     for key in max_keys:
-        idx = sorted(key)
-        gens = [ray_tuples[i] for i in idx]
-        rows = simplicial_masks(ambient_rank, ray_tuples, idx)
-        if rows is not None:
-            # simplicial: pointed, every ray extreme, and each facet is
-            # the cone on all rays but one, so nothing here is converted
-            cones[key] = Cone(ambient_rank, tuple(sorted(gens)), ())
-            tables[key] = rows, ray_masks[key]
-            continue
-        c = Cone.from_generators(ambient_rank, gens)
-        if c.lineality_rank != 0:
-            raise FanError("NotPointed",
-                           f"cone on rays {sorted(key)} contains a line")
-        cones[key] = c
-        facet_zeros[key] = [frozenset(i for i in key if vdot(u, ray_tuples[i]) == 0)
-                            for u in c.facet_normals]
-
-    def side(key):
-        # any other cone's facet forms as masks over the fan rays, built
-        # when a check first reads them
-        if key not in tables:
-            tables[key] = form_masks(cones[key], ray_tuples), ray_masks[key]
-        return tables[key]
+        cones[key], tables[key] = c, _ = sign_table(ambient_rank, ray_tuples, sorted(key))
+        if c.lineality_basis:
+            raise FanError("NotPointed", f"cone on rays {sorted(key)} contains a line")
 
     # the fan rays in each maximal cone are exactly its rays, all extreme;
     # then a face is keyed by its generators, which determine it
+    ray_masks = {key: sum(1 << i for i in key) for key in cones}
     every = (1 << len(ray_tuples)) - 1
     for key, c in cones.items():
         if len(c.generators) != len(key):
             raise FanError("IntersectionNotFace",
                            f"cone on rays {sorted(key)} has a ray that is not extreme")
         inside = every ^ ray_masks[key]  # the rays outside the key, then those in c
-        for ge, _, _ in side(key)[0] if inside else ():
+        for ge, _, _ in tables[key]() if inside else ():
             inside &= ge
         if inside:
             raise FanError("IntersectionNotFace", f"cone on rays {sorted(key)} contains "
                            f"rays {[i for i in range(len(ray_tuples)) if inside >> i & 1]}")
-    # every subset of a simplicial cone's rays keys a face, taken in (size,
-    # sorted indices) order; a face of any other maximal cone is cut out
-    # by a set of its facets, and its key is the cone's key cut by those
-    # facets' zero sets on the rays
-    own_keys = {key: cut_closure(key, facet_zeros[key]) if key in facet_zeros else dict.fromkeys(
-        frozenset(s) for n in range(len(key) + 1) for s in combinations(sorted(key), n))
-        for key in cones}
+    # every subset of a simplicial cone's rays keys a face; a face of any
+    # other maximal cone is cut out by a set of its facets, and its key is
+    # the cone's key cut by those facets' = 0 masks
+    own_keys = {key: dict.fromkeys(frozenset(s) for n in range(len(key) + 1)
+                                   for s in combinations(sorted(key), n)) if c.dim == len(key)
+                else dict.fromkeys(size_order(cut_closure(key, [
+                    frozenset(i for i in key if eq >> i & 1) for _, _, eq in tables[key]()])))
+                for key, c in cones.items()}
 
     # two cones must meet in the face on their shared rays, of both; that
-    # face's cone is built only if the pair is intersected
-    for n, k1 in enumerate(max_keys):
-        for k2 in max_keys[n + 1:]:
+    # face's cone is built only if the pair is intersected.  Each key is
+    # paired once, however often it is listed, and a key that is two
+    # cones' common face lies in one of them, so it is no maximal cone
+    keys, inner = list(cones), set()
+    for n, k1 in enumerate(keys):
+        for k2 in keys[n + 1:]:
             common = k1 & k2
             if (common not in own_keys[k1] or common not in own_keys[k2]
                     or not meets_in(cones[k1], cones[k2], lambda: Cone(
                         ambient_rank, tuple(sorted(ray_tuples[i] for i in common)), ()),
-                        (side(k1), side(k2), ray_masks[k1] & ray_masks[k2]))):
+                        ((tables[k1](), ray_masks[k1]), (tables[k2](), ray_masks[k2]),
+                         ray_masks[k1] & ray_masks[k2]))):
                 raise FanError(
                     "IntersectionNotFace",
                     f"cones {sorted(k1)} and {sorted(k2)} do not meet in a common face")
+            inner.add(common)
     unused = sorted(set(range(len(ray_tuples))).difference(*max_keys))
     if unused:
         raise FanError("UnusedRay", f"rays {unused} lie in no maximal cone")
 
-    # one simplicial cone's keys are in order already
-    keys = own_keys[max_keys[0]] if len(cones) == 1 and not facet_zeros else sorted(
-        set().union(*own_keys.values()), key=lambda k: (len(k), sorted(k)))
-    return Fan(ambient_rank, tuple(ray_tuples),
-               tuple(tuple(sorted(k)) for k in max_keys), {**dict.fromkeys(keys), **cones})
+    for key in inner & cones.keys():  # a listed cone under another
+        del cones[key], own_keys[key]
+    faces = own_keys[keys[0]] if len(keys) == 1 else size_order(set().union(*own_keys.values()))
+    return Fan(ambient_rank, tuple(ray_tuples), tuple(tuple(sorted(k)) for k in cones),
+               {**dict.fromkeys(faces), **cones}, own_keys)
 
 
 @dataclass(frozen=True)
@@ -269,7 +245,7 @@ class SubfanLocus:
         return key in self.faces
 
     def sorted_keys(self) -> list:
-        return sorted(self.faces, key=lambda k: (len(k), sorted(k)))
+        return size_order(self.faces)
 
     def maximal_keys(self) -> list:
         # a face under another is under a maximal one, which is larger
@@ -278,14 +254,13 @@ class SubfanLocus:
         for k in sorted(self.faces, key=len, reverse=True):
             if not any(k < m for m in kept):
                 kept.append(k)
-        return sorted(kept, key=lambda k: (len(k), sorted(k)))
+        return size_order(kept)
 
     @staticmethod
     def closure(fan: Fan, keys) -> "SubfanLocus":
-        out = set()
-        for k in keys:
-            out.update(fan.all_keys_under(k))
-        return SubfanLocus(frozenset(out))
+        """The faces under any of keys, in one pass over the fan's faces."""
+        tops = list(keys)
+        return SubfanLocus(frozenset(k for k in fan.face_keys() for m in tops if k <= m))
 
 
 def is_cartier_on(fan: Fan, D: ToricDivisor, key: FaceKey) -> Optional[Vec]:

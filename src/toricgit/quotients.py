@@ -3,44 +3,20 @@ glued fan charts.
 
 Each maximal face sigma of a locus gives a chart pi(sigma) in the
 quotient lattice N/L, where pi is the cokernel projection of the acting
-sublattice.  Each fan ray under some chart is projected once, and each
-chart image is the cone on the projected rays of its face.
-On linearly independent projected rays the image is simplicial, built
-from them with no conversion, and read by index: each ray is a
-generator and lies on every facet but the one opposite it, so the faces
-under the chart are the subsets of its key, each its own fibre, with the
-cone on its rays as orbit image.  One elimination of its rays against every
-projected ray (`cones.simplicial_masks`) is the rank test that finds it
-and the sign table its pair checks read.
-Any other image is converted from the rays and read off one ray-facet
-incidence table: the set of image facets vanishing on each projected
-ray, as a bitmask, and the same for each image generator.  A face gamma
-under sigma is tight on the AND of its rays' masks, and its orbit image,
-the smallest face of the chart image holding pi(gamma), is the image
-generators on all of those facets plus the image lineality.  Faces with
-one tight set share one orbit image, so the table also gives the
-chart's fibres (orbit image to the faces over it).  The good and
-geometric flags are read off the fibres.
-
-Charts are glued along the images of their shared faces.  The glue cone
-pi(gamma) is the orbit image of gamma when that is pointed and generated
-by the projected rays of gamma, and is converted otherwise.  Whether two
-images meet in their glue cone is settled by a form built from their
-facets (`cones.meets_in`), read off each image's facet masks (>= 0,
-<= 0 and = 0) over every image generator, built once (by the
-elimination for a simplicial image, from the converted facets for any
-other), and the generator masks of the two images and the glue; only a
-pair that no such form separates is intersected.  No face lattice is
-built.
+sublattice: the cone on the projected rays of sigma.  Each chart image
+has one sign table over the primitive projected rays and the image
+generators (`cones.sign_table`), and both its orbit map and its pair
+checks read that table; no face lattice is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from operator import and_
 
 from .actions import SemistableLocus, SubtorusAction
-from .cones import Cone, form_masks, image as cone_image, meets_in, simplicial_masks
+from .cones import Cone, form_masks, image as cone_image, meets_in, sign_table
 from .fans import Fan, FaceKey
 from .intlinalg import (
     LatticeMap,
@@ -48,7 +24,6 @@ from .intlinalg import (
     Vec,
     cokernel_projection,
     primitive,
-    vdot,
 )
 
 
@@ -81,12 +56,14 @@ def quotient_projection(action: SubtorusAction) -> tuple[LatticeMap, tuple[int, 
 
 def orbit_image(gamma: Cone, chart: QuotientChart) -> Cone:
     """Smallest face of the chart's image containing pi(gamma), read off
-    the incidence of pi(gamma)'s generators with the image facets
-    (`_incidence`).  gamma is a face of a validated fan, which is pointed,
-    so its generators are all of it."""
-    proj = dict(enumerate(map(chart.projection.apply, gamma.generators)))
+    the image's `form_masks` over pi(gamma)'s primitive generators and
+    its own (`_incidence`).  gamma is a face of a validated fan, which is
+    pointed, so its generators are all of it."""
+    proj = {j: primitive(chart.projection.apply(g)) for j, g in enumerate(gamma.generators)}
+    points = list(dict.fromkeys([*proj.values(), *chart.image.generators]))
     key = frozenset(proj)
-    return _incidence(chart.image, proj, [key]).orbit[key]
+    return _incidence(chart.image, form_masks(chart.image, points),
+                      {p: i for i, p in enumerate(points)}, proj, [key]).orbit[key]
 
 
 def is_saturated(sublocus_keys, images: dict[FaceKey, Cone]) -> bool:
@@ -102,9 +79,9 @@ def is_saturated(sublocus_keys, images: dict[FaceKey, Cone]) -> bool:
 
 @dataclass(frozen=True)
 class _Incidence:
-    """A chart's orbit map read off its ray-facet incidence.
+    """A chart's orbit map read off its image's sign table.
 
-    tight[k] is the bitmask of the image facets that vanish on pi(gamma)
+    tight[k] is the bitmask of the table's forms that vanish on pi(gamma)
     for the face gamma keyed k, and orbit[k] its orbit image.  Faces with
     one tight set form one fibre and share one orbit image, and reach[t]
     is the union of the keys in the fibre of t."""
@@ -119,46 +96,52 @@ class _Incidence:
                    for k, t in self.tight.items() if k <= common)
 
 
-def _incidence(img: Cone, proj: dict[int, Vec], keys) -> _Incidence:
-    """The orbit map of the chart image img over the face keys, given the
-    projection of each ray of the chart (proj, keyed like the keys).
+def _incidence(img: Cone, rows, index: dict[Vec, int], proj: dict[int, Vec],
+               keys) -> _Incidence:
+    """The orbit map of the chart image img over the face keys, read off
+    img's sign table (rows, `form_masks`' layout, over points indexed by
+    index), given the primitive projection of each ray of the chart (proj,
+    keyed like the keys); the projected rays and img's generators are
+    points of the table.
 
-    The orbit image of a face is cut out by the image facets that vanish
-    on all of its projected rays, the AND of the rays' bitmasks, and
-    generated by the image generators on all of those facets plus the
-    image's lineality: the same cone `cones.faces` builds for that face.
-    A face of sigma projects into pi(sigma), so a projected ray outside
-    the image is a failed engine invariant (RuntimeError)."""
-    normals, eqs = img.facet_normals, img.span_equalities
-
-    def zeros(xs):  # bitmask of the facets with value 0
-        return sum(1 << b for b, x in enumerate(xs) if x == 0)
-
-    ray_zeros = {}
-    for j, p in proj.items():
-        xs = [vdot(u, p) for u in normals]
-        if any(x < 0 for x in xs) or any(vdot(e, p) for e in eqs):
-            raise RuntimeError("projected face escapes the chart image")
-        ray_zeros[j] = zeros(xs)
-    gens = [(g, zeros([vdot(u, g) for u in normals])) for g in img.generators]
+    The orbit image of a face is cut out by the forms that vanish on all
+    of its projected rays, the AND of the rays' zero sets, and generated
+    by the image generators on all of those forms plus the image's
+    lineality: the same cone `cones.faces` builds for that face.  A span
+    form vanishes on the whole image, so it is in every AND and changes
+    no orbit image.  A face of sigma projects into pi(sigma), so a
+    projected ray outside img, off some >= 0 mask or off a form that
+    vanishes on every generator of img, is a failed engine invariant
+    (RuntimeError)."""
+    zeros = {}  # each point's forms with value 0, as a bitmask
+    for p in {*proj.values(), *img.generators}:
+        i, z = index[p], 0
+        for b, (_, _, eq) in enumerate(rows):
+            z |= (eq >> i & 1) << b
+        zeros[p] = z
+    inside = reduce(and_, (ge for ge, _, _ in rows), -1)
+    gens = [(g, zeros[g]) for g in img.generators]
+    on_img = reduce(and_, (z for _, z in gens), (1 << len(rows)) - 1)
+    if any(not inside >> index[p] & 1 or zeros[p] & on_img != on_img for p in proj.values()):
+        raise RuntimeError("projected face escapes the chart image")
+    ray_zeros = {j: zeros[p] for j, p in proj.items()}
     orbit, tight, by_tight, reach = {}, {}, {}, {}
     for k in keys:
-        t = (1 << len(normals)) - 1
+        t = (1 << len(rows)) - 1
         for j in k:
             t &= ray_zeros[j]
         if t not in by_tight:
-            by_tight[t] = Cone(img.ambient_rank,
-                               tuple(g for g, z in gens if z & t == t),
+            by_tight[t] = Cone(img.ambient_rank, tuple(g for g, z in gens if z & t == t),
                                img.lineality_basis)
         orbit[k], tight[k] = by_tight[t], t
-        reach[t] = reach.get(t, k) | k
+        reach[t] = reach[t] | k if t in reach else k
     return _Incidence(orbit, tight, reach)
 
 
-def _glue_cone(key: FaceKey, orbit: Cone, proj: dict[int, Vec], fan: Fan,
+def _glue_cone(key: FaceKey, orbit: Cone, prim: dict[int, Vec], fan: Fan,
                pi: LatticeMap) -> Cone:
     """pi(gamma) for the fan face gamma on key, given its orbit image in
-    some chart and the projected fan rays.
+    some chart and the primitive projected fan rays.
 
     pi(gamma) lies in the orbit image F.  When F is pointed and each of
     its generators is the primitive image of a ray of gamma, F lies in
@@ -166,35 +149,9 @@ def _glue_cone(key: FaceKey, orbit: Cone, proj: dict[int, Vec], fan: Fan,
     pointed F that equals pi(gamma) always passes: an extreme ray of F
     in pi(gamma) is a positive multiple of one of the pi(v).)  Otherwise
     pi(gamma) is converted."""
-    if not orbit.lineality_basis and set(orbit.generators) <= {
-            primitive(proj[j]) for j in key}:
+    if not orbit.lineality_basis and set(orbit.generators) <= {prim[j] for j in key}:
         return orbit
     return cone_image(fan.face_cone(key), pi)
-
-
-def _simplicial_incidence(img: Cone, rays: dict[int, Vec]) -> _Incidence:
-    """The orbit map of a chart image on linearly independent projected
-    rays (primitive, keyed by fan ray), read by index.  The image is
-    simplicial and its generators are the rays: ray j is generator b,
-    on every facet but the one opposite it, bit b.  So the faces under
-    the chart, in the fan's (size, sorted indices) order, are the subsets
-    of its key, each tight on the facets opposite the generators it
-    lacks, and each is its own fibre, with the cone on its generators as
-    orbit image.  A ray that is not a generator of the image is a failed
-    engine invariant (RuntimeError), as in `_incidence`."""
-    at = {g: b for b, g in enumerate(img.generators)}
-    if not all(r in at for r in rays.values()):
-        raise RuntimeError("projected face escapes the chart image")
-    every = (1 << len(at)) - 1
-    orbit, tight, reach = {}, {}, {}
-    for n in range(len(rays) + 1):
-        for sub in combinations(sorted(rays), n):
-            k, on = frozenset(sub), sum(1 << at[rays[j]] for j in sub)
-            orbit[k] = Cone(img.ambient_rank, tuple(g for g in img.generators if on >> at[g] & 1),
-                            img.lineality_basis)
-            tight[k] = t = every ^ on
-            reach[t] = k
-    return _Incidence(orbit, tight, reach)
 
 
 def build_quotient(ss: SemistableLocus, action: SubtorusAction,
@@ -203,11 +160,15 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
     ss.certificates), glued along the images of their shared faces, with
     every fan face under a chart sent to its orbit image there.
 
-    Each ray under a chart is projected once.  A chart on independent
-    projected rays is simplicial, and its orbit map and fibres are read
-    by index (`_simplicial_incidence`); any other chart's are read off
-    its ray-facet incidence table (`_incidence`).  The flags are read
-    off the fibres:
+    Each ray under a chart is projected once, and each chart image and
+    its sign table come from one `cones.sign_table` over the primitive
+    projected rays (built from them with no conversion when they are
+    independent).  A converted image's table also covers every image
+    generator; a simplicial image's generators are projected rays.  Its
+    orbit map and fibres over the chart's own face keys
+    (`Fan.all_keys_under`) are read off the table (`_incidence`), and so
+    are the pair checks (`cones.meets_in`).  The flags are read off the
+    fibres:
 
     - good: the intersection of every two charts, the orbits over the
       faces under their common face, is saturated in both, a full
@@ -223,40 +184,25 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
     q = pi.target_rank
     max_keys = [k for k, _ in ss.certificates]
 
-    proj = {j: pi.apply(fan.rays[j]) for j in frozenset().union(*max_keys)}
-    # every primitive projected ray is a point of the pair masks, and one
-    # elimination against them finds a chart on independent rays, which is
-    # simplicial, and gives its masks; its incidence is read by index
-    prim = {j: primitive(p) for j, p in proj.items()}
+    prim = {j: primitive(pi.apply(fan.rays[j])) for j in frozenset().union(*max_keys)}
     points = list(dict.fromkeys(prim[j] for key in max_keys for j in sorted(key)))
     index = {p: i for i, p in enumerate(points)}
-    charts, tables, own_masks = [], [], []
-    for key in max_keys:
-        masks = simplicial_masks(q, points, [index[prim[j]] for j in sorted(key)])
-        own_masks.append(masks)
-        if masks is not None:
-            charts.append(QuotientChart(key, Cone(q, tuple(sorted(prim[j] for j in key)), ()), pi))
-            tables.append(_simplicial_incidence(charts[-1].image, {j: prim[j] for j in key}))
-        else:
-            charts.append(QuotientChart(key, Cone.from_generators(
-                q, [proj[j] for j in sorted(key)]), pi))
-            tables.append(_incidence(charts[-1].image, {j: proj[j] for j in key},
-                                     fan.all_keys_under(key)))
+    made = [(key, *sign_table(q, points, [index[prim[j]] for j in sorted(key)]))
+            for key in max_keys]
+    charts = [QuotientChart(key, image, pi) for key, image, _ in made]
+    # a converted image's generators may lie past the projected rays; a
+    # simplicial image's table may not cover them, but meets_in reads it
+    # only against an image of its own lineality, none, whose generators
+    # are projected rays
+    for g in dict.fromkeys(g for ch in charts for g in ch.image.generators if g not in index):
+        index[g] = len(points)
+        points.append(g)
+    sides = [(table(), sum(1 << index[g] for g in ch.image.generators))
+             for ch, (_, _, table) in zip(charts, made)]
+    tables = [_incidence(ch.image, rows, index, {j: prim[j] for j in ch.source_key},
+                         fan.all_keys_under(ch.source_key)) for ch, (rows, _) in zip(charts, sides)]
     images = [t.orbit for t in tables]
     orbit_map = [(k, i, F) for i, m in enumerate(images) for k, F in m.items()]
-    # any other image's facet forms as masks over every image generator,
-    # which may add points past the projected rays, and each image's
-    # generators as a mask.  A simplicial image is pointed, and meets_in
-    # reads its masks only against an image of the same lineality, whose
-    # generators are projected rays
-    for ch in charts:
-        for g in ch.image.generators:
-            if g not in index:
-                index[g] = len(points)
-                points.append(g)
-    sides = [(masks if masks is not None else form_masks(ch.image, points),
-              sum(1 << index[g] for g in ch.image.generators))
-             for ch, masks in zip(charts, own_masks)]
 
     gluings = []
     glues: dict[FaceKey, Cone] = {}  # one image per shared face
@@ -268,7 +214,7 @@ def build_quotient(ss: SemistableLocus, action: SubtorusAction,
             # two fan faces meet in the face on their common rays
             common = charts[i].source_key & charts[j].source_key
             if common not in glues:
-                glues[common] = _glue_cone(common, images[i][common], proj, fan, pi)
+                glues[common] = _glue_cone(common, images[i][common], prim, fan, pi)
             glue = glues[common]
             gluings.append((i, j, glue))
             if not (tables[i].saturated(common) and tables[j].saturated(common)):

@@ -335,9 +335,11 @@ def validate_fan_by_conversion(ambient_rank: int, rays, maximal_cones) -> Fan:
     """Reference for `validate_fan`: the same checks in the same order,
     with every maximal cone converted by `Cone.from_generators`, every
     fan ray tested against it, and its face keys cut by its facet zero
-    sets, simplicial or not.  The Fan it returns keeps the cone of every
-    face, built here, where `validate_fan` keeps the maximal cones only
-    and builds the others when `Fan.face_cone` reads them, so reading
+    sets, simplicial or not; a listed cone that repeats another or lies in
+    another is then dropped, and each maximal cone's own face keys are
+    read off a scan of all of them.  The Fan it returns keeps the cone of
+    every face, built here, where `validate_fan` keeps the maximal cones
+    only and builds the others when `Fan.face_cone` reads them, so reading
     each face's cone from both compares those builds."""
     ray_tuples: list[Vec] = []
     for r in rays:
@@ -404,10 +406,12 @@ def validate_fan_by_conversion(ambient_rank: int, rays, maximal_cones) -> Fan:
     if unused:
         raise FanError("UnusedRay", f"rays {unused} lie in no maximal cone")
 
+    # a listed cone that repeats another or lies in another is dropped
+    tops = list(dict.fromkeys(k for k in max_keys if not any(k < m for m in max_keys)))
     ordered: dict[FaceKey, Optional[Cone]] = dict(
         sorted(face_map.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))))
-    return Fan(ambient_rank, tuple(ray_tuples),
-               tuple(tuple(sorted(k)) for k in max_keys), ordered)
+    return Fan(ambient_rank, tuple(ray_tuples), tuple(tuple(sorted(k)) for k in tops),
+               ordered, {k: dict.fromkeys(f for f in ordered if f <= k) for k in tops})
 
 
 def whole_locus(fan: Fan) -> SubfanLocus:

@@ -221,6 +221,23 @@ def test_exit_2_on_nonaffine_chambers(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("listed", [[[0, 1], [0]], [[0, 1], [0, 1]], [[0, 1], []]])
+def test_chambers_of_an_affine_file_that_lists_a_cone_twice_or_a_face(tmp_path, capsys,
+                                                                        listed):
+    # the repeated key or listed face is no maximal cone, so the fan is the
+    # affine plane and its GIT fan is the one-cone file's
+    reports = []
+    for cones_ in (listed, [[0, 1]]):
+        data = {"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "cones": cones_,
+                "action": [[1, 1]]}
+        f = tmp_path / "affine.json"
+        f.write_text(json.dumps(data))
+        code, rep = _run_json(["chambers", str(f)], capsys)
+        assert code == 0
+        reports.append(rep["result"])
+    assert reports[0] == reports[1] and len(reports[0]["chambers"]) == 2
+
+
 def test_exit_2_on_a_ray_in_no_cone(tmp_path, capsys):
     # the third ray is no cone of the fan, yet its form would constrain
     # every chart: the locus would be empty instead of all four faces

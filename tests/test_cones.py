@@ -22,6 +22,7 @@ from toricgit.cones import (
     meets_in,
     product_feasible_strict,
     relative_interior_point,
+    sign_table,
     simplicial_masks,
 )
 from toricgit.intlinalg import (
@@ -875,6 +876,44 @@ def test_simplicial_masks_are_a_facet_description():
         seen["lower" if k < n else "full"] += 1
     assert min(seen.values()) >= 100, seen
 
+
+
+def test_sign_table_is_the_elimination_or_the_conversion(monkeypatch):
+    """sign_table builds a cone on independent rays from them, with its
+    dim, and reads its table off the elimination; on dependent rays it is
+    the conversion, with `form_masks` of its facets as the table.  With no
+    point but the rays, the elimination waits for the table's first read,
+    and a converted table is built once, over the points at that read."""
+    seen = collections.Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        pool = list(dict.fromkeys(random_primitive_vector(rng, n)
+                                  for _ in range(rng.randint(1, n + 3))))
+        basis = rng.sample(range(len(pool)), rng.randint(0, min(len(pool), n + 1)))
+        rays = [pool[i] for i in basis]
+        cone, table = sign_table(n, pool, basis)
+        if fraction_rank(rays) == len(rays):
+            assert (cone.generators, cone.lineality_basis, cone.dim) == (
+                tuple(sorted(rays)), (), len(rays))
+            assert table() == simplicial_masks(n, pool, basis)
+            seen["simplicial"] += 1
+        else:
+            assert cone == Cone.from_generators(n, rays)
+            assert table() == cones.form_masks(cone, pool) and table() is table()
+            seen["converted"] += 1
+    assert min(seen.values()) >= 30, seen
+    eliminations = []
+    real = cones.simplicial_masks
+    monkeypatch.setattr(cones, "simplicial_masks",
+                        lambda *a: eliminations.append(a) or real(*a))
+    rays = [(1, 0, 0), (0, 1, 0)]
+    cone, table = sign_table(3, rays, [0, 1])
+    assert eliminations == [] and table() == real(3, rays, [0, 1]) and len(eliminations) == 1
+    points = [(1, 0), (0, 1), (1, 1)]
+    cone, table = sign_table(2, points, [0, 1, 2])
+    points.append((-1, 0))
+    assert table() == cones.form_masks(cone, points) and len(points) == 4
 
 def test_meets_in_reads_simplicial_masks_as_intersect_does():
     """For pairs of simplicial cones on rays drawn from one small pool,

@@ -117,6 +117,33 @@ def test_validate_rejects_cone_inside_another_as_a_non_face():
     assert e.value.kind == "IntersectionNotFace"
 
 
+@pytest.mark.parametrize("listed", [[[0, 1], [0]], [[0, 1], [0, 1]], [[0, 1], []],
+                                    [[1], [], [0, 1], [0], [0, 1]]])
+def test_a_listed_cone_under_another_is_dropped(listed):
+    # a repeated key, a face of another listed cone and the empty cone pass
+    # every check; the fan keeps each inclusion-maximal key once, so it is
+    # the fan of the one cone
+    rays = [(1, 0), (0, 1)]
+    fan = validate_fan(2, rays, listed)
+    assert fan == validate_fan(2, rays, [[0, 1]])
+    assert fan.maximal_cones == ((0, 1),)
+    assert (_validation_outcome(validate_fan, 2, rays, listed)
+            == _validation_outcome(validate_fan_by_conversion, 2, rays, listed))
+
+
+def test_maximal_cones_keep_their_listed_order_when_a_face_is_dropped():
+    # P^2 with one of its rays and one of its cones listed again, and the
+    # square cone with one of its edges: the listed faces go, the order stays
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    fan = validate_fan(2, rays, [[1, 2], [1], [0, 1], [2, 0], [0, 1]])
+    assert fan.maximal_cones == ((1, 2), (0, 1), (0, 2))
+    assert fan == validate_fan(2, rays, [[1, 2], [0, 1], [2, 0]])
+    square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    fan = validate_fan(3, square, [[0, 1], [0, 1, 2, 3]])
+    assert fan == validate_fan(3, square, [[0, 1, 2, 3]])
+    assert fan.all_keys_under(frozenset(range(4))) == fan.face_keys()
+
+
 # --- simplicial cones are validated by a rank, not a conversion ---------
 
 def _complete_fans(n):
@@ -185,7 +212,8 @@ def _validation_outcome(validate, *args):
     faces_ = [(k, c.dim, c.generators, c.lineality_basis, c.facet_normals,
                c.span_equalities, c.dim)
               for k, c in ((k, fan.face_cone(k)) for k in fan.face_keys())]
-    return fan.rays, fan.maximal_cones, fan.face_keys(), faces_
+    return (fan.rays, fan.maximal_cones, fan.face_keys(), faces_,
+            [fan.all_keys_under(k) for k in fan.maximal_keys])
 
 
 def test_validate_matches_conversion_on_random_fans():
@@ -402,9 +430,26 @@ def test_one_simplicial_cone_builds_one_cone(monkeypatch):
     assert fan.face_cone(keys[-1]) is fan.face_cone(keys[-1]) and len(built) == 2
 
 
+@pytest.mark.parametrize("r", range(7))
+def test_an_orthant_builds_no_sign_table(monkeypatch, r):
+    # C^r lists every ray in one cone, so neither the outside-ray check nor
+    # a pair check reads its table: one rank, no elimination, no conversion
+    eliminations = _count_calls(monkeypatch, cones, "simplicial_masks")
+    forms = _count_calls(monkeypatch, cones, "form_masks")
+    conversions = _count_calls(monkeypatch, cones, "double_description")
+    ranks = _count_calls(monkeypatch, cones, "rank_of_rows")
+    fan = validate_fan(r, [tuple(int(i == j) for j in range(r)) for i in range(r)], [range(r)])
+    assert len(fan.face_keys()) == 2 ** r
+    assert (eliminations, forms, conversions, len(ranks)) == ([], [], [], 1)
+    # two cones, each with a fan ray outside it: one elimination each
+    fan = validate_fan(2, [(1, 0), (0, 1), (-1, 0)], [[0, 1], [1, 2]])
+    assert len(fan.maximal_cones) == len(eliminations) == 2
+    assert (forms, conversions, len(ranks)) == ([], [], 1)
+
+
 def test_face_lookups_match_a_per_key_reference():
-    """On accepted fans of several cones, a set of rays is a face iff it
-    holds the generators of a face of some converted maximal cone, and
+    """On accepted fans, one cone or several, a set of rays is a face iff
+    it holds the generators of a face of some converted maximal cone, and
     has_face and all_keys_under answer so for every set of rays."""
     rng = random.Random(9)
     checked = 0
@@ -414,8 +459,6 @@ def test_face_lookups_match_a_per_key_reference():
         try:
             fan = validate_fan(n, rays, maxes)
         except FanError:
-            continue
-        if len(fan.maximal_cones) < 2:
             continue
         index = {v: i for i, v in enumerate(fan.rays)}
         ref = {frozenset(index[g] for g in f.generators)

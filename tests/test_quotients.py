@@ -16,7 +16,14 @@ from toricgit.actions import (
     semistable_group,
 )
 from toricgit import cones, quotients
-from toricgit.cones import Cone, faces as cone_faces, intersect, meets_in
+from toricgit.cones import (
+    Cone,
+    faces as cone_faces,
+    form_masks,
+    intersect,
+    meets_in,
+    simplicial_masks,
+)
 from toricgit.fans import DivisorGroup, FanError, ToricDivisor, validate_fan
 from toricgit.intlinalg import (
     IntMatrix,
@@ -46,6 +53,7 @@ from genutil import (
     random_divisor,
     random_fan,
     random_linearization,
+    random_primitive_vector,
 )
 
 
@@ -284,6 +292,42 @@ def test_orbit_image_is_smallest_face_holding_the_projection():
                     assert orbit_image(gamma, chart) == want
     assert pairs >= 400 and escaped >= 200
 
+
+
+def test_incidence_reads_one_orbit_map_off_either_table():
+    """On random simplicial charts, `_incidence` gives the same orbit map,
+    tight sets and fibres from the elimination's table as from
+    `form_masks` of the converted image.  The two tables number their
+    forms apart, so a tight set is compared as the zero sets on the rays
+    of its forms, which name each facet (all rays but one) and the span
+    forms (all rays) alike in both."""
+    charts = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        q = rng.randint(1, 4)
+        k = rng.randint(0, q)
+        rays = [random_primitive_vector(rng, q) for _ in range(k)]
+        if len(set(rays)) < k or rank_of_rows(rays) < k:
+            continue
+        points = list(dict.fromkeys(rays + [random_primitive_vector(rng, q)
+                                            for _ in range(rng.randint(0, 3))]))
+        index = {p: i for i, p in enumerate(points)}
+        proj = dict(enumerate(rays))
+        keys = [frozenset(s) for n in range(k + 1) for s in itertools.combinations(range(k), n)]
+        on_rays = (1 << k) - 1
+        converted = Cone.from_generators(q, rays)
+        got = []
+        for img, rows in ((Cone(q, tuple(sorted(rays)), ()), simplicial_masks(q, points, range(k))),
+                          (converted, form_masks(converted, points))):
+            inc = quotients._incidence(img, rows, index, proj, keys)
+            named = {key: {rows[b][2] & on_rays for b in range(len(rows)) if t >> b & 1}
+                     for key, t in inc.tight.items()}
+            fibres = {frozenset(key for key, t in inc.tight.items() if t == t0)
+                      for t0 in inc.tight.values()}
+            got.append((inc.orbit, named, fibres, set(inc.reach.values())))
+        assert got[0] == got[1], (rays, points)
+        charts += 1
+    assert charts >= 150, charts
 
 def test_meets_in_matches_intersect_on_chart_images(monkeypatch):
     """On every pair of chart images of random quotients, and on every
